@@ -7,7 +7,7 @@ figure-data (point sets for plotting).  Every documented failure path
 maps to a fixed exit code:
 
     0  success
-    2  invalid or unusable plant / input file
+    2  invalid or unusable plant / input file / argument
     3  no feasible frequency pair
     4  phase condition failed
     5  no shift intersection
@@ -28,6 +28,7 @@ import click
 from . import __version__
 from .construct import build_certificate, plant_response
 from .errors import (
+    DomainError,
     EmptyResultError,
     FileFormatError,
     LuryecycleError,
@@ -68,6 +69,7 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (SelfVerifyError, EXIT_VERIFY_FAILED),
     (PlantValidationError, EXIT_INVALID_PLANT),
     (FileFormatError, EXIT_INVALID_PLANT),
+    (DomainError, EXIT_INVALID_PLANT),
 )
 
 

@@ -94,6 +94,8 @@ class AnchorPlant:
         if not (math.isfinite(self.value.real)
                 and math.isfinite(self.value.imag)):
             raise PlantValidationError("anchor value must be finite")
+        if self.dc is not None and not math.isfinite(self.dc):
+            raise PlantValidationError("anchor dc must be finite")
 
 
 Plant = TransferFunction | AnchorPlant

@@ -18,8 +18,11 @@ class SingularMatrixError(LuryecycleError):
     """A resolvent needed in closed form does not exist."""
 
 
-class DomainError(LuryecycleError):
-    """Argument outside the mathematical domain of the operation."""
+class DomainError(LuryecycleError, ValueError):
+    """Argument outside the mathematical domain of the operation.
+
+    Also a ValueError, so callers that catch bad arguments that way keep
+    working."""
 
 
 class ZeroResponseError(LuryecycleError):

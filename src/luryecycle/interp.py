@@ -3,9 +3,12 @@
 Data pairs (y, v) sample a candidate nonlinearity v = phi(y) with the
 feedback sign convention v = -u.  A set is interpolable by a monotone
 (possibly multivalued) nonlinearity iff every chord is non-decreasing:
-(y_i - y_l)(v_i - v_l) >= 0.  The interpolant is piecewise linear between
-breakpoints, takes the whole interval [v_lo, v_hi] at a multivalued
-breakpoint, and extrapolates by its nearest value outside the data span.
+(y_i - y_l)(v_i - v_l) >= 0.  Outputs within the clustering width are one
+breakpoint, so the test reduces to one sorted sweep: the values of each
+cluster must lie above those of the cluster before.  The interpolant is
+piecewise linear between breakpoints, takes the whole interval
+[v_lo, v_hi] at a multivalued breakpoint, and extrapolates by its nearest
+value outside the data span.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .errors import (
 from .lti import RationalFrequency
 
 # Y_TOL_FACTOR scales the breakpoint clustering width with the data;
-# INTERPOLABLE_TOL absorbs rounding in the chord products; ORIGIN_TOL is the
+# INTERPOLABLE_TOL is the relative slack by which a breakpoint's values may
+# fall below those of the breakpoint before it; ORIGIN_TOL is the
 # containment tolerance for 0 in phi(0); SLOPE_SLACK is the relative
 # slack allowed on chord-slope checks.
 Y_TOL_FACTOR = 1e-8
-INTERPOLABLE_TOL = 1e-10
+INTERPOLABLE_TOL = 1e-12
 ORIGIN_TOL = 1e-9
 SLOPE_SLACK = 1e-9
 
@@ -85,20 +89,22 @@ class DataPairSet:
 
 def monotone_interpolable(data: DataPairSet,
                           tol: float = INTERPOLABLE_TOL) -> bool:
-    """All-pairs chord test: (y_i - y_l)(v_i - v_l) >= 0 within tolerance.
+    """Whether the clustered data rises from one cluster to the next.
 
-    Products down to -tol * scale^2 pass, where scale covers the data
-    magnitude, so exact repeats perturbed by rounding are not rejected.
+    Sorts once and chains outputs within data.y_tol() into clusters, the
+    breakpoints of :func:`interpolate`; inside a cluster any value order
+    is a vertical riser.  Each cluster's lowest value may fall below the
+    highest value of the cluster before it by at most tol * scale, where
+    scale covers the value magnitude, so the answer is True exactly when
+    the breakpoints form a monotone :class:`PiecewiseNonlinearity`.
     """
-    pts = data.pairs
-    scale = max(1.0, max(abs(y) for y, _ in pts), max(abs(v) for _, v in pts))
-    floor = -tol * scale * scale
-    for i in range(len(pts)):
-        yi, vi = pts[i]
-        for l in range(i + 1, len(pts)):
-            yl, vl = pts[l]
-            if (yi - yl) * (vi - vl) < floor:
-                return False
+    slack = tol * max(1.0, max(abs(v) for _, v in data.pairs))
+    prev_hi = -math.inf
+    for cluster in _clusters(data.sorted_pairs(), data.y_tol()):
+        vs = [v for _, v in cluster]
+        if prev_hi > min(vs) + slack:
+            return False
+        prev_hi = max(vs)
     return True
 
 
@@ -137,7 +143,7 @@ class PiecewiseNonlinearity:
             raise ValueError("slope_bound must be positive")
         vscale = max(1.0, max(abs(b.v_lo) for b in bps),
                      max(abs(b.v_hi) for b in bps))
-        slack = 1e-12 * vscale
+        slack = INTERPOLABLE_TOL * vscale
         prev = None
         for b in bps:
             if b.v_lo > b.v_hi + slack:
@@ -160,22 +166,10 @@ class PiecewiseNonlinearity:
                     f"chord slope {peak:.9g} exceeds the declared bound "
                     f"{self.slope_bound:.9g}")
         if self.odd:
-            self._check_odd_symmetry()
-
-    def _check_odd_symmetry(self):
-        tol_y = self.y_tol
-        vscale = max(1.0, max(abs(b.v_hi) for b in self.breakpoints))
-        tol_v = Y_TOL_FACTOR * vscale
-        for b in self.breakpoints:
-            mirrored = [m for m in self.breakpoints if abs(m.y + b.y) <= tol_y]
-            if not any(abs(m.v_lo + b.v_hi) <= tol_v
-                       and abs(m.v_hi + b.v_lo) <= tol_v for m in mirrored):
-                raise ValueError(
-                    f"odd flag set but no mirror of the breakpoint at "
-                    f"y={b.y!r} exists")
-        lo, hi = self.evaluate(0.0)
-        if lo > ORIGIN_TOL or hi < -ORIGIN_TOL:
-            raise ValueError("odd flag set but 0 is not in phi(0)")
+            vscale = max(1.0, max(abs(b.v_hi) for b in bps))
+            flaw = _odd_flaw(self, self.y_tol, Y_TOL_FACTOR * vscale)
+            if flaw:
+                raise ValueError(f"odd flag set but {flaw}")
 
     @cached_property
     def y_tol(self) -> float:
@@ -188,7 +182,7 @@ class PiecewiseNonlinearity:
     def _ys(self) -> tuple[float, ...]:
         return tuple(b.y for b in self.breakpoints)
 
-    @property
+    @cached_property
     def is_single_valued(self) -> bool:
         return all(b.v_lo == b.v_hi for b in self.breakpoints)
 
@@ -276,40 +270,61 @@ def interpolate(data: DataPairSet,
     try:
         trial = PiecewiseNonlinearity(tuple(bps), slope_bound=slope_bound)
     except ValueError as exc:
-        # Within the chord-test tolerance but not strictly interpolable.
+        # Monotone, but outside the declared slope class.
         raise NotMonotoneError(str(exc)) from exc
-    if _looks_odd(trial, eps, data.v_tol()):
+    if _odd_flaw(trial, eps, data.v_tol()) is None:
         return PiecewiseNonlinearity(tuple(bps), odd=True,
                                      slope_bound=slope_bound)
     return trial
 
 
-def _looks_odd(phi: PiecewiseNonlinearity, tol_y: float,
-               tol_v: float) -> bool:
+def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
+              tol_v: float) -> str | None:
+    """Why phi is not odd within (tol_y, tol_v), or None when it is.
+
+    Odd means every breakpoint has a mirror at -y with the negated value
+    interval, and phi(0) contains 0.  Mirror candidates are found by
+    bisection on the sorted breakpoint positions within 2*tol_y of -y,
+    so rounding in the window ends cannot drop a candidate that the
+    test |m.y + b.y| <= tol_y accepts.
+    """
     bps = phi.breakpoints
+    ys = phi._ys
     for b in bps:
-        if not any(abs(m.y + b.y) <= tol_y
-                   and abs(m.v_lo + b.v_hi) <= tol_v
-                   and abs(m.v_hi + b.v_lo) <= tol_v for m in bps):
-            return False
+        j = bisect_left(ys, -b.y - 2.0 * tol_y)
+        reach = -b.y + 2.0 * tol_y
+        while j < len(ys) and ys[j] <= reach:
+            m = bps[j]
+            if (abs(m.y + b.y) <= tol_y and abs(m.v_lo + b.v_hi) <= tol_v
+                    and abs(m.v_hi + b.v_lo) <= tol_v):
+                break
+            j += 1
+        else:
+            return f"no mirror of the breakpoint at y={b.y!r} exists"
     lo, hi = phi.evaluate(0.0)
-    return lo <= ORIGIN_TOL and hi >= -ORIGIN_TOL
+    if lo > ORIGIN_TOL or hi < -ORIGIN_TOL:
+        return "0 is not in phi(0)"
+    return None
 
 
 def odd_append(data: DataPairSet) -> DataPairSet:
     """Union of the data with its point reflection through the origin.
 
     Reflected pairs that duplicate an existing pair within the clustering
-    width (in both coordinates) are dropped.
+    width (in both coordinates) are dropped.  One sweep in (y, v) order:
+    only kept pairs within eps_y behind the current one can duplicate it.
     """
     eps_y = data.y_tol()
     eps_v = data.v_tol()
     kept: list[tuple[float, float]] = []
     for y, v in sorted(list(data.pairs) + [(-y, -v) for y, v in data.pairs]):
-        if any(abs(y - y0) <= eps_y and abs(v - v0) <= eps_v
-               for y0, v0 in kept):
-            continue
-        kept.append((y, v))
+        i = len(kept) - 1
+        while i >= 0 and y - kept[i][0] <= eps_y:
+            if abs(v - kept[i][1]) <= eps_v:
+                break
+            i -= 1
+        else:
+            kept.append((y, v))
     return DataPairSet(tuple(kept), freq=data.freq, response=data.response)
 
 

@@ -13,6 +13,7 @@ convolution, i.e. a circulant matrix product y = C(h) u.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +56,8 @@ class TransferFunction:
     def __post_init__(self):
         den = [float(c) for c in self.den]
         num = [float(c) for c in self.num]
+        if not all(map(math.isfinite, num + den)):
+            raise PlantValidationError("coefficients must be finite numbers")
         if not den or den[0] == 0.0:
             raise PlantValidationError(
                 "denominator needs a nonzero leading coefficient")
@@ -106,8 +109,12 @@ class RationalFrequency:
     beta: int
 
     def __post_init__(self):
-        if not isinstance(self.alpha, int) or not isinstance(self.beta, int):
-            raise ValueError("alpha and beta must be integers")
+        try:
+            # operator.index admits numpy integers and rejects floats
+            object.__setattr__(self, "alpha", operator.index(self.alpha))
+            object.__setattr__(self, "beta", operator.index(self.beta))
+        except TypeError:
+            raise ValueError("alpha and beta must be integers") from None
         if not 0 < self.alpha < self.beta:
             raise ValueError(
                 f"need 0 < alpha < beta, got ({self.alpha}, {self.beta})")

@@ -153,8 +153,12 @@ def slope_bound_value(response: complex, freq: RationalFrequency,
     if denom < -tiny:
         kbar = -t / denom
         # kbar solves the window equality, so the shifted real part
-        # R + 1/kbar = -|I|/t can never be positive.
-        assert R + 1.0 / kbar <= 1e-9
+        # R + 1/kbar = -|I|/t can never be positive; only rounding at an
+        # extreme response magnitude can break that.
+        if not R + 1.0 / kbar <= 1e-9:
+            raise DomainError(
+                f"slope bound lost precision at response {response!r}: "
+                f"R + 1/kbar = {R + 1.0 / kbar:.3g} > 0")
         return SlopeBound(freq, complex(response), odd_variant,
                           BoundKind.FINITE, kbar)
     if R < 0.0 and denom <= tiny:
@@ -201,7 +205,7 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
     follow in (beta, alpha) order.
     """
     if beta_max < 2:
-        raise ValueError("beta_max must be at least 2")
+        raise DomainError(f"beta_max must be at least 2, got {beta_max}")
     feasible: list[SlopeBound] = []
     infeasible: list[SlopeBound] = []
     for beta in range(2, beta_max + 1):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     AlgebraicLoopError,
+    DomainError,
     IllPosedFeedbackError,
     MultivaluedPhiError,
     SingularMatrixError,
@@ -169,16 +170,24 @@ def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
 def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
                  u: PeriodicSignal, y: PeriodicSignal,
                  periods: int = 20) -> CycleVerdict:
-    """Check a stored periodic cycle of the loop y = G u, u = -phi(y)."""
+    """Check a stored periodic cycle of the loop y = G u, u = -phi(y).
+
+    A single-valued phi is also simulated for the given number of
+    periods, at least 2; fewer raise :class:`DomainError`, because a
+    verdict must not pass on a simulation that never ran.
+    """
     if u.period != y.period:
         raise ValueError("input and output must share one period")
+    if phi.is_single_valued and periods < 2:
+        raise DomainError(
+            f"the closed-loop check needs at least 2 periods, got {periods}")
     T = u.period
     ua = u.as_array()
     ya = y.as_array()
     res_per = float(np.max(np.abs(ya - periodic_response(plant, u).as_array())))
     res_int = interpolation_residual(phi, ya, ua)
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
-    if phi.is_single_valued and periods >= 2:
+    if phi.is_single_valued:
         ss = realize(plant)
         x0 = periodic_steady_state(ss, u)
         ysim, _ = simulate_closed_loop(ss, phi, x0, periods * T)
@@ -221,8 +230,9 @@ def nyquist_gain(plant: TransferFunction, k_max: float = 1e4,
     Scans 1000 evenly spaced gains up to k_max for the first spectral
     radius >= 1, then bisects the bracketing interval down to tol.
     """
-    if k_max <= 0 or tol <= 0:
-        raise ValueError("k_max and tol must be positive")
+    if not (0 < k_max < math.inf and 0 < tol < math.inf):
+        raise DomainError(f"k_max and tol must be positive and finite, "
+                          f"got {k_max!r} and {tol!r}")
     ss = realize(plant)
     step = k_max / 1000.0
     lo = 0.0

@@ -2,8 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from luryecycle import TransferFunction
+
+# Property tests replay the same examples on every run and write no
+# example database, so a pass or failure is reproducible.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 # Resonant second-order plant with a double pole at 0.9 e^{+-j*small}:
 # the running example throughout the suite.

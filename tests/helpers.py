@@ -29,6 +29,7 @@ from luryecycle import (
     realize,
     simulate_linear,
 )
+from luryecycle.interp import ORIGIN_TOL
 
 
 def coprime_pairs(beta_max: int) -> list[tuple[int, int]]:
@@ -93,6 +94,55 @@ def pl_eval_reference(breakpoints, y: float) -> tuple[float, float]:
             v = left.v_hi + t * (right.v_lo - left.v_hi)
             return (v, v)
     return (bps[-1].v_lo, bps[-1].v_hi)
+
+
+CHORD_TOL = 1e-10
+
+
+def monotone_interpolable_reference(data: DataPairSet,
+                                    tol: float = CHORD_TOL) -> bool:
+    """All-pairs chord test: (y_i - y_l)(v_i - v_l) >= 0 within tolerance.
+
+    Products down to -tol * scale^2 pass, where scale covers the data
+    magnitude, so exact repeats perturbed by rounding are not rejected.
+    """
+    pts = data.pairs
+    scale = max(1.0, max(abs(y) for y, _ in pts), max(abs(v) for _, v in pts))
+    floor = -tol * scale * scale
+    for i in range(len(pts)):
+        yi, vi = pts[i]
+        for l in range(i + 1, len(pts)):
+            yl, vl = pts[l]
+            if (yi - yl) * (vi - vl) < floor:
+                return False
+    return True
+
+
+def odd_append_reference(data: DataPairSet) -> DataPairSet:
+    """Point-reflected union, each candidate checked against every kept
+    pair for a duplicate within the clustering width."""
+    eps_y = data.y_tol()
+    eps_v = data.v_tol()
+    kept: list[tuple[float, float]] = []
+    for y, v in sorted(list(data.pairs) + [(-y, -v) for y, v in data.pairs]):
+        if any(abs(y - y0) <= eps_y and abs(v - v0) <= eps_v
+               for y0, v0 in kept):
+            continue
+        kept.append((y, v))
+    return DataPairSet(tuple(kept), freq=data.freq, response=data.response)
+
+
+def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
+    """Odd symmetry by scanning every breakpoint for each mirror, plus
+    containment of 0 in phi(0)."""
+    bps = phi.breakpoints
+    for b in bps:
+        if not any(abs(m.y + b.y) <= tol_y
+                   and abs(m.v_lo + b.v_hi) <= tol_v
+                   and abs(m.v_hi + b.v_lo) <= tol_v for m in bps):
+            return False
+    lo, hi = phi.evaluate(0.0)
+    return lo <= ORIGIN_TOL and hi >= -ORIGIN_TOL
 
 
 def carrier_data(freq: RationalFrequency, delta: float,

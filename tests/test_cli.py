@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from luryecycle import (
+    DomainError,
     EmptyResultError,
     FileFormatError,
     LuryecycleError,
@@ -42,6 +43,7 @@ def anchor_file(tmp_path):
 def test_exit_code_table():
     assert exit_code_for(PlantValidationError("x")) == 2
     assert exit_code_for(FileFormatError("x")) == 2
+    assert exit_code_for(DomainError("x")) == 2
     assert exit_code_for(EmptyResultError("x")) == 3
     assert exit_code_for(PhaseConditionError("x")) == 4
     assert exit_code_for(NoIntersectionError("x")) == 5
@@ -77,6 +79,22 @@ class TestNyquist:
         result = runner.invoke(cli, ["nyquist", str(anchor_file)])
         assert result.exit_code == 2
 
+    def test_non_finite_plant_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"num": [1.0], "den": [1.0, NaN]}')
+        result = runner.invoke(cli, ["nyquist", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("kmax", ["-1", "0", "inf"])
+    def test_bad_kmax_exits_2(self, runner, plant_file, kmax):
+        result = runner.invoke(cli, ["nyquist", str(plant_file),
+                                     "--kmax", kmax])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "k_max" in result.output
+
 
 class TestPhaseSweep:
     def test_csv_lists_best_pair_first(self, runner, plant_file):
@@ -97,6 +115,13 @@ class TestPhaseSweep:
         assert rows[0]["alpha"] == 1 and rows[0]["beta"] == 3
         assert rows[0]["kbar"] == pytest.approx(1.35754098360656)
         assert all(isinstance(r["feasible"], bool) for r in rows)
+
+    def test_tiny_beta_max_exits_2(self, runner, plant_file):
+        result = runner.invoke(cli, ["phase-sweep", str(plant_file),
+                                     "--beta-max", "1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "beta_max" in result.output
 
     def test_no_feasible_pair_exits_3(self, runner, static_plant_file):
         result = runner.invoke(cli, ["phase-sweep", str(static_plant_file),
@@ -209,6 +234,18 @@ class TestVerify:
         rows = trace.read_text().splitlines()
         assert rows[0] == "k,y,u"
         assert len(rows) == 1 + 3 * 7
+
+    @pytest.mark.parametrize("periods", ["0", "1", "-2"])
+    def test_too_few_periods_exit_2(self, runner, plant_file, artifacts,
+                                    periods):
+        # a single-valued cycle is simulated; PASS without it would
+        # report a check that never ran
+        out, sig = artifacts
+        result = runner.invoke(cli, ["verify", str(plant_file), str(out),
+                                     str(sig), "--periods", periods])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "PASS" not in result.output
 
     def test_tampered_signals_exit_6(self, runner, plant_file, artifacts,
                                      tmp_path):

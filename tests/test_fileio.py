@@ -53,6 +53,21 @@ class TestLoadPlant:
         with pytest.raises(PlantValidationError):
             load_plant(path)
 
+    def test_non_finite_coefficients(self, tmp_path):
+        # json reads the NaN and Infinity literals; they must not reach
+        # the pole computation
+        path = tmp_path / "nan.json"
+        path.write_text('{"num": [1.0], "den": [1.0, NaN]}')
+        with pytest.raises(PlantValidationError, match="finite"):
+            load_plant(path)
+        path.write_text('{"num": [Infinity], "den": [1.0, -0.5]}')
+        with pytest.raises(PlantValidationError, match="finite"):
+            load_plant(path)
+        path.write_text('{"anchor": {"omega": 0.5, "re": -1.0, "im": 0.0},'
+                        ' "dc": NaN}')
+        with pytest.raises(PlantValidationError, match="finite"):
+            load_plant(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")

@@ -42,6 +42,16 @@ class TestTransferFunction:
         with pytest.raises(PlantValidationError):
             TransferFunction((1.0,), (0.0, 1.0))
 
+    @pytest.mark.parametrize("num,den", [
+        ((math.nan,), (1.0, -0.5)),
+        ((1.0,), (1.0, math.inf)),
+        ((1.0,), (math.nan, -0.5)),
+        ((-math.inf, 0.0), (1.0, -0.5)),
+    ])
+    def test_rejects_non_finite_coefficients(self, num, den):
+        with pytest.raises(PlantValidationError, match="finite"):
+            TransferFunction(num, den)
+
     def test_order_and_poles(self, example_plant):
         assert example_plant.order == 2
         assert np.allclose(sorted(np.abs(example_plant.poles)), [0.9, 0.9])
@@ -80,6 +90,14 @@ class TestRationalFrequency:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             RationalFrequency(1.0, 2)
+        with pytest.raises(ValueError):
+            RationalFrequency(np.float64(2.0), 7)
+
+    def test_accepts_numpy_integers_as_plain_int(self):
+        f = RationalFrequency(np.int64(2), np.int32(7))
+        assert type(f.alpha) is int and type(f.beta) is int
+        assert f == RationalFrequency(2, 7)
+        assert f.T == 7
 
 
 class TestPeriodicSignal:

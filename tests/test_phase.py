@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import luryecycle
 from luryecycle import (
     BoundKind,
     DomainError,
@@ -84,6 +89,27 @@ class TestSlopeBound:
         b13 = slope_bound(example_plant, F13, odd_variant=True)
         assert b13.kbar == pytest.approx(1.35754098360656, abs=1e-11)
 
+    # At this magnitude rounding alone makes R + 1/kbar positive.
+    EXTREME = complex(-438357431203.9865, -8.363865714503528e-06)
+
+    def test_lost_precision_is_a_typed_error(self):
+        with pytest.raises(DomainError, match="lost precision"):
+            slope_bound_value(self.EXTREME, F27)
+
+    def test_precision_check_survives_optimized_mode(self):
+        src = Path(luryecycle.__file__).resolve().parents[1]
+        code = ("from luryecycle import DomainError, RationalFrequency\n"
+                "from luryecycle.phase import slope_bound_value\n"
+                "try:\n"
+                f"    slope_bound_value({self.EXTREME!r}, "
+                "RationalFrequency(2, 7))\n"
+                "except DomainError:\n"
+                "    print('raised')\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "raised"
+
     def test_odd_alpha_bound_is_variant_independent(self, example_plant):
         assert slope_bound(example_plant, F13).kbar == pytest.approx(
             slope_bound(example_plant, F13, odd_variant=True).kbar)
@@ -137,6 +163,8 @@ class TestSweep:
 
     def test_rejects_tiny_beta_max(self, example_plant):
         with pytest.raises(ValueError):
+            sweep_entries(example_plant, 1)
+        with pytest.raises(DomainError):
             sweep_entries(example_plant, 1)
 
     def test_static_plant_has_no_feasible_pair(self):

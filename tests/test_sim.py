@@ -7,6 +7,7 @@ from luryecycle import (
     AlgebraicLoopError,
     Breakpoint,
     DataPairSet,
+    DomainError,
     IllPosedFeedbackError,
     MultivaluedPhiError,
     PeriodicSignal,
@@ -133,6 +134,23 @@ class TestVerifyCycle:
             verify_cycle(DELAY, phi, PeriodicSignal((1.0, 2.0)),
                          PeriodicSignal((1.0,)))
 
+    @pytest.mark.parametrize("periods", [1, 0, -3])
+    def test_single_valued_check_needs_two_periods(self, periods):
+        # the closed-loop simulation is part of the check; it must not
+        # be skipped in silence
+        phi = interpolate(DataPairSet(((-1.0, -1.0), (1.0, 1.0))))
+        u = PeriodicSignal((1.0, -1.0))
+        with pytest.raises(DomainError, match="2 periods"):
+            verify_cycle(DELAY, phi, u, PeriodicSignal((-1.0, 1.0)),
+                         periods=periods)
+
+    def test_multivalued_check_runs_without_periods(self):
+        u = PeriodicSignal((1.0, -0.5, -0.5))
+        y = PeriodicSignal((-0.5, 1.0, -0.5))
+        phi = interpolate(DataPairSet(tuple(zip(y.values,
+                                                [-v for v in u.values]))))
+        assert verify_cycle(DELAY, phi, u, y, periods=0).ok()
+
 
 class TestNyquistGain:
     def test_delay_margin_is_one(self):
@@ -161,6 +179,9 @@ class TestNyquistGain:
             nyquist_gain(DELAY, k_max=-1.0)
         with pytest.raises(ValueError):
             nyquist_gain(DELAY, tol=0.0)
+        for k_max in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                nyquist_gain(DELAY, k_max=k_max)
 
 
 class TestTrajectoryCsv:
