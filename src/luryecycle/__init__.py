@@ -37,72 +37,22 @@ from .errors import (
     SlopeViolationError,
     ZeroResponseError,
 )
-from .lti import (
-    PeriodicSignal,
-    RationalFrequency,
-    StateSpaceRealization,
-    TransferFunction,
-    circulant,
-    dc_gain,
-    freq_response,
-    impulse_tail_sums,
-    periodic_response,
-    realize,
-)
-from .phase import (
-    BoundKind,
-    PhaseCheck,
-    SlopeBound,
-    grid_search,
-    phase_window_holds,
-    phase_check,
-    phase_check_value,
-    slope_bound,
-    slope_bound_value,
-    sweep_entries,
-)
-from .interp import (
-    Breakpoint,
-    DataPairSet,
-    PiecewiseNonlinearity,
-    compute_shift,
-    evaluate,
-    interpolate,
-    interval_distance,
-    monotone_interpolable,
-    loop_transform_data,
-    odd_append,
-    shift_data,
-)
-from .sim import (
-    CycleVerdict,
-    NyquistResult,
-    interpolation_residual,
-    nyquist_gain,
-    periodic_steady_state,
-    simulate_closed_loop,
-    simulate_linear,
-    trajectory_csv,
-    verify_cycle,
-)
-from .construct import (
-    AnchorPlant,
-    ConstructionCertificate,
-    build_certificate,
-    plant_dc,
-    plant_response,
-)
+from .lti import RationalFrequency, TransferFunction
+from .phase import grid_search, sweep_entries
+from .sim import nyquist_gain, trajectory_csv, verify_cycle
+from .construct import AnchorPlant, build_certificate, plant_response
 from .fileio import (
     load_phi,
     load_plant,
     load_signals,
-    phi_from_dict,
-    phi_to_dict,
     plant_echo,
     save_phi,
     save_signals,
 )
 
+# The names the command line, the quick start above and the README use,
+# plus the error classes.  Everything else is imported from its
+# submodule: lti, phase, interp, sim, construct, fileio.
 __all__ = [
     "__version__",
     # errors
@@ -121,63 +71,22 @@ __all__ = [
     "PhaseConditionError",
     "SelfVerifyError",
     "FileFormatError",
-    # linear plant machinery
+    # plants, frequencies and the pipeline
     "TransferFunction",
     "RationalFrequency",
-    "PeriodicSignal",
-    "StateSpaceRealization",
-    "freq_response",
-    "dc_gain",
-    "realize",
-    "impulse_tail_sums",
-    "circulant",
-    "periodic_response",
-    # phase window and slope bounds
-    "phase_window_holds",
-    "PhaseCheck",
-    "phase_check",
-    "phase_check_value",
-    "BoundKind",
-    "SlopeBound",
-    "slope_bound",
-    "slope_bound_value",
+    "AnchorPlant",
+    "plant_response",
     "sweep_entries",
     "grid_search",
-    # interpolation of data pairs
-    "DataPairSet",
-    "Breakpoint",
-    "PiecewiseNonlinearity",
-    "monotone_interpolable",
-    "interpolate",
-    "evaluate",
-    "interval_distance",
-    "odd_append",
-    "shift_data",
-    "compute_shift",
-    "loop_transform_data",
-    # simulation and verification
-    "CycleVerdict",
-    "NyquistResult",
-    "periodic_steady_state",
-    "simulate_linear",
-    "simulate_closed_loop",
-    "interpolation_residual",
+    "build_certificate",
     "verify_cycle",
     "nyquist_gain",
     "trajectory_csv",
-    # construction
-    "AnchorPlant",
-    "ConstructionCertificate",
-    "plant_response",
-    "plant_dc",
-    "build_certificate",
     # file formats
     "load_plant",
     "plant_echo",
     "save_phi",
     "load_phi",
-    "phi_to_dict",
-    "phi_from_dict",
     "save_signals",
     "load_signals",
 ]

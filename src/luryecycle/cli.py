@@ -45,15 +45,9 @@ from .fileio import (
     save_phi,
     save_signals,
 )
-from .lti import RationalFrequency, TransferFunction, realize
+from .lti import RationalFrequency, TransferFunction
 from .phase import sweep_entries
-from .sim import (
-    nyquist_gain,
-    periodic_steady_state,
-    simulate_closed_loop,
-    trajectory_csv,
-    verify_cycle,
-)
+from .sim import nyquist_gain, trajectory_csv, verify_cycle
 
 EXIT_OK = 0
 EXIT_INVALID_PLANT = 2
@@ -278,12 +272,8 @@ def verify(plant_file, phi_file, signals_file, periods, trace, report):
         u, y = load_signals(signals_file)
         verdict = verify_cycle(plant, phi, u, y, periods=periods)
         if trace:
-            if phi.is_single_valued:
-                ss = realize(plant)
-                x0 = periodic_steady_state(ss, u)
-                ys, us = simulate_closed_loop(ss, phi, x0,
-                                              periods * u.period)
-                Path(trace).write_text(trajectory_csv(ys, us))
+            if verdict.trajectory is not None:
+                Path(trace).write_text(trajectory_csv(*verdict.trajectory))
                 click.echo(f"wrote {trace}")
             else:
                 click.echo("trace skipped: nonlinearity is multivalued",

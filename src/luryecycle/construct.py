@@ -1,15 +1,17 @@
 """End-to-end construction of destabilizing nonlinearities with certificates.
 
-Given a plant and a rational frequency alpha*pi/beta, the pipeline:
+The construction reads two numbers from the plant, its response
+G(e^{j*omega}) at omega = alpha*pi/beta and its dc gain G(1), and takes
+the same steps for every plant form:
 
-1. shifts the plant response by 1/k when a finite slope class is
-   requested (G + 1/k trades the slope-k class for the monotone one);
+1. shifts the response by 1/k when a finite slope class is requested
+   (G + 1/k trades the slope-k class for the monotone one);
 2. checks the phase window of the shifted response;
-3. drives one period of the sampled carrier u_i = cos(omega*i) through
-   the shifted plant;
+3. forms the steady-state response Re(G e^{j*omega*i}) of the shifted
+   plant to one period of the sampled carrier u_i = cos(omega*i);
 4. for even alpha without the odd option, shifts the input by xi so the
-   data curve passes through the origin; for the odd option, appends the
-   point-reflected data instead;
+   data curve passes through the origin, using the shifted dc gain; for
+   the odd option, appends the point-reflected data instead;
 5. interpolates the (y, -u) pairs into a monotone nonlinearity and, for
    finite k, transforms the data back to the slope-k class;
 6. re-verifies the resulting cycle and bundles everything into a
@@ -17,8 +19,9 @@ Given a plant and a rational frequency alpha*pi/beta, the pipeline:
 
 Plants come in two forms: a rational transfer function, or an anchor
 that pins the response value at one frequency (with an optional dc
-value).  Anchor constructions verify algebraically; simulation needs the
-rational form.
+value).  Only step 6 tells them apart: a rational cycle is re-checked
+by the independent DFT response and a closed-loop simulation, an anchor
+cycle algebraically.
 """
 
 from __future__ import annotations
@@ -47,9 +50,8 @@ from .lti import (
     TransferFunction,
     dc_gain,
     freq_response,
-    periodic_response,
 )
-from .phase import phase_check_value
+from .phase import phase_check
 from .sim import (
     NONTRIVIAL_TOL,
     CycleVerdict,
@@ -168,7 +170,10 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     [0, k], math.inf for the monotone class.  Raises
     :class:`PhaseConditionError` when the (shifted) response leaves the
     phase window, and :class:`SelfVerifyError` if the finished cycle does
-    not verify to within CERT_RESIDUAL_TOL.
+    not verify to within CERT_RESIDUAL_TOL.  Any other failure is the
+    :class:`LuryecycleError` of the stage that hit it, e.g.
+    :class:`NoIntersectionError` from the input shift or
+    :class:`AlgebraicLoopError` from the closed-loop simulation.
     """
     slope = float(slope)
     if not slope > 0:
@@ -178,7 +183,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
 
     resp0 = plant_response(plant, freq)
     resp = resp0 + shift_c
-    check = phase_check_value(resp, freq, odd_variant=odd)
+    check = phase_check(resp, freq, odd_variant=odd)
     if not check.satisfied:
         raise PhaseConditionError(
             f"phase offset {check.delta:.9g} exceeds the window "
@@ -189,13 +194,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     T = freq.T
     w = freq.omega
     u = np.cos(w * np.arange(T))
-    if isinstance(plant, TransferFunction):
-        shifted_plant = plant.add_constant(shift_c) if finite else plant
-        ytilde = periodic_response(
-            shifted_plant, PeriodicSignal(tuple(u))).as_array()
-    else:
-        carrier = np.exp(1j * w * np.arange(T))
-        ytilde = (resp * carrier).real
+    ytilde = (resp * np.exp(1j * w * np.arange(T))).real
     dc0 = plant_dc(plant)
     dc = None if dc0 is None else dc0 + shift_c
 
@@ -224,8 +223,8 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     if isinstance(plant, TransferFunction):
         verdict = verify_cycle(plant, phi, u_per, y_per, periods=periods)
     else:
-        # Anchor outputs come straight from the response value, so linear
-        # consistency is structural; check containment and size.
+        # An anchor has no description beyond the response value that
+        # produced the outputs; check containment and size.
         verdict = CycleVerdict(
             period=T,
             residual_periodicity=0.0,

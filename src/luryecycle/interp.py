@@ -46,7 +46,6 @@ __all__ = [
     "PiecewiseNonlinearity",
     "monotone_interpolable",
     "interpolate",
-    "evaluate",
     "interval_distance",
     "odd_append",
     "compute_shift",
@@ -226,11 +225,6 @@ class PiecewiseNonlinearity:
             raise MultivaluedPhiError(
                 "graph is multivalued; no scalar value exists")
         return self.evaluate(y)[0]
-
-
-def evaluate(phi: PiecewiseNonlinearity, y: float) -> tuple[float, float]:
-    """Value set of the nonlinearity at y as an interval (lo, hi)."""
-    return phi.evaluate(y)
 
 
 def interval_distance(interval: tuple[float, float], v: float) -> float:

@@ -1,13 +1,15 @@
 """Discrete-time LTI plants and their steady-state periodic responses.
 
 Transfer functions are rational in z with real coefficients in descending
-powers, proper, and with every pole strictly inside the unit circle.  The
-periodic machinery folds the impulse response g into tail sums
+powers, proper, and with every pole strictly inside the unit circle.  A
+T-periodic input is a sum of the harmonics e^{j*2*pi*k*t/T}, and a stable
+plant scales each one by its frequency response, so the steady-state
+response to one period u is the DFT product
 
-    h_i = sum_{l >= 0} g_{i + l*T},        i = 0 .. T-1,
+    y = ifft(G(e^{j*2*pi*k/T}) * fft(u)).
 
-so that the steady-state response to a T-periodic input is one circular
-convolution, i.e. a circulant matrix product y = C(h) u.
+The state-space realization serves only the time-domain simulation and
+the eigenvalue scan of the linear gain margin.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PlantValidationError, SingularMatrixError
+from .errors import PlantValidationError
 
 # Poles with magnitude >= 1 - POLE_MARGIN are rejected as numerically
 # marginal; everything downstream assumes a strict stability margin.
@@ -34,8 +36,6 @@ __all__ = [
     "freq_response",
     "dc_gain",
     "realize",
-    "impulse_tail_sums",
-    "circulant",
     "periodic_response",
 ]
 
@@ -89,12 +89,6 @@ class TransferFunction:
     @property
     def order(self) -> int:
         return len(self.den) - 1
-
-    def add_constant(self, c: float) -> "TransferFunction":
-        """Return G(z) + c as a new transfer function (poles unchanged)."""
-        pad = [0.0] * (len(self.den) - len(self.num)) + list(self.num)
-        num = tuple(a + c * b for a, b in zip(pad, self.den))
-        return TransferFunction(num, self.den)
 
 
 @dataclass(frozen=True)
@@ -195,15 +189,6 @@ class StateSpaceRealization:
     def order(self) -> int:
         return self.a.shape[0]
 
-    def response(self, omega: float) -> complex:
-        """D + C (zI - A)^{-1} B at z = e^{j*omega}."""
-        if self.order == 0:
-            return complex(self.d)
-        z = complex(math.cos(omega), math.sin(omega))
-        x = np.linalg.solve(z * np.eye(self.order) - self.a,
-                            self.b.astype(complex))
-        return complex(self.d + self.c @ x)
-
 
 def freq_response(plant: TransferFunction, omega: float) -> complex:
     """Evaluate G(e^{j*omega}) by direct polynomial evaluation."""
@@ -234,49 +219,11 @@ def realize(plant: TransferFunction) -> StateSpaceRealization:
     return StateSpaceRealization(a, b, np.array(rem, dtype=float), d)
 
 
-def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
-    """Fold the impulse response into h_i = sum_{l>=0} g_{i+l*T}.
-
-    Uses the closed form through (I - A^T)^{-1}; raises
-    :class:`SingularMatrixError` if that resolvent does not exist.
-    """
-    if T < 1:
-        raise ValueError("period must be a positive integer")
-    h = np.zeros(T)
-    h[0] = ss.d
-    n = ss.order
-    if n == 0:
-        return h
-    a_pow = np.linalg.matrix_power(ss.a, T)
-    try:
-        w = np.linalg.solve(np.eye(n) - a_pow, ss.b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"I - A^{T} is singular") from exc
-    v = w
-    for i in range(1, T):
-        h[i] = ss.c @ v
-        v = ss.a @ v
-    h[0] += ss.c @ v  # v = A^{T-1} w after the loop
-    return h
-
-
-def circulant(first_column) -> np.ndarray:
-    """Circulant matrix with the given first column.
-
-    Column j is the first column rotated down j places, so
-    M[i, j] = h[(i - j) mod T].
-    """
-    col = np.asarray(first_column, dtype=float).reshape(-1)
-    if col.size == 0:
-        raise ValueError("circulant needs at least one entry")
-    T = col.size
-    idx = (np.arange(T)[:, None] - np.arange(T)[None, :]) % T
-    return col[idx]
-
-
 def periodic_response(plant: TransferFunction,
                       u: PeriodicSignal) -> PeriodicSignal:
     """Steady-state response to a T-periodic input, one period in and out."""
-    h = impulse_tail_sums(realize(plant), u.period)
-    y = circulant(h) @ u.as_array()
+    T = u.period
+    z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
+    gain = np.polyval(plant.num, z) / np.polyval(plant.den, z)
+    y = np.fft.irfft(gain * np.fft.rfft(u.as_array()), n=T)
     return PeriodicSignal(tuple(y))

@@ -37,11 +37,8 @@ __all__ = [
     "BoundKind",
     "PhaseCheck",
     "SlopeBound",
-    "phase_window_holds",
     "phase_check",
-    "phase_check_value",
     "slope_bound",
-    "slope_bound_value",
     "sweep_entries",
     "grid_search",
 ]
@@ -49,20 +46,6 @@ __all__ = [
 
 def _window_halfwidth(freq: RationalFrequency, odd_variant: bool) -> float:
     return math.pi / (2 * freq.beta) if odd_variant else math.pi / freq.T
-
-
-def phase_window_holds(delta: float, T: int) -> bool:
-    """Whether a phase offset delta sits inside the window [-pi/T, pi/T].
-
-    delta must already be wrapped into [-pi, pi].  This is the cheap
-    equivalent of checking Re{e^{j*delta} z_k} Re{z_k} >= 0 over the 2T
-    rotated samples z_k = e^{j(pi k/T + pi/2)}.
-    """
-    if T < 1:
-        raise ValueError("T must be a positive integer")
-    if not -math.pi - 1e-12 <= delta <= math.pi + 1e-12:
-        raise DomainError(f"delta={delta!r} is outside [-pi, pi]")
-    return abs(delta) <= math.pi / T
 
 
 @dataclass(frozen=True)
@@ -78,9 +61,10 @@ class PhaseCheck:
     boundary: bool
 
 
-def phase_check_value(response: complex, freq: RationalFrequency,
-                      odd_variant: bool = False) -> PhaseCheck:
-    """Window test for an already-evaluated plant response."""
+def phase_check(response: complex, freq: RationalFrequency,
+                odd_variant: bool = False) -> PhaseCheck:
+    """Window test for a plant response G(e^{j*omega}) at omega =
+    alpha*pi/beta."""
     if abs(response) < RESPONSE_MAG_TOL:
         raise ZeroResponseError(
             f"response magnitude {abs(response):.3g} at omega = "
@@ -93,13 +77,6 @@ def phase_check_value(response: complex, freq: RationalFrequency,
     return PhaseCheck(freq=freq, response=complex(response),
                       odd_variant=odd_variant, delta=delta, bound=bound,
                       satisfied=satisfied, boundary=boundary)
-
-
-def phase_check(plant: TransferFunction, freq: RationalFrequency,
-                odd_variant: bool = False) -> PhaseCheck:
-    """Window test for a rational plant at omega = alpha*pi/beta."""
-    return phase_check_value(freq_response(plant, freq.omega), freq,
-                             odd_variant)
 
 
 class BoundKind(Enum):
@@ -142,9 +119,10 @@ class SlopeBound:
         return None
 
 
-def slope_bound_value(response: complex, freq: RationalFrequency,
-                      odd_variant: bool = False) -> SlopeBound:
-    """Closed-form slope bound for an already-evaluated plant response."""
+def slope_bound(response: complex, freq: RationalFrequency,
+                odd_variant: bool = False) -> SlopeBound:
+    """Closed-form slope bound for a plant response G(e^{j*omega}) at
+    omega = alpha*pi/beta."""
     R = response.real
     I = response.imag
     t = math.tan(_window_halfwidth(freq, odd_variant))
@@ -153,9 +131,9 @@ def slope_bound_value(response: complex, freq: RationalFrequency,
     if denom < -tiny:
         kbar = -t / denom
         # kbar solves the window equality, so the shifted real part
-        # R + 1/kbar = -|I|/t can never be positive; only rounding at an
-        # extreme response magnitude can break that.
-        if not R + 1.0 / kbar <= 1e-9:
+        # R + 1/kbar = -|I|/t can never be positive; R + 1/kbar carries
+        # rounding of order eps*|R|, so the slack scales with |R|.
+        if not R + 1.0 / kbar <= 1e-9 * max(1.0, abs(R)):
             raise DomainError(
                 f"slope bound lost precision at response {response!r}: "
                 f"R + 1/kbar = {R + 1.0 / kbar:.3g} > 0")
@@ -166,13 +144,6 @@ def slope_bound_value(response: complex, freq: RationalFrequency,
                           BoundKind.INFINITE, None)
     return SlopeBound(freq, complex(response), odd_variant,
                       BoundKind.INFEASIBLE, None)
-
-
-def slope_bound(plant: TransferFunction, freq: RationalFrequency,
-                odd_variant: bool = False) -> SlopeBound:
-    """Closed-form slope bound for a rational plant at alpha*pi/beta."""
-    return slope_bound_value(freq_response(plant, freq.omega), freq,
-                             odd_variant)
 
 
 def _tied(a: SlopeBound, b: SlopeBound) -> bool:
@@ -212,7 +183,8 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
         for alpha in range(1, beta):
             if math.gcd(alpha, beta) != 1:
                 continue
-            entry = slope_bound(plant, RationalFrequency(alpha, beta),
+            freq = RationalFrequency(alpha, beta)
+            entry = slope_bound(freq_response(plant, freq.omega), freq,
                                 odd_variant)
             (feasible if entry.feasible else infeasible).append(entry)
     return _sorted_feasible(feasible) + infeasible

@@ -11,7 +11,7 @@ back to itself every T steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "CycleVerdict",
     "NyquistResult",
     "periodic_steady_state",
-    "simulate_linear",
     "simulate_closed_loop",
     "interpolation_residual",
     "verify_cycle",
@@ -74,26 +73,6 @@ def periodic_steady_state(ss: StateSpaceRealization,
         return np.linalg.solve(np.eye(n) - a_pow, acc)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I - A^{T} is singular") from exc
-
-
-def simulate_linear(ss: StateSpaceRealization, inputs,
-                    x0) -> tuple[np.ndarray, np.ndarray]:
-    """Run the open-loop recursion; returns (outputs, states).
-
-    states has one more row than inputs, beginning with x0.
-    """
-    u = np.asarray(inputs, dtype=float).reshape(-1)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (ss.order,):
-        raise ValueError(f"initial state must have length {ss.order}")
-    ys = np.empty(u.size)
-    xs = np.empty((u.size + 1, ss.order))
-    xs[0] = x
-    for k, uk in enumerate(u):
-        ys[k] = (ss.c @ x if ss.order else 0.0) + ss.d * uk
-        x = ss.a @ x + ss.b * uk if ss.order else x
-        xs[k + 1] = x
-    return ys, xs
 
 
 def _solve_output(ss: StateSpaceRealization, phi: PiecewiseNonlinearity,
@@ -144,13 +123,17 @@ class CycleVerdict:
     residual_periodicity covers the linear steady-state consistency of
     (u, y) and, when a simulation ran, the worst |y_{k+T} - y_k| over the
     simulated window.  residual_interpolation is the worst distance of
-    -u_k from the value set phi(y_k).
+    -u_k from the value set phi(y_k).  trajectory holds the simulated
+    (y, u) sequences, or None when no simulation ran; it takes no part
+    in comparisons.
     """
 
     period: int
     residual_periodicity: float
     residual_interpolation: float
     nontrivial: bool
+    trajectory: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     def ok(self, tol: float = VERDICT_TOL) -> bool:
         return (self.residual_periodicity < tol
@@ -187,14 +170,16 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     res_per = float(np.max(np.abs(ya - periodic_response(plant, u).as_array())))
     res_int = interpolation_residual(phi, ya, ua)
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
+    trajectory = None
     if phi.is_single_valued:
         ss = realize(plant)
         x0 = periodic_steady_state(ss, u)
-        ysim, _ = simulate_closed_loop(ss, phi, x0, periods * T)
+        trajectory = simulate_closed_loop(ss, phi, x0, periods * T)
+        ysim = trajectory[0]
         res_per = max(res_per, float(np.max(np.abs(ysim[T:] - ysim[:-T]))))
     return CycleVerdict(period=T, residual_periodicity=res_per,
                         residual_interpolation=res_int,
-                        nontrivial=nontrivial)
+                        nontrivial=nontrivial, trajectory=trajectory)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Shared oracles and property-test routines.
 
 Everything here recomputes results by a route independent of the library
-code under test: brute-force enumeration, truncated series, or direct
-simulation.
+code under test: brute-force enumeration, truncated series, direct
+simulation, or the time-domain circulant form of the periodic response.
 """
 
 from __future__ import annotations
@@ -12,24 +12,27 @@ import math
 import numpy as np
 
 from luryecycle import (
-    DataPairSet,
-    PeriodicSignal,
+    DomainError,
     RationalFrequency,
+    SingularMatrixError,
     TransferFunction,
-    evaluate,
-    impulse_tail_sums,
+)
+from luryecycle.interp import (
+    ORIGIN_TOL,
+    DataPairSet,
     interpolate,
     interval_distance,
     loop_transform_data,
-    phase_window_holds,
     monotone_interpolable,
     odd_append,
-    periodic_response,
-    periodic_steady_state,
-    realize,
-    simulate_linear,
 )
-from luryecycle.interp import ORIGIN_TOL
+from luryecycle.lti import (
+    PeriodicSignal,
+    StateSpaceRealization,
+    periodic_response,
+    realize,
+)
+from luryecycle.sim import periodic_steady_state
 
 
 def coprime_pairs(beta_max: int) -> list[tuple[int, int]]:
@@ -55,6 +58,98 @@ def random_stable_tf(rng: np.random.Generator, max_order: int = 4,
     if rng.random() < 0.5:
         num[0] = 0.0  # strictly proper half the time
     return TransferFunction(tuple(num.tolist()), tuple(den.tolist()))
+
+
+def add_constant(plant: TransferFunction, c: float) -> TransferFunction:
+    """G(z) + c as a new transfer function (poles unchanged)."""
+    pad = [0.0] * (len(plant.den) - len(plant.num)) + list(plant.num)
+    num = tuple(a + c * b for a, b in zip(pad, plant.den))
+    return TransferFunction(num, plant.den)
+
+
+def state_space_response(ss: StateSpaceRealization,
+                         omega: float) -> complex:
+    """D + C (zI - A)^{-1} B at z = e^{j*omega}."""
+    if ss.order == 0:
+        return complex(ss.d)
+    z = complex(math.cos(omega), math.sin(omega))
+    x = np.linalg.solve(z * np.eye(ss.order) - ss.a, ss.b.astype(complex))
+    return complex(ss.d + ss.c @ x)
+
+
+def simulate_linear(ss: StateSpaceRealization, inputs,
+                    x0) -> tuple[np.ndarray, np.ndarray]:
+    """Run the open-loop recursion; returns (outputs, states).
+
+    states has one more row than inputs, beginning with x0.
+    """
+    u = np.asarray(inputs, dtype=float).reshape(-1)
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (ss.order,):
+        raise ValueError(f"initial state must have length {ss.order}")
+    ys = np.empty(u.size)
+    xs = np.empty((u.size + 1, ss.order))
+    xs[0] = x
+    for k, uk in enumerate(u):
+        ys[k] = (ss.c @ x if ss.order else 0.0) + ss.d * uk
+        x = ss.a @ x + ss.b * uk if ss.order else x
+        xs[k + 1] = x
+    return ys, xs
+
+
+def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
+    """Fold the impulse response into h_i = sum_{l>=0} g_{i+l*T}.
+
+    Uses the closed form through (I - A^T)^{-1}; raises
+    SingularMatrixError if that resolvent does not exist.
+    """
+    if T < 1:
+        raise ValueError("period must be a positive integer")
+    h = np.zeros(T)
+    h[0] = ss.d
+    n = ss.order
+    if n == 0:
+        return h
+    a_pow = np.linalg.matrix_power(ss.a, T)
+    try:
+        w = np.linalg.solve(np.eye(n) - a_pow, ss.b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"I - A^{T} is singular") from exc
+    v = w
+    for i in range(1, T):
+        h[i] = ss.c @ v
+        v = ss.a @ v
+    h[0] += ss.c @ v  # v = A^{T-1} w after the loop
+    return h
+
+
+def circulant(first_column) -> np.ndarray:
+    """Circulant matrix with the given first column.
+
+    Column j is the first column rotated down j places, so
+    M[i, j] = h[(i - j) mod T].  With the tail sums of a plant as first
+    column it maps one period of input to the steady-state output.
+    """
+    col = np.asarray(first_column, dtype=float).reshape(-1)
+    if col.size == 0:
+        raise ValueError("circulant needs at least one entry")
+    T = col.size
+    idx = (np.arange(T)[:, None] - np.arange(T)[None, :]) % T
+    return col[idx]
+
+
+def phase_window_holds(delta: float, T: int) -> bool:
+    """Whether a phase offset delta sits inside the window [-pi/T, pi/T].
+
+    delta must already be wrapped into [-pi, pi].  This is the cheap
+    equivalent of checking Re{e^{j*delta} z_k} Re{z_k} >= 0 over the 2T
+    rotated samples z_k = e^{j(pi k/T + pi/2)}.
+    """
+    if T < 1:
+        raise ValueError("T must be a positive integer")
+    if not -math.pi - 1e-12 <= delta <= math.pi + 1e-12:
+        raise DomainError(f"delta={delta!r} is outside [-pi, pi]")
+    return abs(delta) <= math.pi / T
 
 
 def tail_sum_series(plant: TransferFunction, T: int,
@@ -260,13 +355,13 @@ def check_interpolation_invariants(rng: np.random.Generator,
         phi = interpolate(data)
 
         for y, v in pairs:
-            assert interval_distance(evaluate(phi, y), v) <= 1e-9, (pairs,
-                                                                    y, v)
+            assert interval_distance(phi.evaluate(y), v) <= 1e-9, \
+                (pairs, y, v)
         span = max(abs(y) for y, _ in pairs) + 1.0
         queries = np.sort(rng.uniform(-span, span, size=16))
         last_hi = -math.inf
         for q in queries:
-            lo, hi = evaluate(phi, float(q))
+            lo, hi = phi.evaluate(float(q))
             assert lo <= hi + 1e-12
             assert hi >= last_hi - 1e-12, "graph must never step down"
             last_hi = max(last_hi, hi)
@@ -278,8 +373,8 @@ def check_interpolation_invariants(rng: np.random.Generator,
         if odd_case:
             assert phi.odd
             for q in queries:
-                lo, hi = evaluate(phi, float(q))
-                mlo, mhi = evaluate(phi, float(-q))
+                lo, hi = phi.evaluate(float(q))
+                mlo, mhi = phi.evaluate(float(-q))
                 assert math.isclose(lo, -mhi, abs_tol=1e-9)
                 assert math.isclose(hi, -mlo, abs_tol=1e-9)
 
@@ -291,7 +386,7 @@ def check_interpolation_invariants(rng: np.random.Generator,
             # a riser maps to a chord of slope exactly k
             assert peak >= k * (1.0 - 1e-9), (pairs, k)
         for y, v in pairs:
-            assert interval_distance(evaluate(phi_k, y + v / k), v) <= 1e-9
+            assert interval_distance(phi_k.evaluate(y + v / k), v) <= 1e-9
         checked += 1
     return checked
 
@@ -303,7 +398,7 @@ def check_steady_state_is_fixed_point(rng: np.random.Generator,
 
     Running the loop for 200 periods from rest must land on the
     closed-form state, and one more period from that state must return
-    to it while reproducing the circulant output.
+    to it while reproducing the periodic response.
     """
     checked = 0
     for _ in range(n_cases):

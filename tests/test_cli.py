@@ -13,9 +13,14 @@ from luryecycle import (
     PhaseConditionError,
     PlantValidationError,
     SelfVerifyError,
-    freq_response,
+    load_phi,
+    load_plant,
+    load_signals,
+    trajectory_csv,
 )
 from luryecycle.cli import cli, exit_code_for
+from luryecycle.lti import freq_response, realize
+from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
 
 @pytest.fixture
@@ -234,6 +239,12 @@ class TestVerify:
         rows = trace.read_text().splitlines()
         assert rows[0] == "k,y,u"
         assert len(rows) == 1 + 3 * 7
+        # the trace is the trajectory the check simulated
+        u, _ = load_signals(sig)
+        ss = realize(load_plant(plant_file))
+        ys, us = simulate_closed_loop(ss, load_phi(out),
+                                      periodic_steady_state(ss, u), 3 * 7)
+        assert trace.read_text() == trajectory_csv(ys, us)
 
     @pytest.mark.parametrize("periods", ["0", "1", "-2"])
     def test_too_few_periods_exit_2(self, runner, plant_file, artifacts,

@@ -12,9 +12,9 @@ from luryecycle import (
     TransferFunction,
     build_certificate,
     grid_search,
-    plant_dc,
     plant_response,
 )
+from luryecycle.construct import plant_dc
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)

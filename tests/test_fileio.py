@@ -5,21 +5,19 @@ import pytest
 
 from luryecycle import (
     AnchorPlant,
-    Breakpoint,
     FileFormatError,
-    PeriodicSignal,
-    PiecewiseNonlinearity,
     PlantValidationError,
     TransferFunction,
     load_phi,
     load_plant,
     load_signals,
-    phi_from_dict,
-    phi_to_dict,
     plant_echo,
     save_phi,
     save_signals,
 )
+from luryecycle.fileio import phi_from_dict, phi_to_dict
+from luryecycle.interp import Breakpoint, PiecewiseNonlinearity
+from luryecycle.lti import PeriodicSignal
 
 
 class TestLoadPlant:

@@ -3,19 +3,20 @@ import math
 import pytest
 
 from luryecycle import (
-    Breakpoint,
-    DataPairSet,
     MultivaluedPhiError,
     NoIntersectionError,
     NotMonotoneError,
-    PiecewiseNonlinearity,
     SlopeViolationError,
+)
+from luryecycle.interp import (
+    Breakpoint,
+    DataPairSet,
+    PiecewiseNonlinearity,
     compute_shift,
-    evaluate,
     interpolate,
     interval_distance,
-    monotone_interpolable,
     loop_transform_data,
+    monotone_interpolable,
     odd_append,
     shift_data,
 )
@@ -149,7 +150,7 @@ class TestInterpolate:
             data = DataPairSet(tuple(zip(ys, vs)))
             phi = interpolate(data)
             for y, v in data.pairs:
-                assert interval_distance(evaluate(phi, y), v) <= 1e-9
+                assert interval_distance(phi.evaluate(y), v) <= 1e-9
 
 
 class TestOddAppend:

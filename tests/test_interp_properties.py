@@ -13,16 +13,16 @@ import math
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from luryecycle import (
+from luryecycle import NotMonotoneError
+from luryecycle.interp import (
     Breakpoint,
     DataPairSet,
-    NotMonotoneError,
     PiecewiseNonlinearity,
+    Y_TOL_FACTOR,
     interpolate,
     monotone_interpolable,
     odd_append,
 )
-from luryecycle.interp import Y_TOL_FACTOR
 
 from helpers import (
     monotone_interpolable_reference,

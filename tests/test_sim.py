@@ -1,27 +1,31 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from luryecycle import (
     AlgebraicLoopError,
-    Breakpoint,
-    DataPairSet,
     DomainError,
     IllPosedFeedbackError,
     MultivaluedPhiError,
-    PeriodicSignal,
-    PiecewiseNonlinearity,
+    RationalFrequency,
     TransferFunction,
-    interpolate,
+    build_certificate,
     nyquist_gain,
-    periodic_steady_state,
-    realize,
-    simulate_closed_loop,
-    simulate_linear,
     trajectory_csv,
     verify_cycle,
 )
+from luryecycle.interp import (
+    Breakpoint,
+    DataPairSet,
+    PiecewiseNonlinearity,
+    interpolate,
+)
+from luryecycle.lti import PeriodicSignal, realize
+from luryecycle.sim import periodic_steady_state, simulate_closed_loop
+
+from helpers import simulate_linear
 
 DELAY = TransferFunction((0.0, 1.0), (1.0, 0.0))  # G(z) = 1/z
 
@@ -109,6 +113,7 @@ class TestVerifyCycle:
         assert verdict.ok()
         assert verdict.period == 3
         assert verdict.residual_periodicity < 1e-12
+        assert verdict.trajectory is None  # nothing was simulated
 
     def test_tampered_output_fails(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))
@@ -143,6 +148,18 @@ class TestVerifyCycle:
         with pytest.raises(DomainError, match="2 periods"):
             verify_cycle(DELAY, phi, u, PeriodicSignal((-1.0, 1.0)),
                          periods=periods)
+
+    def test_simulated_trajectory_is_handed_back(self, example_plant):
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
+                               periods=3)
+        ss = realize(example_plant)
+        x0 = periodic_steady_state(ss, cert.u)
+        ys, us = simulate_closed_loop(ss, cert.phi, x0, 3 * 7)
+        assert np.array_equal(verdict.trajectory[0], ys)
+        assert np.array_equal(verdict.trajectory[1], us)
+        assert verdict == replace(verdict, trajectory=None)
 
     def test_multivalued_check_runs_without_periods(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))
