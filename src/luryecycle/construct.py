@@ -172,8 +172,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     phase window, and :class:`SelfVerifyError` if the finished cycle does
     not verify to within CERT_RESIDUAL_TOL.  Any other failure is the
     :class:`LuryecycleError` of the stage that hit it, e.g.
-    :class:`NoIntersectionError` from the input shift or
-    :class:`AlgebraicLoopError` from the closed-loop simulation.
+    :class:`NoIntersectionError` from the input shift.
     """
     slope = float(slope)
     if not slope > 0:

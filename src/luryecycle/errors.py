@@ -50,7 +50,7 @@ class MultivaluedPhiError(LuryecycleError):
 
 
 class AlgebraicLoopError(LuryecycleError):
-    """Per-step output iteration for a direct-feedthrough loop did not settle."""
+    """A direct-feedthrough loop's output equation got a non-finite input."""
 
 
 class IllPosedFeedbackError(LuryecycleError):

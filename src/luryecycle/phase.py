@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, EmptyResultError, ZeroResponseError
-from .lti import RationalFrequency, TransferFunction, freq_response
+from .lti import RationalFrequency, TransferFunction
 
 # Classification tolerances.  PHASE_TOL decides satisfied/boundary for the
 # window test; RESPONSE_MAG_TOL guards the undefined phase of a zero
@@ -177,16 +179,19 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
     """
     if beta_max < 2:
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
+    freqs = [RationalFrequency(alpha, beta)
+             for beta in range(2, beta_max + 1)
+             for alpha in range(1, beta) if math.gcd(alpha, beta) == 1]
+    # The same z and Horner steps as lti.freq_response, on all points at
+    # once; libm's cos/sin, not numpy's, so each value matches it bitwise.
+    z = np.array([complex(math.cos(f.omega), math.sin(f.omega))
+                  for f in freqs])
+    resp = (np.polyval(plant.num, z) / np.polyval(plant.den, z)).tolist()
     feasible: list[SlopeBound] = []
     infeasible: list[SlopeBound] = []
-    for beta in range(2, beta_max + 1):
-        for alpha in range(1, beta):
-            if math.gcd(alpha, beta) != 1:
-                continue
-            freq = RationalFrequency(alpha, beta)
-            entry = slope_bound(freq_response(plant, freq.omega), freq,
-                                odd_variant)
-            (feasible if entry.feasible else infeasible).append(entry)
+    for freq, r in zip(freqs, resp):
+        entry = slope_bound(r, freq, odd_variant)
+        (feasible if entry.feasible else infeasible).append(entry)
     return _sorted_feasible(feasible) + infeasible
 
 

@@ -6,12 +6,22 @@ linear response to u, every -u_k lies in phi(y_k), and the cycle is not
 the trivial equilibrium.  When phi is single-valued the loop is also
 simulated from the periodic initial state and the trajectory must come
 back to itself every T steps.
+
+A plant with direct feedthrough D closes an algebraic loop: each step's
+output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
+linear, so the simulation solves it exactly, piece by piece, on phi's
+graph.  A root always exists, because y + D*phi(y) tends to +-inf with
+y.  For D > 0 it is unique; for D < 0 the simulation takes the first
+root reached from lin in the direction of -D*phi(lin), the fixed point
+a damped iteration y <- y + (lin - D*phi(y) - y)/2 climbs to.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -31,15 +41,11 @@ from .lti import (
     realize,
 )
 
-# Verification and loop-solving constants: VERDICT_TOL is the pass
-# threshold for residuals, NONTRIVIAL_TOL separates a cycle from the
-# origin equilibrium, and the LOOP_* values drive the damped fixed-point
-# iteration used when the plant has direct feedthrough.
+# Verification constants: VERDICT_TOL is the pass threshold for
+# residuals, and NONTRIVIAL_TOL separates a cycle from the origin
+# equilibrium.
 VERDICT_TOL = 1e-6
 NONTRIVIAL_TOL = 1e-6
-LOOP_DAMPING = 0.5
-LOOP_MAX_ITER = 200
-LOOP_TOL = 1e-12
 
 __all__ = [
     "VERDICT_TOL",
@@ -55,6 +61,11 @@ __all__ = [
 ]
 
 
+def _step(a: list, b: list, x: list, u: float) -> list:
+    """One state update A x + B u on plain floats."""
+    return [sum(map(mul, row, x)) + bi * u for row, bi in zip(a, b)]
+
+
 def periodic_steady_state(ss: StateSpaceRealization,
                           u: PeriodicSignal) -> np.ndarray:
     """Initial state of the unique T-periodic trajectory driven by u.
@@ -65,29 +76,65 @@ def periodic_steady_state(ss: StateSpaceRealization,
     T = u.period
     if n == 0:
         return np.zeros(0)
-    acc = np.zeros(n)
-    for i in range(T):
-        acc = ss.a @ acc + ss.b * u[i]
+    a = ss.a.tolist()
+    b = ss.b.tolist()
+    acc = [0.0] * n
+    for ui in u.values:
+        acc = _step(a, b, acc, ui)
     a_pow = np.linalg.matrix_power(ss.a, T)
     try:
-        return np.linalg.solve(np.eye(n) - a_pow, acc)
+        return np.linalg.solve(np.eye(n) - a_pow, np.array(acc))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I - A^{T} is singular") from exc
 
 
-def _solve_output(ss: StateSpaceRealization, phi: PiecewiseNonlinearity,
-                  lin: float, step: int) -> float:
-    """Output of one step when D != 0: damped fixed point of
-    y = lin - D*phi(y)."""
-    y = lin
-    for _ in range(LOOP_MAX_ITER):
-        nxt = y + LOOP_DAMPING * ((lin - ss.d * phi.scalar(y)) - y)
-        if abs(nxt - y) <= LOOP_TOL:
-            return nxt
-        y = nxt
-    raise AlgebraicLoopError(
-        f"output iteration did not settle within {LOOP_MAX_ITER} sweeps "
-        f"at step {step}")
+def _loop_solver(phi: PiecewiseNonlinearity, d: float):
+    """Exact solver of y + d*phi(y) = lin on the graph of a single-valued
+    phi, as a function of lin.
+
+    Piece i of the graph spans [ys[i-1], ys[i]] with slope slopes[i]; the
+    two outer pieces are constant.  The solver finds lin's piece, takes
+    the root on it if that root lies in the walk direction (slope
+    1 + d*s > 0) and inside the piece, and otherwise walks the
+    breakpoints in that direction to the first sign change of
+    f(y) = y + d*phi(y) - lin.  It works on the exact graph, not on the
+    snapped values of phi.evaluate, whose small steps could hide a root.
+    """
+    ys = [b.y for b in phi.breakpoints]
+    vs = [b.v_lo for b in phi.breakpoints]
+    m = len(ys)
+    slopes = ([0.0]
+              + [(v1 - v0) / (y1 - y0)
+                 for y0, y1, v0, v1 in zip(ys, ys[1:], vs, vs[1:])]
+              + [0.0])
+
+    def solve(lin: float) -> float:
+        if not math.isfinite(lin):
+            raise AlgebraicLoopError(
+                f"loop input {lin!r} is not a finite number")
+        i = bisect_right(ys, lin)
+        s = slopes[i]
+        v = vs[0] if i == 0 else vs[i - 1] + s * (lin - ys[i - 1])
+        f = d * v  # f(lin); the root lies on the side of -f
+        if f == 0.0:
+            return lin
+        down = f > 0.0
+        if 1.0 + d * s > 0.0:
+            y = lin - f / (1.0 + d * s)
+            if (i == 0 or y >= ys[i - 1]) if down else (i == m or y <= ys[i]):
+                return y
+        # f is linear between consecutive points of the walk; the root is
+        # where it first reaches 0, between (prev_y, prev_f) and (yj, fj).
+        prev_y, prev_f = lin, f
+        for j in (range(i - 1, -1, -1) if down else range(i, m)):
+            yj = ys[j]
+            fj = yj + d * vs[j] - lin
+            if (fj <= 0.0) if down else (fj >= 0.0):
+                return prev_y + (yj - prev_y) * (prev_f / (prev_f - fj))
+            prev_y, prev_f = yj, fj
+        return lin - d * (vs[0] if down else vs[-1])
+
+    return solve
 
 
 def simulate_closed_loop(ss: StateSpaceRealization,
@@ -95,7 +142,9 @@ def simulate_closed_loop(ss: StateSpaceRealization,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate x+ = A x + B u, y = C x + D u, u = -phi(y).
 
-    phi must be single-valued.  Returns the (y, u) trajectories.
+    phi must be single-valued.  Returns the (y, u) trajectories.  With
+    D != 0 each output is the exact loop root described in the module
+    docstring, and a non-finite C x raises :class:`AlgebraicLoopError`.
     """
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
@@ -103,16 +152,20 @@ def simulate_closed_loop(ss: StateSpaceRealization,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ss.order,):
         raise ValueError(f"initial state must have length {ss.order}")
+    x = x.tolist()
+    a = ss.a.tolist()
+    b = ss.b.tolist()
+    c = ss.c.tolist()
+    solve = _loop_solver(phi, ss.d) if ss.d != 0.0 else None
     ys = np.empty(steps)
     us = np.empty(steps)
     for k in range(steps):
-        lin = float(ss.c @ x) if ss.order else 0.0
-        y = lin if ss.d == 0.0 else _solve_output(ss, phi, lin, k)
+        lin = sum(map(mul, c, x), 0.0)
+        y = lin if solve is None else solve(lin)
         u = -phi.scalar(y)
         ys[k] = y
         us[k] = u
-        if ss.order:
-            x = ss.a @ x + ss.b * u
+        x = _step(a, b, x, u)
     return ys, us
 
 

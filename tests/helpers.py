@@ -97,6 +97,28 @@ def simulate_linear(ss: StateSpaceRealization, inputs,
     return ys, xs
 
 
+LOOP_DAMPING = 0.5
+LOOP_MAX_ITER = 200
+LOOP_TOL = 1e-12
+
+
+def solve_output_reference(d: float, phi, lin: float) -> float | None:
+    """Damped fixed-point iteration y <- y + (lin - d*phi(y) - y)/2 from
+    y = lin for the feedthrough loop y + d*phi(y) = lin.
+
+    Returns None when two sweeps do not come within LOOP_TOL of each
+    other in LOOP_MAX_ITER sweeps, e.g. when d*slope >= 3 or a slowly
+    contracting d < 0 loop.
+    """
+    y = lin
+    for _ in range(LOOP_MAX_ITER):
+        nxt = y + LOOP_DAMPING * ((lin - d * phi.scalar(y)) - y)
+        if abs(nxt - y) <= LOOP_TOL:
+            return nxt
+        y = nxt
+    return None
+
+
 def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
     """Fold the impulse response into h_i = sum_{l>=0} g_{i+l*T}.
 

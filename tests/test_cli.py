@@ -272,6 +272,24 @@ class TestVerify:
         assert result.exit_code == 6
         assert "FAIL" in result.output
 
+    def test_negative_feedthrough_cycle_passes(self, runner, tmp_path):
+        # D < 0 with |D|*s = 0.97 at (2, 3): the closed-loop check must
+        # solve each output exactly instead of exiting 1
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({
+            "num": [-0.2779214813511223, 0.12047113280127958],
+            "den": [1.0, -0.26738008135990143]}))
+        out = tmp_path / "phi.json"
+        sig = tmp_path / "sig.csv"
+        result = runner.invoke(cli, [
+            "construct", str(plant), "--alpha", "2", "--beta", "3",
+            "--out", str(out), "--signals", str(sig)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(cli, ["verify", str(plant), str(out),
+                                     str(sig), "--periods", "20"])
+        assert result.exit_code == 0, result.output
+        assert "PASS" in result.output
+
     def test_multivalued_trace_skipped(self, runner, tmp_path):
         # 1/z sits exactly on the T = 3 window edge at omega = 2*pi/3, so
         # the (2, 3) construction is genuinely multivalued: the verdict

@@ -112,6 +112,30 @@ class TestBuildVariants:
             build_certificate(example_plant, F27, slope=0.0)
 
 
+class TestFeedthroughLoops:
+    # Both loops have one exact output root per step, which a damped
+    # fixed-point iteration failed to reach: with D < 0 and |D|*s = 0.97
+    # it contracts too slowly, with D*s = 9.7 it oscillates.
+    @pytest.mark.parametrize("plant, freq, d_sign, loop_gain", [
+        (TransferFunction((-0.2779214813511223, 0.12047113280127958),
+                          (1.0, -0.26738008135990143)),
+         RationalFrequency(2, 3), -1.0, 0.97),
+        (TransferFunction((0.5766895836701853, -0.1887821253507493,
+                           0.682910267195206, -0.06651732014941557),
+                          (1.0, -1.230619679722372, 0.23154226873208555,
+                           0.1152601213787526)),
+         RationalFrequency(3, 7), 1.0, 9.7),
+    ])
+    def test_monotone_cycle_verifies(self, plant, freq, d_sign, loop_gain):
+        cert = build_certificate(plant, freq)
+        d = plant.num[0]
+        assert math.copysign(1.0, d) == d_sign
+        assert abs(d) * cert.phi.max_chord_slope() == pytest.approx(
+            loop_gain, abs=0.01)
+        assert cert.verdict.ok(1e-12)
+        assert cert.verdict.trajectory is not None
+
+
 class TestAnchorConstruction:
     def test_odd_boundary_stair(self, unit_anchor):
         cert = build_certificate(unit_anchor, RationalFrequency(1, 5),

@@ -1,11 +1,16 @@
-"""The package namespace: the names it exports resolve, and the test
-oracles stay out of it."""
+"""The package namespace: the names it exports resolve, the test
+oracles stay out of it, and loading it stays light."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import luryecycle
 from luryecycle import construct, interp, lti, phase, sim
 
 ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
-           "phase_window_holds", "add_constant")
+           "phase_window_holds", "add_constant", "_solve_output")
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +25,18 @@ def test_oracles_are_not_exported():
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(lti.StateSpaceRealization, "response")
     assert not hasattr(lti.TransferFunction, "add_constant")
+
+
+def test_cli_start_does_not_load_numpy_fft(plant_file):
+    # Only verification computes a DFT; importing the CLI and reading a
+    # plant must not pay for loading numpy.fft.
+    src = Path(luryecycle.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import luryecycle.cli\n"
+            "from luryecycle import load_plant\n"
+            f"load_plant({str(plant_file)!r})\n"
+            "print('numpy.fft' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split() == ["False"]

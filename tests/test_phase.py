@@ -18,7 +18,7 @@ from luryecycle import (
 )
 from luryecycle.lti import freq_response
 from luryecycle.phase import BoundKind, phase_check, slope_bound
-from helpers import phase_window_holds
+from helpers import phase_window_holds, random_stable_tf
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)
@@ -164,6 +164,17 @@ class TestSweep:
         kbars = [e.sort_value for e in feas]
         assert kbars == sorted(kbars)
         assert (feas[0].freq.alpha, feas[0].freq.beta) == (2, 7)
+
+    def test_rows_equal_scalar_evaluation(self, example_plant, rng):
+        # the sweep evaluates the whole grid at once; each row must be
+        # the one built from the scalar response, bit for bit
+        plants = [example_plant] + [random_stable_tf(rng) for _ in range(20)]
+        for g in plants:
+            for odd in (False, True):
+                for e in sweep_entries(g, 30, odd_variant=odd):
+                    want = slope_bound(freq_response(g, e.freq.omega),
+                                       e.freq, odd)
+                    assert e == want
 
     def test_rejects_tiny_beta_max(self, example_plant):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from luryecycle import (
-    AlgebraicLoopError,
     DomainError,
     IllPosedFeedbackError,
     MultivaluedPhiError,
@@ -82,21 +81,27 @@ class TestClosedLoopSimulation:
                                  np.zeros(2), 5)
 
     def test_feedthrough_loop_solved_consistently(self):
-        # D = 1 with a mild 0.2 line: the damped iteration contracts.
+        # D = 1 with a mild 0.2 line: y = lin - 0.2*y on every step.
         g = TransferFunction((1.0, 0.5), (1.0, -0.5))
         ss = realize(g)
         ys, us = simulate_closed_loop(ss, line(0.2), np.array([1.0]), 30)
         x = 1.0
         for k in range(30):
-            assert ys[k] == pytest.approx(x + us[k], abs=1e-9)
-            assert us[k] == pytest.approx(-0.2 * ys[k], abs=1e-9)
+            assert ys[k] == pytest.approx(x + us[k], abs=1e-12)
+            assert us[k] == pytest.approx(-0.2 * ys[k], abs=1e-12)
             x = 0.5 * x + us[k]
 
-    def test_feedthrough_loop_can_fail_to_settle(self):
-        # Same plant, steep 4.0 line: the iteration ends in a 2-cycle.
+    def test_steep_feedthrough_loop_solved_exactly(self):
+        # Same plant, steep 4.0 line: a damped iteration ends in a
+        # 2-cycle, but the loop y = lin - 4*y has the unique root lin/5.
         g = TransferFunction((1.0, 0.5), (1.0, -0.5))
-        with pytest.raises(AlgebraicLoopError):
-            simulate_closed_loop(realize(g), line(4.0), np.array([1.0]), 5)
+        ys, us = simulate_closed_loop(realize(g), line(4.0),
+                                      np.array([1.0]), 5)
+        x = 1.0
+        for k in range(5):
+            assert ys[k] == pytest.approx(x / 5.0, rel=1e-15)
+            assert us[k] == pytest.approx(-4.0 * ys[k], rel=1e-15)
+            x = 0.5 * x + us[k]
 
 
 class TestVerifyCycle:
