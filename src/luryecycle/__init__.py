@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     EmptyResultError,
     FileFormatError,
-    IllPosedFeedbackError,
     LuryecycleError,
     MultivaluedPhiError,
     NoIntersectionError,
@@ -67,7 +66,6 @@ __all__ = [
     "SlopeViolationError",
     "MultivaluedPhiError",
     "AlgebraicLoopError",
-    "IllPosedFeedbackError",
     "PhaseConditionError",
     "SelfVerifyError",
     "FileFormatError",

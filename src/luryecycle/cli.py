@@ -138,26 +138,20 @@ def cli():
 
 @cli.command()
 @click.argument("plant_file", type=click.Path(dir_okay=False))
-@click.option("--kmax", type=float, default=1e4, show_default=True,
-              help="Upper end of the gain scan.")
-@click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="Bisection width on the destabilizing gain.")
 @click.option("--report", type=click.Path(dir_okay=False), default=None,
               help="Write a JSON run report here.")
-def nyquist(plant_file, kmax, tol, report):
+def nyquist(plant_file, report):
     """Smallest linear feedback gain that destabilizes the loop."""
     with _guard():
-        plant = _rational_plant(load_plant(plant_file), "the gain scan")
-        result = nyquist_gain(plant, k_max=kmax, tol=tol)
-        if result.crossed:
-            click.echo(f"k_N = {result.k_n:.9g}")
+        plant = _rational_plant(load_plant(plant_file), "the gain margin")
+        k_n = nyquist_gain(plant)
+        if math.isfinite(k_n):
+            click.echo(f"k_N = {k_n:.9g}")
         else:
-            click.echo(f"no instability found for gains up to {kmax:.9g}; "
-                       f"k_N >= {kmax:.9g}")
-        _write_report(report, "nyquist",
-                      {"kmax": kmax, "tol": tol}, plant_echo(plant),
-                      {"k_n": result.k_n, "crossed": result.crossed,
-                       "method": result.method, "tolerance": result.tolerance})
+            click.echo("no constant gain destabilizes the loop; k_N = inf")
+        # Plain JSON has no Infinity.
+        _write_report(report, "nyquist", {}, plant_echo(plant),
+                      {"k_n": k_n if math.isfinite(k_n) else "inf"})
 
 
 def _sweep_rows(entries) -> list[dict]:

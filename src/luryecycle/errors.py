@@ -53,10 +53,6 @@ class AlgebraicLoopError(LuryecycleError):
     """A direct-feedthrough loop's output equation got a non-finite input."""
 
 
-class IllPosedFeedbackError(LuryecycleError):
-    """1 + k*D vanished, so the closed-loop output is not defined."""
-
-
 class PhaseConditionError(LuryecycleError):
     """Phase of the (shifted) plant falls outside the required window."""
 

@@ -8,8 +8,7 @@ response to one period u is the DFT product
 
     y = ifft(G(e^{j*2*pi*k/T}) * fft(u)).
 
-The state-space realization serves only the time-domain simulation and
-the eigenvalue scan of the linear gain margin.
+The state-space realization serves only the time-domain simulation.
 """
 
 from __future__ import annotations

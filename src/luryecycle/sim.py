@@ -5,7 +5,8 @@ cycle (u, y) is accepted when three things hold: y is the steady-state
 linear response to u, every -u_k lies in phi(y_k), and the cycle is not
 the trivial equilibrium.  When phi is single-valued the loop is also
 simulated from the periodic initial state and the trajectory must come
-back to itself every T steps.
+back to itself every T steps.  The state-space realization serves only
+this simulation; the linear gain margin is exact from G(e^{jw}).
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import (
     AlgebraicLoopError,
     DomainError,
-    IllPosedFeedbackError,
     MultivaluedPhiError,
     SingularMatrixError,
 )
@@ -37,6 +37,7 @@ from .lti import (
     PeriodicSignal,
     StateSpaceRealization,
     TransferFunction,
+    freq_response,
     periodic_response,
     realize,
 )
@@ -47,11 +48,15 @@ from .lti import (
 VERDICT_TOL = 1e-6
 NONTRIVIAL_TOL = 1e-6
 
+# nyquist_gain's tolerance on ||z| - 1| for a unit-circle root and on
+# |Im G| / |G| for a real response.
+MARGIN_TOL = 1e-6
+
 __all__ = [
     "VERDICT_TOL",
     "NONTRIVIAL_TOL",
+    "MARGIN_TOL",
     "CycleVerdict",
-    "NyquistResult",
     "periodic_steady_state",
     "simulate_closed_loop",
     "interpolation_residual",
@@ -235,63 +240,34 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
                         nontrivial=nontrivial, trajectory=trajectory)
 
 
-@dataclass(frozen=True)
-class NyquistResult:
-    """Smallest destabilizing linear feedback gain found by scan+bisection.
+def nyquist_gain(plant: TransferFunction) -> float:
+    """Smallest gain k > 0 at which the loop y = G u, u = -k y is not
+    strictly stable, or math.inf when no constant gain destabilizes it.
 
-    crossed is False when no gain up to k_max destabilizes the loop; k_n
-    then reports k_max as a lower bound.
+    The closed-loop poles, the roots of den + k*num, start inside the
+    unit circle at k = 0 and move continuously with k, so the loop first
+    loses stability where a pole meets the circle, at e^{jw} with
+    G(e^{jw}) = -1/k.  G is real on the circle exactly at the unit-circle
+    roots of num(z) z^n den(1/z) - den(z) z^n num(1/z), which there equals
+    2j z^n Im(num(z) conj(den(z))); w = 0 and w = pi are always roots,
+    and are added directly, since np.roots can put a multiple root there
+    off the circle.  When D < 0 a pole escapes through infinity at
+    k = -1/D after crossing the circle; -1/D still bounds k_N if rounding
+    hides that crossing.
     """
-
-    k_n: float
-    crossed: bool
-    tolerance: float
-    k_max: float
-    method: str = "bisection"
-
-
-def _closed_loop_radius(ss: StateSpaceRealization, k: float) -> float:
-    gain = 1.0 + k * ss.d
-    if abs(gain) < 1e-12:
-        raise IllPosedFeedbackError(
-            f"feedback is ill posed at k = {k:.9g}: 1 + k*D = 0")
-    if ss.order == 0:
-        return 0.0
-    acl = ss.a - np.outer(ss.b, ss.c) * (k / gain)
-    return float(max(abs(np.linalg.eigvals(acl))))
-
-
-def nyquist_gain(plant: TransferFunction, k_max: float = 1e4,
-                 tol: float = 1e-6) -> NyquistResult:
-    """First gain at which A - B k (1 + k D)^{-1} C loses stability.
-
-    Scans 1000 evenly spaced gains up to k_max for the first spectral
-    radius >= 1, then bisects the bracketing interval down to tol.
-    """
-    if not (0 < k_max < math.inf and 0 < tol < math.inf):
-        raise DomainError(f"k_max and tol must be positive and finite, "
-                          f"got {k_max!r} and {tol!r}")
-    ss = realize(plant)
-    step = k_max / 1000.0
-    lo = 0.0
-    hi = None
-    for i in range(1, 1001):
-        k = i * step
-        if _closed_loop_radius(ss, k) >= 1.0:
-            hi = k
-            break
-        lo = k
-    if hi is None:
-        return NyquistResult(k_n=k_max, crossed=False, tolerance=tol,
-                             k_max=k_max)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _closed_loop_radius(ss, mid) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return NyquistResult(k_n=0.5 * (lo + hi), crossed=True, tolerance=tol,
-                         k_max=k_max)
+    den = np.array(plant.den)
+    num = np.zeros(den.size)
+    num[den.size - len(plant.num):] = plant.num
+    real_g = np.polysub(np.polymul(num, den[::-1]),
+                        np.polymul(den, num[::-1]))
+    omegas = [0.0, math.pi] + [float(np.angle(z)) for z in np.roots(real_g)
+                               if abs(abs(z) - 1.0) <= MARGIN_TOL]
+    responses = [freq_response(plant, omega) for omega in omegas]
+    gains = [-1.0 / g.real for g in responses
+             if g.real < 0.0 and abs(g.imag) <= MARGIN_TOL * abs(g)]
+    if num[0] < 0.0:
+        gains.append(-1.0 / num[0])
+    return min(gains, default=math.inf)
 
 
 def trajectory_csv(y_values, u_values) -> str:

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a route independent of the library
 code under test: brute-force enumeration, truncated series, direct
-simulation, or the time-domain circulant form of the periodic response.
+simulation, closed-loop eigenvalues, or the time-domain circulant form
+of the periodic response.
 """
 
 from __future__ import annotations
@@ -117,6 +118,46 @@ def solve_output_reference(d: float, phi, lin: float) -> float | None:
             return nxt
         y = nxt
     return None
+
+
+def closed_loop_radius(ss: StateSpaceRealization, k: float) -> float:
+    """Spectral radius of A - B k (1 + k D)^{-1} C, the state matrix of
+    the loop u = -k y; inf where 1 + k D vanishes and a pole has gone
+    through infinity."""
+    gain = 1.0 + k * ss.d
+    if abs(gain) < 1e-12:
+        return math.inf
+    if ss.order == 0:
+        return 0.0
+    acl = ss.a - np.outer(ss.b, ss.c) * (k / gain)
+    return float(max(abs(np.linalg.eigvals(acl))))
+
+
+def nyquist_scan_reference(plant: TransferFunction, k_max: float,
+                           tol: float) -> float | None:
+    """First gain with closed-loop radius >= 1 by scanning 1000 evenly
+    spaced gains up to k_max and bisecting the bracket down to tol.
+
+    Returns None when no scanned gain crosses.  An instability window
+    narrower than the scan step k_max/1000 can be missed.
+    """
+    ss = realize(plant)
+    step = k_max / 1000.0
+    lo = 0.0
+    for i in range(1, 1001):
+        hi = i * step
+        if closed_loop_radius(ss, hi) >= 1.0:
+            break
+        lo = hi
+    else:
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if closed_loop_radius(ss, mid) >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:

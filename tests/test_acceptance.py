@@ -32,10 +32,9 @@ from helpers import (
 
 def test_criterion_1_nyquist_gain(example_plant):
     start = time.perf_counter()
-    res = nyquist_gain(example_plant)
+    k_n = nyquist_gain(example_plant)
     elapsed = time.perf_counter() - start
-    assert res.crossed
-    assert res.k_n == pytest.approx(3.61, abs=1e-4)
+    assert k_n == pytest.approx(3.61, rel=1e-12)
     assert elapsed < 1.0
 
 
@@ -103,7 +102,7 @@ def test_criterion_5_cli_construct_verify_round_trip(plant_file, tmp_path,
 
 def test_criterion_6_slope_bound_below_linear_margin(example_plant):
     kbar = grid_search(example_plant, 20)[0].kbar
-    k_n = nyquist_gain(example_plant).k_n
+    k_n = nyquist_gain(example_plant)
     assert kbar < k_n
 
 

@@ -66,13 +66,33 @@ class TestNyquist:
     def test_reports_gain(self, runner, plant_file):
         result = runner.invoke(cli, ["nyquist", str(plant_file)])
         assert result.exit_code == 0
-        assert "k_N = 3.60999" in result.output
+        assert "k_N = 3.61\n" in result.output
 
     def test_no_crossing_message(self, runner, static_plant_file):
-        result = runner.invoke(cli, ["nyquist", str(static_plant_file),
-                                     "--kmax", "50"])
+        result = runner.invoke(cli, ["nyquist", str(static_plant_file)])
         assert result.exit_code == 0
-        assert "no instability" in result.output
+        assert result.output.splitlines()[-1] == (
+            "no constant gain destabilizes the loop; k_N = inf")
+
+    def test_narrow_instability_window_is_found(self, runner, tmp_path):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"num": [-0.36627, -0.11472],
+                                    "den": [1.0, 0.86878]}))
+        result = runner.invoke(cli, ["nyquist", str(path)])
+        assert result.exit_code == 0
+        assert result.output == "k_N = 0.521645796\n"
+
+    def test_report_holds_margin(self, runner, plant_file,
+                                 static_plant_file, tmp_path):
+        # Plain JSON has no Infinity, so an infinite margin reads "inf".
+        rep = tmp_path / "rep.json"
+        for path, k_n in ((plant_file, 3.61), (static_plant_file, "inf")):
+            result = runner.invoke(cli, ["nyquist", str(path),
+                                         "--report", str(rep)])
+            assert result.exit_code == 0
+            doc = json.loads(rep.read_text())
+            assert doc["parameters"] == {}
+            assert doc["results"] == {"k_n": k_n}
 
     def test_invalid_plant_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -83,6 +103,7 @@ class TestNyquist:
     def test_anchor_plant_rejected(self, runner, anchor_file):
         result = runner.invoke(cli, ["nyquist", str(anchor_file)])
         assert result.exit_code == 2
+        assert "the gain margin needs a rational plant" in result.output
 
     def test_non_finite_plant_exits_2(self, runner, tmp_path):
         bad = tmp_path / "nan.json"
@@ -91,14 +112,6 @@ class TestNyquist:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "finite" in result.output
-
-    @pytest.mark.parametrize("kmax", ["-1", "0", "inf"])
-    def test_bad_kmax_exits_2(self, runner, plant_file, kmax):
-        result = runner.invoke(cli, ["nyquist", str(plant_file),
-                                     "--kmax", kmax])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "k_max" in result.output
 
 
 class TestPhaseSweep:

@@ -10,7 +10,8 @@ import luryecycle
 from luryecycle import construct, interp, lti, phase, sim
 
 ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
-           "phase_window_holds", "add_constant", "_solve_output")
+           "phase_window_holds", "add_constant", "_solve_output",
+           "_closed_loop_radius")
 
 
 def test_every_exported_name_resolves():

@@ -6,7 +6,6 @@ import pytest
 
 from luryecycle import (
     DomainError,
-    IllPosedFeedbackError,
     MultivaluedPhiError,
     RationalFrequency,
     TransferFunction,
@@ -24,9 +23,13 @@ from luryecycle.interp import (
 from luryecycle.lti import PeriodicSignal, realize
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
-from helpers import simulate_linear
+from helpers import closed_loop_radius, simulate_linear
 
 DELAY = TransferFunction((0.0, 1.0), (1.0, 0.0))  # G(z) = 1/z
+# A narrow instability window that a 1000-step gain scan up to 1e4
+# steps over: the loop is unstable from k = 0.5216 on, D = -0.36627.
+MARGIN_COUNTEREXAMPLE = TransferFunction((-0.36627, -0.11472),
+                                         (1.0, 0.86878))
 
 
 def line(slope: float, width: float = 100.0) -> PiecewiseNonlinearity:
@@ -176,34 +179,42 @@ class TestVerifyCycle:
 
 class TestNyquistGain:
     def test_delay_margin_is_one(self):
-        res = nyquist_gain(DELAY, k_max=10.0)
-        assert res.crossed
-        assert res.k_n == pytest.approx(1.0, abs=2e-6)
+        assert nyquist_gain(DELAY) == pytest.approx(1.0, rel=1e-12)
 
     def test_static_plant_never_crosses(self):
-        res = nyquist_gain(TransferFunction((0.5,), (1.0,)), k_max=50.0)
-        assert not res.crossed
-        assert res.k_n == 50.0
+        assert nyquist_gain(TransferFunction((0.5,), (1.0,))) == math.inf
 
-    def test_result_records_search_settings(self):
-        res = nyquist_gain(DELAY, k_max=10.0, tol=1e-4)
-        assert res.tolerance == 1e-4
-        assert res.k_max == 10.0
-        assert res.method == "bisection"
-
-    def test_ill_posed_feedthrough_detected(self):
+    def test_feedthrough_margin_is_exact(self):
+        # 1 + k*D vanishes at k = 1, but G(-1) = -4/3 already puts a
+        # pole on the circle at k = 0.75.
         g = TransferFunction((-1.0, 1.0), (1.0, -0.5))
-        with pytest.raises(IllPosedFeedbackError):
-            nyquist_gain(g, k_max=1000.0)
+        assert nyquist_gain(g) == 0.75
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            nyquist_gain(DELAY, k_max=-1.0)
-        with pytest.raises(ValueError):
-            nyquist_gain(DELAY, tol=0.0)
-        for k_max in (-1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                nyquist_gain(DELAY, k_max=k_max)
+    @pytest.mark.parametrize("num", [(0.5, 0.25), (-0.5, 0.25)])
+    def test_crossing_at_multiple_real_axis_root(self, num):
+        # Im G has a triple zero at w = pi (w = 0 for the second plant),
+        # so np.roots splits it off the circle by more than MARGIN_TOL;
+        # the loop has a double pole at -1 (+1) at k = 4.
+        g = TransferFunction(num, (1.0, 0.0, 0.0))
+        assert nyquist_gain(g) == 4.0
+
+    def test_tangent_touch_counts(self):
+        # G = (0.8125 z^2 + 0.75 z + 0.25)/z^3 touches the negative real
+        # axis at cos w = -0.75, G = -0.375, without crossing it: the
+        # poles reach the circle at k = 8/3 and turn back.  The loop is
+        # not strictly stable there, so k_N = 8/3, not the 3.2 where
+        # G(-1) = -0.3125 crosses.
+        g = TransferFunction((0.8125, 0.75, 0.25), (1.0, 0.0, 0.0, 0.0))
+        k_n = nyquist_gain(g)
+        assert k_n == pytest.approx(8 / 3, rel=1e-7)
+        assert closed_loop_radius(realize(g), 8 / 3) == pytest.approx(1.0)
+
+    def test_narrow_instability_window_is_found(self):
+        k_n = nyquist_gain(MARGIN_COUNTEREXAMPLE)
+        assert k_n == pytest.approx(0.5216457960644, rel=1e-9)
+        ss = realize(MARGIN_COUNTEREXAMPLE)
+        assert closed_loop_radius(ss, k_n * (1 - 1e-6)) < 1.0
+        assert closed_loop_radius(ss, k_n * (1 + 1e-6)) > 1.0
 
 
 class TestTrajectoryCsv:
