@@ -12,8 +12,8 @@ the same steps for every plant form:
 4. for even alpha without the odd option, shifts the input by xi so the
    data curve passes through the origin, using the shifted dc gain; for
    the odd option, appends the point-reflected data instead;
-5. interpolates the (y, -u) pairs into a monotone nonlinearity and, for
-   finite k, transforms the data back to the slope-k class;
+5. for finite k, transforms the data back to the slope-k class, and
+   interpolates the (y, -u) pairs once into a nonlinearity of the class;
 6. re-verifies the resulting cycle and bundles everything into a
    certificate.
 
@@ -41,6 +41,7 @@ from .interp import (
     PiecewiseNonlinearity,
     compute_shift,
     interpolate,
+    interval_distance,
     loop_transform_data,
     odd_append,
 )
@@ -198,24 +199,26 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     dc = None if dc0 is None else dc0 + shift_c
 
     xi = 0.0
+    phi = None
     if freq.alpha % 2 == 0 and not odd:
         if dc is None:
             raise PlantValidationError(
                 "anchor plant needs a dc value for the even-alpha "
                 "construction without the odd option")
-        base = DataPairSet(tuple(zip(ytilde, -u)), freq=freq, response=resp)
-        xi = compute_shift(base, dc)
+        # The shifted data's interpolant is the monotone class's phi.
+        xi, phi = compute_shift(DataPairSet(tuple(zip(ytilde, -u))), dc)
         u = u + xi
         ytilde = ytilde + xi * dc
 
-    data = DataPairSet(tuple(zip(ytilde, -u)), freq=freq, response=resp)
-    interp_data = odd_append(data) if odd else data
+    data = DataPairSet(tuple(zip(ytilde, -u)))
+    if odd:
+        data = odd_append(data)
+    y_sig = ytilde
     if finite:
-        interp_data = loop_transform_data(interp_data, slope)
+        data = loop_transform_data(data, slope)
         y_sig = ytilde - u / slope
-    else:
-        y_sig = ytilde
-    phi = interpolate(interp_data, slope_bound=slope)
+    if phi is None or finite:
+        phi = interpolate(data, slope_bound=slope)
 
     u_per = PeriodicSignal(tuple(u))
     y_per = PeriodicSignal(tuple(y_sig))
@@ -229,7 +232,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             residual_periodicity=0.0,
             residual_interpolation=interpolation_residual(phi, y_sig, u),
             nontrivial=bool(np.max(np.abs(y_sig)) > NONTRIVIAL_TOL))
-    origin_gap = _origin_distance(phi)
+    origin_gap = interval_distance(phi.evaluate(0.0), 0.0)
     if (verdict.residual_periodicity > CERT_RESIDUAL_TOL
             or verdict.residual_interpolation > CERT_RESIDUAL_TOL
             or origin_gap > CERT_RESIDUAL_TOL
@@ -243,8 +246,3 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
         freq=freq, response=resp0, variant=_VARIANTS[(odd, finite)],
         slope=slope, xi=float(xi), u=u_per, y=y_per, phi=phi,
         verdict=verdict)
-
-
-def _origin_distance(phi: PiecewiseNonlinearity) -> float:
-    lo, hi = phi.evaluate(0.0)
-    return max(0.0, lo, -hi)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,6 @@ from .errors import (
     NotMonotoneError,
     SlopeViolationError,
 )
-from .lti import RationalFrequency
 
 # Y_TOL_FACTOR scales the breakpoint clustering width with the data;
 # INTERPOLABLE_TOL is the relative slack by which a breakpoint's values may
@@ -49,22 +49,15 @@ __all__ = [
     "interval_distance",
     "odd_append",
     "compute_shift",
-    "shift_data",
     "loop_transform_data",
 ]
 
 
 @dataclass(frozen=True)
 class DataPairSet:
-    """Finite set of (y, v) samples of a candidate nonlinearity.
-
-    Optional metadata records where the samples came from: the rational
-    frequency and the plant response that generated them.
-    """
+    """Finite set of (y, v) samples of a candidate nonlinearity."""
 
     pairs: tuple[tuple[float, float], ...]
-    freq: RationalFrequency | None = None
-    response: complex | None = None
 
     def __post_init__(self):
         pairs = tuple((float(y), float(v)) for y, v in self.pairs)
@@ -74,9 +67,6 @@ class DataPairSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def sorted_pairs(self) -> list[tuple[float, float]]:
-        return sorted(self.pairs)
 
     def y_tol(self) -> float:
         """Clustering width: relative to the largest output magnitude."""
@@ -90,21 +80,19 @@ def monotone_interpolable(data: DataPairSet,
                           tol: float = INTERPOLABLE_TOL) -> bool:
     """Whether the clustered data rises from one cluster to the next.
 
-    Sorts once and chains outputs within data.y_tol() into clusters, the
-    breakpoints of :func:`interpolate`; inside a cluster any value order
-    is a vertical riser.  Each cluster's lowest value may fall below the
-    highest value of the cluster before it by at most tol * scale, where
-    scale covers the value magnitude, so the answer is True exactly when
-    the breakpoints form a monotone :class:`PiecewiseNonlinearity`.
+    The clusters are the breakpoints of :func:`interpolate`; inside a
+    cluster any value order is a vertical riser.  Each cluster's lowest
+    value may fall below the highest value of the cluster before it by
+    at most tol * scale, where scale covers the value magnitude, so the
+    answer is True exactly when the breakpoints form a monotone
+    :class:`PiecewiseNonlinearity`.
     """
+    return _rises(_cluster_breakpoints(data), data, tol)
+
+
+def _rises(bps: list[Breakpoint], data: DataPairSet, tol: float) -> bool:
     slack = tol * max(1.0, max(abs(v) for _, v in data.pairs))
-    prev_hi = -math.inf
-    for cluster in _clusters(data.sorted_pairs(), data.y_tol()):
-        vs = [v for _, v in cluster]
-        if prev_hi > min(vs) + slack:
-            return False
-        prev_hi = max(vs)
-    return True
+    return not any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:]))
 
 
 @dataclass(frozen=True)
@@ -178,8 +166,20 @@ class PiecewiseNonlinearity:
                                            for b in self.breakpoints))
 
     @cached_property
-    def _ys(self) -> tuple[float, ...]:
-        return tuple(b.y for b in self.breakpoints)
+    def columns(self) -> tuple[list[float], list[float], list[float]]:
+        """Breakpoint positions, lower values and upper values."""
+        bps = self.breakpoints
+        return ([b.y for b in bps], [b.v_lo for b in bps],
+                [b.v_hi for b in bps])
+
+    @cached_property
+    def bounds(self) -> tuple[Callable[[float], float],
+                              Callable[[float], float]]:
+        """Functions (lower, upper) with evaluate(y) = (lower(y), upper(y));
+        a single-valued phi is lower itself."""
+        ys, los, his = self.columns
+        return (_graph_end(ys, los, los, his, self.y_tol),
+                _graph_end(ys, his, los, his, self.y_tol))
 
     @cached_property
     def is_single_valued(self) -> bool:
@@ -196,35 +196,40 @@ class PiecewiseNonlinearity:
 
     def evaluate(self, y: float) -> tuple[float, float]:
         """Value set at y as an interval (lo, hi); single points collapse."""
-        ys = self._ys
-        i = bisect_left(ys, y)
-        # Snap to the nearest breakpoint if y is within the cluster width.
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(ys) and abs(y - ys[j]) <= self.y_tol:
-                if best is None or abs(y - ys[j]) < abs(y - ys[best]):
-                    best = j
-        if best is not None:
-            b = self.breakpoints[best]
-            return (b.v_lo, b.v_hi)
-        if y < ys[0]:
-            v = self.breakpoints[0].v_lo
-            return (v, v)
-        if y > ys[-1]:
-            v = self.breakpoints[-1].v_hi
-            return (v, v)
-        left = self.breakpoints[i - 1]
-        right = self.breakpoints[i]
-        t = (y - left.y) / (right.y - left.y)
-        v = left.v_hi + t * (right.v_lo - left.v_hi)
-        return (v, v)
+        lower, upper = self.bounds
+        return (lower(y), upper(y))
 
     def scalar(self, y: float) -> float:
         """Single value at y; raises if the graph is multivalued."""
         if not self.is_single_valued:
             raise MultivaluedPhiError(
                 "graph is multivalued; no scalar value exists")
-        return self.evaluate(y)[0]
+        return self.bounds[0](y)
+
+
+def _graph_end(ys: list[float], snap: list[float], los: list[float],
+               his: list[float], tol: float) -> Callable[[float], float]:
+    """One end of the value set of the graph with breakpoints ys and values
+    [los, his], as a function of y: snap[j] within tol of breakpoint j (the
+    nearer one, the left one on a tie), constant outside the span, linear
+    from his[i-1] to los[i] between, and NaN at NaN."""
+    n = len(ys)
+
+    def end(y: float) -> float:
+        i = bisect_left(ys, y)
+        if (i and abs(y - ys[i - 1]) <= tol
+                and not (i < n and abs(y - ys[i]) < abs(y - ys[i - 1]))):
+            return snap[i - 1]
+        if i < n and abs(y - ys[i]) <= tol:
+            return snap[i]
+        if y < ys[0]:
+            return los[0]
+        if y > ys[-1]:
+            return his[-1]
+        t = (y - ys[i - 1]) / (ys[i] - ys[i - 1])
+        return his[i - 1] + t * (los[i] - his[i - 1])
+
+    return end
 
 
 def interval_distance(interval: tuple[float, float], v: float) -> float:
@@ -233,13 +238,20 @@ def interval_distance(interval: tuple[float, float], v: float) -> float:
     return max(0.0, lo - v, v - hi)
 
 
-def _clusters(pts: list[tuple[float, float]], eps: float):
-    """Chain points whose consecutive y gaps are within eps."""
+def _cluster_breakpoints(data: DataPairSet) -> list[Breakpoint]:
+    """Sorts once and chains outputs whose consecutive gaps are within
+    data.y_tol() into clusters; each becomes one breakpoint at the mean
+    of its outputs, holding its lowest and highest value."""
+    pts = sorted(data.pairs)
+    eps = data.y_tol()
+    bps = []
     start = 0
     for i in range(1, len(pts) + 1):
         if i == len(pts) or pts[i][0] - pts[i - 1][0] > eps:
-            yield pts[start:i]
+            ys, vs = zip(*pts[start:i])
+            bps.append(Breakpoint(math.fsum(ys) / len(ys), min(vs), max(vs)))
             start = i
+    return bps
 
 
 def interpolate(data: DataPairSet,
@@ -248,28 +260,29 @@ def interpolate(data: DataPairSet,
 
     Outputs within the clustering width collapse into one (possibly
     multivalued) breakpoint at their mean.  Raises
-    :class:`NotMonotoneError` when the chord test fails.  The odd flag is
-    detected from the data: a symmetric breakpoint set whose graph
-    contains the origin.
+    :class:`NotMonotoneError` when the chord test fails, and
+    :class:`SlopeViolationError` when loop-transformed data leaves a finite
+    slope_bound's class.  The odd flag is detected from the data: a
+    symmetric breakpoint set whose graph contains the origin.
     """
-    if not monotone_interpolable(data):
+    bps = _cluster_breakpoints(data)
+    if not _rises(bps, data, INTERPOLABLE_TOL):
         raise NotMonotoneError(
             "data pairs admit no monotone interpolant (a chord decreases)")
-    eps = data.y_tol()
-    bps = []
-    for cluster in _clusters(data.sorted_pairs(), eps):
-        ys = [y for y, _ in cluster]
-        vs = [v for _, v in cluster]
-        bps.append(Breakpoint(math.fsum(ys) / len(ys), min(vs), max(vs)))
     try:
-        trial = PiecewiseNonlinearity(tuple(bps), slope_bound=slope_bound)
+        phi = PiecewiseNonlinearity(tuple(bps), slope_bound=slope_bound)
     except ValueError as exc:
-        # Monotone, but outside the declared slope class.
+        # Monotone, so only slope_bound or its class can fail.
+        peak = PiecewiseNonlinearity(tuple(bps)).max_chord_slope()
+        if slope_bound > 0 and peak > slope_bound * (1.0 + SLOPE_SLACK):
+            raise SlopeViolationError(
+                f"transformed data needs chord slope {peak:.9g}, outside "
+                f"the class limit {slope_bound:.9g}") from exc
         raise NotMonotoneError(str(exc)) from exc
-    if _odd_flaw(trial, eps, data.v_tol()) is None:
-        return PiecewiseNonlinearity(tuple(bps), odd=True,
-                                     slope_bound=slope_bound)
-    return trial
+    if _odd_flaw(phi, data.y_tol(), data.v_tol()) is None:
+        # The odd=True check of construction, with the data's widths.
+        object.__setattr__(phi, "odd", True)
+    return phi
 
 
 def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
@@ -283,7 +296,7 @@ def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
     test |m.y + b.y| <= tol_y accepts.
     """
     bps = phi.breakpoints
-    ys = phi._ys
+    ys = phi.columns[0]
     for b in bps:
         j = bisect_left(ys, -b.y - 2.0 * tol_y)
         reach = -b.y + 2.0 * tol_y
@@ -319,17 +332,13 @@ def odd_append(data: DataPairSet) -> DataPairSet:
             i -= 1
         else:
             kept.append((y, v))
-    return DataPairSet(tuple(kept), freq=data.freq, response=data.response)
+    return DataPairSet(tuple(kept))
 
 
-def shift_data(data: DataPairSet, xi: float, dc: float) -> DataPairSet:
-    """Apply the input shift xi: (y, v) -> (y + xi*dc, v - xi)."""
-    return DataPairSet(tuple((y + xi * dc, v - xi) for y, v in data.pairs),
-                       freq=data.freq, response=data.response)
-
-
-def compute_shift(data: DataPairSet, dc: float) -> float:
-    """Input shift xi that drags the data curve through the origin.
+def compute_shift(data: DataPairSet,
+                  dc: float) -> tuple[float, PiecewiseNonlinearity]:
+    """Input shift xi that drags the data curve through the origin, and
+    the interpolant of the shifted data (y + xi*dc, v - xi).
 
     Walks the monotone staircase through the data (vertical risers over
     clustered y values, chords between clusters; same clustering as
@@ -337,22 +346,19 @@ def compute_shift(data: DataPairSet, dc: float) -> float:
     {s * (dc, -1)}; a point s*(dc, -1) on the curve means shifting the
     input by xi = -s moves it to (0, 0).  With several crossings the one
     with smallest |s| wins.  Raises :class:`NoIntersectionError` when
-    the curve misses the ray over the data span.
+    the curve misses the ray over the data span, or when the shifted
+    interpolant misses the origin by more than ORIGIN_TOL.
     """
-    pts = data.sorted_pairs()
-    if len(pts) < 2:
+    if len(data) < 2:
         raise NoIntersectionError(
             "need at least two data pairs to locate a crossing")
     # Raw sort order inside an equal-y group is decided by rounding
     # noise, so segments must come from the clustered staircase instead.
     verts: list[tuple[float, float]] = []
-    for cluster in _clusters(pts, data.y_tol()):
-        ys = [y for y, _ in cluster]
-        vs = [v for _, v in cluster]
-        y_c = math.fsum(ys) / len(ys)
-        verts.append((y_c, min(vs)))
-        if max(vs) > min(vs):
-            verts.append((y_c, max(vs)))
+    for b in _cluster_breakpoints(data):
+        verts.append((b.y, b.v_lo))
+        if b.v_hi > b.v_lo:
+            verts.append((b.y, b.v_hi))
     best_s = None
     for (y0, v0), (y1, v1) in zip(verts, verts[1:]):
         dy = y1 - y0
@@ -370,27 +376,23 @@ def compute_shift(data: DataPairSet, dc: float) -> float:
             f"curve over y in [{verts[0][0]:.6g}, {verts[-1][0]:.6g}] never "
             f"meets the ray through (0, 0) and ({dc:.6g}, -1)")
     xi = -best_s
-    shifted = interpolate(shift_data(data, xi, dc))
-    if interval_distance(shifted.evaluate(0.0), 0.0) > ORIGIN_TOL:
+    # -(xi - v), not v - xi: with v = -u it is -(u + xi) to the sign of
+    # a zero, so a caller that shifts u itself gets exactly these pairs.
+    phi = interpolate(DataPairSet(tuple((y + xi * dc, -(xi - v))
+                                        for y, v in data.pairs)))
+    if interval_distance(phi.evaluate(0.0), 0.0) > ORIGIN_TOL:
         raise NoIntersectionError(
             "shifted data does not pass through the origin")
-    return xi
+    return xi, phi
 
 
 def loop_transform_data(data: DataPairSet, k: float) -> DataPairSet:
     """Map samples of a monotone nonlinearity back to the slope-k class.
 
-    Each pair (y, v) becomes (y + v/k, v).  The transformed set must
-    interpolate with chord slopes inside [0, k]; otherwise
-    :class:`SlopeViolationError` is raised.
+    Each pair (y, v) becomes (y + v/k, v).  ``interpolate(out,
+    slope_bound=k)`` checks that the chord slopes lie inside [0, k] and
+    raises :class:`SlopeViolationError` otherwise.
     """
     if not (math.isfinite(k) and k > 0):
         raise ValueError("loop transform needs a finite positive slope")
-    out = DataPairSet(tuple((y + v / k, v) for y, v in data.pairs),
-                      freq=data.freq, response=data.response)
-    peak = interpolate(out).max_chord_slope()
-    if peak > k * (1.0 + SLOPE_SLACK):
-        raise SlopeViolationError(
-            f"transformed data needs chord slope {peak:.9g}, outside the "
-            f"class limit {k:.9g}")
-    return out
+    return DataPairSet(tuple((y + v / k, v) for y, v in data.pairs))

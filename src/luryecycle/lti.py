@@ -8,7 +8,8 @@ response to one period u is the DFT product
 
     y = ifft(G(e^{j*2*pi*k/T}) * fft(u)).
 
-The state-space realization serves only the time-domain simulation.
+The state-space realization serves only the time-domain simulation; its
+companion form makes a step A x + B u O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -152,7 +153,10 @@ class PeriodicSignal:
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceRealization:
-    """SISO state-space form x+ = A x + B u, y = C x + D u with stable A."""
+    """SISO state-space form x+ = A x + B u, y = C x + D u with stable A,
+    in the companion form :func:`realize` builds, which construction
+    checks: A is a shift below row 0 and B = e_0, so
+    x+ = (A[0] . x + u, x_0, ..., x_{n-2})."""
 
     a: np.ndarray
     b: np.ndarray
@@ -160,23 +164,19 @@ class StateSpaceRealization:
     d: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, 0)
-        a = np.atleast_2d(a)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        n = a.shape[0]
-        if a.shape != (n, n) or b.shape != (n,) or c.shape != (n,):
+        a, b, c = (np.array(m, dtype=float) for m in (self.a, self.b, self.c))
+        n = c.size
+        if not (c.shape == (n,) and a.shape == (n, n)
+                and np.array_equal(a[1:], np.eye(n, k=-1)[1:])
+                and np.array_equal(b, np.eye(1, n)[0])):
             raise PlantValidationError(
-                f"inconsistent state-space shapes: A {a.shape}, "
+                f"not a companion form of one order: A {a.shape}, "
                 f"B {b.shape}, C {c.shape}")
-        if n:
-            rho = max(abs(np.linalg.eigvals(a)))
-            if rho >= 1.0 - POLE_MARGIN:
-                raise PlantValidationError(
-                    f"state matrix spectral radius {rho:.12g} is not strictly "
-                    f"inside the unit circle")
+        rho = max(abs(np.linalg.eigvals(a)), default=0.0)
+        if rho >= 1.0 - POLE_MARGIN:
+            raise PlantValidationError(
+                f"state matrix spectral radius {rho:.12g} is not strictly "
+                f"inside the unit circle")
         for arr in (a, b, c):
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)

@@ -6,7 +6,10 @@ linear response to u, every -u_k lies in phi(y_k), and the cycle is not
 the trivial equilibrium.  When phi is single-valued the loop is also
 simulated from the periodic initial state and the trajectory must come
 back to itself every T steps.  The state-space realization serves only
-this simulation; the linear gain margin is exact from G(e^{jw}).
+this simulation; the linear gain margin is exact from G(e^{jw}).  In its
+companion form a step puts A[0] . x + u first and shifts the rest of x
+down one place, so the simulations hold x in a deque of length n and a
+step is one O(n) appendleft.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -32,7 +36,7 @@ from .errors import (
     MultivaluedPhiError,
     SingularMatrixError,
 )
-from .interp import PiecewiseNonlinearity, interval_distance
+from .interp import PiecewiseNonlinearity
 from .lti import (
     PeriodicSignal,
     StateSpaceRealization,
@@ -66,11 +70,6 @@ __all__ = [
 ]
 
 
-def _step(a: list, b: list, x: list, u: float) -> list:
-    """One state update A x + B u on plain floats."""
-    return [sum(map(mul, row, x)) + bi * u for row, bi in zip(a, b)]
-
-
 def periodic_steady_state(ss: StateSpaceRealization,
                           u: PeriodicSignal) -> np.ndarray:
     """Initial state of the unique T-periodic trajectory driven by u.
@@ -79,16 +78,13 @@ def periodic_steady_state(ss: StateSpaceRealization,
     """
     n = ss.order
     T = u.period
-    if n == 0:
-        return np.zeros(0)
-    a = ss.a.tolist()
-    b = ss.b.tolist()
-    acc = [0.0] * n
+    a0 = ss.a[:1].ravel().tolist()  # row 0 of A; empty when n = 0
+    x = deque([0.0] * n, maxlen=n)
     for ui in u.values:
-        acc = _step(a, b, acc, ui)
+        x.appendleft(sum(map(mul, a0, x)) + ui)
     a_pow = np.linalg.matrix_power(ss.a, T)
     try:
-        return np.linalg.solve(np.eye(n) - a_pow, np.array(acc))
+        return np.linalg.solve(np.eye(n) - a_pow, np.array(x))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I - A^{T} is singular") from exc
 
@@ -105,8 +101,7 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
     f(y) = y + d*phi(y) - lin.  It works on the exact graph, not on the
     snapped values of phi.evaluate, whose small steps could hide a root.
     """
-    ys = [b.y for b in phi.breakpoints]
-    vs = [b.v_lo for b in phi.breakpoints]
+    ys, vs, _ = phi.columns
     m = len(ys)
     slopes = ([0.0]
               + [(v1 - v0) / (y1 - y0)
@@ -157,21 +152,20 @@ def simulate_closed_loop(ss: StateSpaceRealization,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ss.order,):
         raise ValueError(f"initial state must have length {ss.order}")
-    x = x.tolist()
-    a = ss.a.tolist()
-    b = ss.b.tolist()
+    x = deque(x.tolist(), maxlen=ss.order)
+    a0 = ss.a[:1].ravel().tolist()
     c = ss.c.tolist()
+    value = phi.bounds[0]  # phi itself, phi being single-valued
     solve = _loop_solver(phi, ss.d) if ss.d != 0.0 else None
-    ys = np.empty(steps)
-    us = np.empty(steps)
-    for k in range(steps):
+    ys, us = [], []
+    for _ in range(steps):
         lin = sum(map(mul, c, x), 0.0)
         y = lin if solve is None else solve(lin)
-        u = -phi.scalar(y)
-        ys[k] = y
-        us[k] = u
-        x = _step(a, b, x, u)
-    return ys, us
+        u = -value(y)
+        ys.append(y)
+        us.append(u)
+        x.appendleft(sum(map(mul, a0, x)) + u)
+    return np.array(ys, dtype=float), np.array(us, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -201,10 +195,14 @@ class CycleVerdict:
 
 def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
                            u_values) -> float:
-    """Worst distance of -u_k from the value set phi(y_k)."""
+    """Worst distance of -u_k from the value set phi(y_k), in one pass
+    with phi's cached bound functions.  As in a max over
+    interval_distance, a NaN distance counts as 0."""
+    lower, upper = phi.bounds
     worst = 0.0
     for y, u in zip(y_values, u_values):
-        worst = max(worst, interval_distance(phi.evaluate(float(y)), -float(u)))
+        y, u = float(y), float(u)
+        worst = max(worst, lower(y) + u, -u - upper(y))
     return worst
 
 

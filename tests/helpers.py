@@ -8,9 +8,12 @@ of the periodic response.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 
 import numpy as np
+from hypothesis import strategies as st
 
 from luryecycle import (
     DomainError,
@@ -20,7 +23,9 @@ from luryecycle import (
 )
 from luryecycle.interp import (
     ORIGIN_TOL,
+    Breakpoint,
     DataPairSet,
+    PiecewiseNonlinearity,
     interpolate,
     interval_distance,
     loop_transform_data,
@@ -33,7 +38,7 @@ from luryecycle.lti import (
     periodic_response,
     realize,
 )
-from luryecycle.sim import periodic_steady_state
+from luryecycle.sim import _loop_solver, periodic_steady_state
 
 
 def coprime_pairs(beta_max: int) -> list[tuple[int, int]]:
@@ -96,6 +101,67 @@ def simulate_linear(ss: StateSpaceRealization, inputs,
         x = ss.a @ x + ss.b * uk if ss.order else x
         xs[k + 1] = x
     return ys, xs
+
+
+def simulate_closed_loop_reference(
+        ss: StateSpaceRealization, phi, x0,
+        steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loop x+ = A x + B u, y = C x + D u, u = -phi.scalar(y)
+    with the generic O(n^2) update A x + B u on plain floats; returns the
+    (y, u) trajectories.  With D != 0 each output comes from the
+    library's exact loop solve, which test_sim_properties checks against
+    solve_output_reference.
+    """
+    x = np.asarray(x0, dtype=float).reshape(-1).tolist()
+    a = ss.a.tolist()
+    b = ss.b.tolist()
+    c = ss.c.tolist()
+    solve = _loop_solver(phi, ss.d) if ss.d != 0.0 else None
+    ys = np.empty(steps)
+    us = np.empty(steps)
+    for k in range(steps):
+        lin = sum(map(operator.mul, c, x), 0.0)
+        y = lin if solve is None else solve(lin)
+        u = -phi.scalar(y)
+        ys[k] = y
+        us[k] = u
+        x = [sum(map(operator.mul, row, x)) + bi * u
+             for row, bi in zip(a, b)]
+    return ys, us
+
+
+def evaluate_reference(phi, y: float) -> tuple[float, float]:
+    """Value set of phi at y, breakpoint by breakpoint: the nearest
+    breakpoint within phi.y_tol (the left one on a tie) gives its
+    interval, outside the span the end value holds, and between
+    breakpoints the chord from (y_i, v_hi) to (y_{i+1}, v_lo)."""
+    bps = phi.breakpoints
+    ys = [b.y for b in bps]
+    i = bisect.bisect_left(ys, y)
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(ys) and abs(y - ys[j]) <= phi.y_tol:
+            if best is None or abs(y - ys[j]) < abs(y - ys[best]):
+                best = j
+    if best is not None:
+        return (bps[best].v_lo, bps[best].v_hi)
+    if y < ys[0]:
+        return (bps[0].v_lo, bps[0].v_lo)
+    if y > ys[-1]:
+        return (bps[-1].v_hi, bps[-1].v_hi)
+    t = (y - bps[i - 1].y) / (bps[i].y - bps[i - 1].y)
+    v = bps[i - 1].v_hi + t * (bps[i].v_lo - bps[i - 1].v_hi)
+    return (v, v)
+
+
+def interpolation_residual_reference(phi, y_values, u_values) -> float:
+    """Worst distance of -u_k from the value set phi(y_k), one
+    evaluate_reference call per sample."""
+    worst = 0.0
+    for y, u in zip(y_values, u_values):
+        worst = max(worst, interval_distance(
+            evaluate_reference(phi, float(y)), -float(u)))
+    return worst
 
 
 LOOP_DAMPING = 0.5
@@ -287,7 +353,12 @@ def odd_append_reference(data: DataPairSet) -> DataPairSet:
                for y0, v0 in kept):
             continue
         kept.append((y, v))
-    return DataPairSet(tuple(kept), freq=data.freq, response=data.response)
+    return DataPairSet(tuple(kept))
+
+
+def shift_data(data: DataPairSet, xi: float, dc: float) -> DataPairSet:
+    """Apply the input shift xi: (y, v) -> (y + xi*dc, v - xi)."""
+    return DataPairSet(tuple((y + xi * dc, v - xi) for y, v in data.pairs))
 
 
 def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
@@ -301,6 +372,44 @@ def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
             return False
     lo, hi = phi.evaluate(0.0)
     return lo <= ORIGIN_TOL and hi >= -ORIGIN_TOL
+
+
+@st.composite
+def dyadic_phis(draw, multivalued: bool = False):
+    """phi with breakpoints on a dyadic grid, so ties between two
+    breakpoints and offsets from them are exact, and gaps of a few grid
+    steps fall within the snap width y_tol.  A zero value gets a random
+    sign in each of v_lo and v_hi; with multivalued, breakpoints may
+    hold intervals."""
+    step = draw(st.sampled_from([2.0**-30, 2.0**-27, 2.0**-4, 1.0]))
+    base = draw(st.sampled_from([0.0, 0.75, -3.5, 1024.0]))
+    ks = sorted(draw(st.sets(st.integers(-40, 40), min_size=1, max_size=8)))
+    v = float(draw(st.integers(-3, 0)))
+    bps = []
+    for k in ks:
+        lo = v + draw(st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+        hi = lo + (draw(st.sampled_from([0.0, 0.0, 1.0]))
+                   if multivalued else 0.0)
+        if lo == 0.0:
+            lo = draw(st.sampled_from([0.0, -0.0]))
+        if hi == 0.0:
+            hi = draw(st.sampled_from([0.0, -0.0]))
+        bps.append(Breakpoint(base + k * step, lo, hi))
+        v = hi
+    return PiecewiseNonlinearity(tuple(bps))
+
+
+def probe_points(phi) -> list[float]:
+    """Query points for an evaluator: every breakpoint, offsets from it
+    inside and beyond y_tol, the midpoint of each pair of neighbours (an
+    exact tie on a dyadic grid), points outside the span, inf and NaN."""
+    ys = [b.y for b in phi.breakpoints]
+    tol = phi.y_tol
+    pts = [math.nan, math.inf, -math.inf, ys[0] - 1.0, ys[-1] + 1.0]
+    for y in ys:
+        pts += [y + f * tol for f in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+    pts += [0.5 * (y0 + y1) for y0, y1 in zip(ys, ys[1:])]
+    return pts
 
 
 def carrier_data(freq: RationalFrequency, delta: float,

@@ -9,12 +9,17 @@ from luryecycle import (
     PhaseConditionError,
     PlantValidationError,
     RationalFrequency,
+    SlopeViolationError,
     TransferFunction,
     build_certificate,
     grid_search,
     plant_response,
 )
+from luryecycle import construct, interp
 from luryecycle.construct import plant_dc
+from luryecycle.interp import DataPairSet, interpolate
+from luryecycle.lti import freq_response
+from luryecycle.phase import slope_bound
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)
@@ -110,6 +115,66 @@ class TestBuildVariants:
     def test_rejects_nonpositive_slope(self, example_plant):
         with pytest.raises(ValueError):
             build_certificate(example_plant, F27, slope=0.0)
+
+
+class TestOnePass:
+    """Each data set is interpolated once: the input shift's interpolant
+    is the phi of the monotone class, and the chord-slope check runs
+    inside the final interpolation.  Only a finite slope with even alpha
+    and no odd option interpolates twice, once before and once after the
+    loop transform."""
+
+    @pytest.mark.parametrize("freq, odd, slope, limit", [
+        (F27, False, math.inf, 1),
+        (F27, False, 1.31, 2),
+        (F27, True, math.inf, 1),
+        (F27, True, 23.0, 1),
+        (F13, False, math.inf, 1),
+        (F13, False, 1.36, 1),
+        (F13, True, math.inf, 1),
+        (F13, True, 1.36, 1),
+    ], ids=["2-7-monotone", "2-7-slope", "2-7-odd-monotone", "2-7-odd-slope",
+            "1-3-monotone", "1-3-slope", "1-3-odd-monotone", "1-3-odd-slope"])
+    def test_interpolation_count(self, example_plant, monkeypatch, freq,
+                                 odd, slope, limit):
+        calls = []
+        real = interp.interpolate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "interpolate", counting)
+        monkeypatch.setattr(construct, "interpolate", counting)
+        assert build_certificate(example_plant, freq, odd=odd,
+                                 slope=slope).verdict.ok()
+        assert 1 <= len(calls) <= limit
+
+    def test_shift_interpolant_is_the_cycle_data_interpolant(self):
+        # Here u + xi is exactly 0 at one sample, so the cycle data holds
+        # -(u + xi) = -0.0; the reused interpolant of the input shift must
+        # carry the same signed zero, which a saved phi writes out.
+        g = TransferFunction(
+            (-0.8605156073672797, -1.5134944072721068, -0.1666548508803217),
+            (1.0, 1.551989120284625, 0.692090388956185))
+        cert = build_certificate(g, RationalFrequency(4, 5))
+        data = DataPairSet(tuple(zip(cert.y.values,
+                                     [-u for u in cert.u.values])))
+        assert repr(cert.phi) == repr(interpolate(data))
+        assert any(b.v_lo == 0.0 and math.copysign(1.0, b.v_lo) < 0.0
+                   for b in cert.phi.breakpoints)
+
+    def test_failing_chord_check_raises_slope_violation(self):
+        # Just below kbar the shifted plant still passes the phase check,
+        # but the transformed data needs a chord steeper than k.
+        g = TransferFunction((-0.2225136131382745, 0.765539634412858),
+                             (1.0, 0.18491226031017016))
+        freq = RationalFrequency(10, 11)
+        kbar = slope_bound(freq_response(g, freq.omega), freq, False).kbar
+        with pytest.raises(SlopeViolationError,
+                           match="transformed data needs chord slope "
+                                 ".* outside the class limit"):
+            build_certificate(g, freq, slope=0.999999 * kbar)
 
 
 class TestFeedthroughLoops:

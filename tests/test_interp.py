@@ -18,8 +18,9 @@ from luryecycle.interp import (
     loop_transform_data,
     monotone_interpolable,
     odd_append,
-    shift_data,
 )
+
+from helpers import shift_data
 
 
 def stair_data(omega: float, T: int, delta: float) -> DataPairSet:
@@ -175,10 +176,9 @@ class TestShift:
         # Segment from (0,-1) to (1,1) against the ray s*(1,-1): the
         # crossing is at s = 1/3, so xi = -1/3.
         data = DataPairSet(((0.0, -1.0), (1.0, 1.0)))
-        xi = compute_shift(data, 1.0)
+        xi, phi = compute_shift(data, 1.0)
         assert xi == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        shifted = shift_data(data, xi, 1.0)
-        phi = interpolate(shifted)
+        assert phi == interpolate(shift_data(data, xi, 1.0))
         assert interval_distance(phi.evaluate(0.0), 0.0) <= 1e-9
 
     def test_riser_crossing_beats_farther_chord(self):
@@ -186,7 +186,7 @@ class TestShift:
         # else closer.
         data = DataPairSet(((0.0, -0.5), (0.0, 0.5), (1.0, 1.0),
                             (-1.0, -1.0)))
-        xi = compute_shift(data, 10.0)
+        xi, _ = compute_shift(data, 10.0)
         assert xi == pytest.approx(0.0, abs=1e-12)
 
     def test_no_crossing_raises(self):
@@ -222,8 +222,9 @@ class TestLoopTransform:
         # two points recluster into a multivalued breakpoint, and the
         # class constraint cannot hold.
         data = DataPairSet(((0.0, 0.0), (0.0, 0.19), (1.0, 0.3)))
-        with pytest.raises(SlopeViolationError):
-            loop_transform_data(data, 1e9)
+        with pytest.raises(SlopeViolationError,
+                           match="transformed data needs chord slope inf"):
+            interpolate(loop_transform_data(data, 1e9), slope_bound=1e9)
 
     def test_rejects_non_finite_slope(self):
         data = DataPairSet(((0.0, 0.0), (1.0, 1.0)))

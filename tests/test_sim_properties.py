@@ -1,5 +1,6 @@
 """Property tests: the exact feedthrough-loop solve against the damped
-fixed-point iteration it replaced.
+fixed-point iteration it replaced, and the O(n) closed-loop simulation
+and one-pass interpolation residual against the per-step references.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -10,15 +11,29 @@ one the damped iteration in helpers climbs to whenever it settles.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luryecycle import AlgebraicLoopError
+from luryecycle import AlgebraicLoopError, TransferFunction
 from luryecycle.interp import Breakpoint, PiecewiseNonlinearity
-from luryecycle.sim import _loop_solver
+from luryecycle.lti import realize
+from luryecycle.sim import (
+    _loop_solver,
+    interpolation_residual,
+    simulate_closed_loop,
+)
 
-from helpers import pl_eval_reference, solve_output_reference
+from helpers import (
+    dyadic_phis,
+    interpolation_residual_reference,
+    pl_eval_reference,
+    probe_points,
+    random_stable_tf,
+    simulate_closed_loop_reference,
+    solve_output_reference,
+)
 
 coords = st.floats(-20.0, 20.0, allow_nan=False)
 
@@ -86,3 +101,46 @@ def test_solve_finds_first_root_toward_minus_d_phi(phi, d, lin):
 def test_non_finite_loop_input_is_a_typed_error(phi, d, lin):
     with pytest.raises(AlgebraicLoopError):
         _loop_solver(phi, d)(lin)
+
+
+@st.composite
+def loops(draw):
+    """A random stable plant with D = 0, with D != 0, or static, a
+    monotone phi and an initial state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_stable_tf(rng)
+    form = draw(st.sampled_from(("strict", "feedthrough", "static")))
+    num = [0.0] * (len(g.den) - len(g.num)) + list(g.num)
+    if form == "static":
+        g = TransferFunction((float(rng.normal()),), (1.0,))
+    else:
+        num[0] = float(rng.normal()) if form == "feedthrough" else 0.0
+        g = TransferFunction(tuple(num), g.den)
+    x0 = rng.uniform(-20.0, 20.0, size=g.order)
+    return realize(g), draw(monotone_phis()), x0
+
+
+@given(loops())
+def test_simulation_matches_generic_step_reference(loop):
+    ss, phi, x0 = loop
+    got = simulate_closed_loop(ss, phi, x0, 60)
+    want = simulate_closed_loop_reference(ss, phi, x0, 60)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@given(dyadic_phis(multivalued=True), st.integers(0, 2**32 - 1))
+def test_residual_matches_per_sample_reference(phi, seed):
+    """Values of -u at, between and off the value sets, NaN included;
+    y covers the probe points (no NaN with one breakpoint, where the
+    per-sample reference divides by zero)."""
+    ys = [y for y in probe_points(phi)
+          if len(phi.breakpoints) > 1 or not math.isnan(y)]
+    rng = np.random.default_rng(seed)
+    us = []
+    for y in ys:
+        lo, hi = phi.evaluate(y)
+        us.append(float(rng.choice([-lo, -hi, -0.5 * (lo + hi),
+                                    -hi - 0.25, -lo + 0.25, math.nan])))
+    assert repr(interpolation_residual(phi, ys, us)) == \
+        repr(interpolation_residual_reference(phi, ys, us))
