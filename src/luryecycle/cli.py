@@ -154,21 +154,38 @@ def nyquist(plant_file, report):
                       {"k_n": k_n if math.isfinite(k_n) else "inf"})
 
 
-def _sweep_rows(entries) -> list[dict]:
-    rows = []
-    for e in entries:
-        rows.append({
-            "alpha": e.freq.alpha,
-            "beta": e.freq.beta,
-            "T": e.freq.T,
-            "omega": e.freq.omega,
-            "re": e.response.real,
-            "im": e.response.imag,
-            "phase": math.atan2(e.response.imag, e.response.real),
-            "kbar": e.kbar_json(),
-            "feasible": e.feasible,
-        })
-    return rows
+_SWEEP_KEYS = ("alpha", "beta", "T", "omega", "re", "im", "phase", "kbar",
+               "feasible")
+_JSON_ROW = "  {{\n" + ",\n".join(
+    f'    "{key}": {{}}' for key in _SWEEP_KEYS) + "\n  }}"
+_CSV_ROW = "{},{},{},{!r},{!r},{!r},{!r},{},{}"
+
+
+def _sweep_columns(table) -> list[list]:
+    """The phase-sweep table as one list per key of _SWEEP_KEYS."""
+    return [table.alpha, table.beta, table.T, table.omega, table.re,
+            table.im, list(map(math.atan2, table.im, table.re)),
+            table.kbar_json(), table.feasible()]
+
+
+def _json_tokens(values: list) -> list[str]:
+    # The C encoder writes each value as json.dumps(rows, indent=2) would.
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _sweep_text(columns: list[list], fmt: str) -> str:
+    """The table as json.dumps(rows, indent=2) would write it, or as CSV
+    with shortest round-trip floats and an empty kbar when infeasible."""
+    if fmt == "json":
+        rows = ",\n".join(map(_JSON_ROW.format,
+                              *map(_json_tokens, columns)))
+        return f"[\n{rows}\n]"
+    *head, kbar, feasible = columns
+    kbar = ["" if k is None else k if isinstance(k, str) else repr(k)
+            for k in kbar]
+    feasible = ["true" if f else "false" for f in feasible]
+    return "\n".join([",".join(_SWEEP_KEYS),
+                      *map(_CSV_ROW.format, *head, kbar, feasible)])
 
 
 @cli.command("phase-sweep")
@@ -185,24 +202,15 @@ def phase_sweep(plant_file, beta_max, odd, fmt, report):
     """Slope bounds for every coprime frequency pair up to --beta-max."""
     with _guard():
         plant = _rational_plant(load_plant(plant_file), "the sweep")
-        entries = sweep_entries(plant, beta_max, odd_variant=odd)
-        rows = _sweep_rows(entries)
-        if fmt == "json":
-            click.echo(json.dumps(rows, indent=2))
-        else:
-            click.echo("alpha,beta,T,omega,re,im,phase,kbar,feasible")
-            for r in rows:
-                kbar = "" if r["kbar"] is None else (
-                    r["kbar"] if isinstance(r["kbar"], str)
-                    else repr(r["kbar"]))
-                click.echo(f"{r['alpha']},{r['beta']},{r['T']},"
-                           f"{r['omega']!r},{r['re']!r},{r['im']!r},"
-                           f"{r['phase']!r},{kbar},"
-                           f"{'true' if r['feasible'] else 'false'}")
-        _write_report(report, "phase-sweep",
-                      {"beta_max": beta_max, "odd": odd},
-                      plant_echo(plant), {"rows": rows})
-        if not any(r["feasible"] for r in rows):
+        columns = _sweep_columns(sweep_entries(plant, beta_max,
+                                               odd_variant=odd))
+        click.echo(_sweep_text(columns, fmt))
+        if report:
+            rows = [dict(zip(_SWEEP_KEYS, row)) for row in zip(*columns)]
+            _write_report(report, "phase-sweep",
+                          {"beta_max": beta_max, "odd": odd},
+                          plant_echo(plant), {"rows": rows})
+        if not any(columns[-1]):
             raise EmptyResultError(
                 f"no feasible frequency pair with beta <= {beta_max}")
 

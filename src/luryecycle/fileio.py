@@ -159,6 +159,8 @@ def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
             ys.append(float(row[2]))
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: {exc}") from exc
+        if not (math.isfinite(us[-1]) and math.isfinite(ys[-1])):
+            raise FileFormatError(f"line {lineno}: samples must be finite")
         if idx != len(us) - 1:
             raise FileFormatError(
                 f"line {lineno}: index {idx} out of order")

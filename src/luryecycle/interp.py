@@ -120,8 +120,16 @@ class PiecewiseNonlinearity:
     slope_bound: float = math.inf
 
     def __post_init__(self):
-        bps = tuple(Breakpoint(float(b.y), float(b.v_lo), float(b.v_hi))
-                    for b in self.breakpoints)
+        bps = []
+        for b in self.breakpoints:
+            if not (type(b) is Breakpoint
+                    and type(b.y) is type(b.v_lo) is type(b.v_hi) is float):
+                b = Breakpoint(float(b.y), float(b.v_lo), float(b.v_hi))
+            if not (math.isfinite(b.y) and math.isfinite(b.v_lo)
+                    and math.isfinite(b.v_hi)):
+                raise ValueError(f"breakpoint {b} is not finite")
+            bps.append(b)
+        bps = tuple(bps)
         if not bps:
             raise ValueError("a nonlinearity needs at least one breakpoint")
         object.__setattr__(self, "breakpoints", bps)

@@ -17,7 +17,8 @@ at this frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
     "PhaseCheck",
     "SlopeBound",
     "phase_check",
-    "slope_bound",
+    "SweepTable",
     "sweep_entries",
     "grid_search",
 ]
@@ -121,57 +122,111 @@ class SlopeBound:
         return None
 
 
-def slope_bound(response: complex, freq: RationalFrequency,
-                odd_variant: bool = False) -> SlopeBound:
-    """Closed-form slope bound for a plant response G(e^{j*omega}) at
-    omega = alpha*pi/beta."""
+def _slope_bounds(response: np.ndarray,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form slope bounds of responses G(e^{j*omega}) at window
+    half-widths with tangents t: the kind of each (0 finite, 1 inf,
+    2 infeasible) and kbar (NaN where not finite).
+    Raises DomainError at the first finite bound whose shifted real part
+    R + 1/kbar has lost its sign to rounding."""
     R = response.real
-    I = response.imag
-    t = math.tan(_window_halfwidth(freq, odd_variant))
-    denom = R * t + abs(I)
-    tiny = 1e-15 * max(1.0, abs(R) * t, abs(I))
-    if denom < -tiny:
-        kbar = -t / denom
+    I = np.abs(response.imag)
+    with np.errstate(all="ignore"):
+        denom = R * t + I
+        # fmax skips NaN as Python's max(1.0, ...) does
+        tiny = 1e-15 * np.fmax(np.fmax(1.0, np.abs(R) * t), I)
+        finite = denom < -tiny
+        kbar = np.where(finite, -t / denom, np.nan)
         # kbar solves the window equality, so the shifted real part
         # R + 1/kbar = -|I|/t can never be positive; R + 1/kbar carries
         # rounding of order eps*|R|, so the slack scales with |R|.
-        if not R + 1.0 / kbar <= 1e-9 * max(1.0, abs(R)):
-            raise DomainError(
-                f"slope bound lost precision at response {response!r}: "
-                f"R + 1/kbar = {R + 1.0 / kbar:.3g} > 0")
-        return SlopeBound(freq, complex(response), odd_variant,
-                          BoundKind.FINITE, kbar)
-    if R < 0.0 and denom <= tiny:
-        return SlopeBound(freq, complex(response), odd_variant,
-                          BoundKind.INFINITE, None)
-    return SlopeBound(freq, complex(response), odd_variant,
-                      BoundKind.INFEASIBLE, None)
+        shifted = R + 1.0 / kbar
+        lost = finite & ~(shifted <= 1e-9 * np.fmax(1.0, np.abs(R)))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise DomainError(
+            f"slope bound lost precision at response "
+            f"{complex(response[i])!r}: R + 1/kbar = "
+            f"{float(shifted[i]):.3g} > 0")
+    kind = np.where(finite, 0, np.where((R < 0.0) & (denom <= tiny), 1, 2))
+    return kind, kbar
 
 
-def _tied(a: SlopeBound, b: SlopeBound) -> bool:
-    va, vb = a.sort_value, b.sort_value
-    if math.isinf(va) and math.isinf(vb):
+def _tied(a: float, b: float) -> bool:
+    if math.isinf(a) and math.isinf(b):
         return True
-    return abs(va - vb) <= KBAR_TIE_TOL
+    return abs(a - b) <= KBAR_TIE_TOL
 
 
-def _sorted_feasible(entries: list[SlopeBound]) -> list[SlopeBound]:
-    """Ascending by kbar; near-ties prefer smaller T, then smaller beta."""
-    ent = sorted(entries,
-                 key=lambda e: (e.sort_value, e.freq.T, e.freq.beta))
-    out: list[SlopeBound] = []
-    i = 0
-    while i < len(ent):
-        j = i + 1
-        while j < len(ent) and _tied(ent[i], ent[j]):
-            j += 1
-        out.extend(sorted(ent[i:j], key=lambda e: (e.freq.T, e.freq.beta)))
-        i = j
-    return out
+def _feasible_order(kbar: np.ndarray, T: np.ndarray,
+                    beta: np.ndarray) -> np.ndarray:
+    """Order of feasible rows ascending by kbar (inf for the monotone-only
+    limit), then T, then beta.  Each near-tie group, from its first value
+    to the last value within KBAR_TIE_TOL of that first one, is re-sorted
+    by (T, beta).  Only a run of tied consecutive steps can hold a group,
+    so only those runs are walked."""
+    order = np.lexsort((beta, T, kbar))
+    s = kbar[order]
+    with np.errstate(invalid="ignore"):
+        step = ((np.abs(s[:-1] - s[1:]) <= KBAR_TIE_TOL)
+                | (np.isinf(s[:-1]) & np.isinf(s[1:])))
+    if not step.any():
+        return order
+    edges = np.diff(np.concatenate(([0], step.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) + 1
+    for i, stop in zip(starts.tolist(), stops.tolist()):
+        while i < stop - 1:
+            j = i + 1
+            while j < stop and _tied(s[i], s[j]):
+                j += 1
+            group = order[i:j]
+            order[i:j] = group[np.lexsort((beta[group], T[group]))]
+            i = j
+    return order
+
+
+@dataclass(frozen=True)
+class SweepTable(Sequence):
+    """Slope bounds over the coprime grid, held as columns in table order.
+
+    Reading a row builds its :class:`SlopeBound`; a slice is a table
+    again.  kbar is None where the bound is not finite.
+    """
+
+    odd_variant: bool
+    alpha: list[int]
+    beta: list[int]
+    T: list[int]
+    omega: list[float]
+    re: list[float]
+    im: list[float]
+    kind: list[BoundKind]
+    kbar: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SweepTable(self.odd_variant, *(
+                getattr(self, f.name)[i] for f in fields(self)[1:]))
+        return SlopeBound(RationalFrequency(self.alpha[i], self.beta[i]),
+                          complex(self.re[i], self.im[i]), self.odd_variant,
+                          self.kind[i], self.kbar[i])
+
+    def feasible(self) -> list[bool]:
+        """SlopeBound.feasible of every row."""
+        return [k is not BoundKind.INFEASIBLE for k in self.kind]
+
+    def kbar_json(self) -> list:
+        """SlopeBound.kbar_json() of every row."""
+        return ["inf" if k is BoundKind.INFINITE else kb
+                for k, kb in zip(self.kind, self.kbar)]
 
 
 def sweep_entries(plant: TransferFunction, beta_max: int,
-                  odd_variant: bool = False) -> list[SlopeBound]:
+                  odd_variant: bool = False) -> SweepTable:
     """Slope bounds for every coprime pair 0 < alpha < beta <= beta_max.
 
     Feasible entries come first, ascending by kbar; infeasible entries
@@ -179,28 +234,46 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
     """
     if beta_max < 2:
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
-    freqs = [RationalFrequency(alpha, beta)
-             for beta in range(2, beta_max + 1)
-             for alpha in range(1, beta) if math.gcd(alpha, beta) == 1]
+    beta, alpha = np.tril_indices(beta_max + 1, -1)
+    coprime = (alpha > 0) & (np.gcd(alpha, beta) == 1)
+    alpha, beta = alpha[coprime], beta[coprime]
+    T = np.where(alpha % 2 == 1, 2 * beta, beta)
+    omega = np.pi * alpha / beta  # as RationalFrequency.omega
     # The same z and Horner steps as lti.freq_response, on all points at
     # once; libm's cos/sin, not numpy's, so each value matches it bitwise.
-    z = np.array([complex(math.cos(f.omega), math.sin(f.omega))
-                  for f in freqs])
-    resp = (np.polyval(plant.num, z) / np.polyval(plant.den, z)).tolist()
-    feasible: list[SlopeBound] = []
-    infeasible: list[SlopeBound] = []
-    for freq, r in zip(freqs, resp):
-        entry = slope_bound(r, freq, odd_variant)
-        (feasible if entry.feasible else infeasible).append(entry)
-    return _sorted_feasible(feasible) + infeasible
+    w = omega.tolist()
+    z = np.empty(len(w), dtype=complex)
+    z.real = list(map(math.cos, w))
+    z.imag = list(map(math.sin, w))
+    resp = np.polyval(plant.num, z) / np.polyval(plant.den, z)
+    # One tangent per window width pi/m, m = T or 2*beta (odd window).
+    tans = np.array([math.nan, math.nan] + [
+        math.tan(math.pi / m) for m in range(2, 2 * beta_max + 1)])
+    kind, kbar = _slope_bounds(resp, tans[2 * beta if odd_variant else T])
+    feasible = np.flatnonzero(kind < 2)
+    order = np.concatenate([
+        feasible[_feasible_order(np.where(kind == 0, kbar, np.inf)[feasible],
+                                 T[feasible], beta[feasible])],
+        np.flatnonzero(kind == 2)])
+    # The finite bounds sort ahead of the monotone-only limits.
+    n, n_feasible = order.size, feasible.size
+    n_finite = int(np.count_nonzero(kind == 0))
+    return SweepTable(
+        odd_variant, alpha[order].tolist(), beta[order].tolist(),
+        T[order].tolist(), omega[order].tolist(),
+        resp.real[order].tolist(), resp.imag[order].tolist(),
+        [BoundKind.FINITE] * n_finite
+        + [BoundKind.INFINITE] * (n_feasible - n_finite)
+        + [BoundKind.INFEASIBLE] * (n - n_feasible),
+        kbar[order[:n_finite]].tolist() + [None] * (n - n_finite))
 
 
 def grid_search(plant: TransferFunction, beta_max: int,
-                odd_variant: bool = False) -> list[SlopeBound]:
+                odd_variant: bool = False) -> SweepTable:
     """Feasible slope bounds over the coprime grid, best (smallest) first."""
-    found = [e for e in sweep_entries(plant, beta_max, odd_variant)
-             if e.feasible]
+    table = sweep_entries(plant, beta_max, odd_variant)
+    found = len(table) - table.kind.count(BoundKind.INFEASIBLE)
     if not found:
         raise EmptyResultError(
             f"no feasible frequency pair with beta <= {beta_max}")
-    return found
+    return table[:found]

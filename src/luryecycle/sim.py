@@ -232,7 +232,8 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
         x0 = periodic_steady_state(ss, u)
         trajectory = simulate_closed_loop(ss, phi, x0, periods * T)
         ysim = trajectory[0]
-        res_per = max(res_per, float(np.max(np.abs(ysim[T:] - ysim[:-T]))))
+        # np.max keeps a NaN that Python's max would drop
+        res_per = float(np.max(np.abs(ysim[T:] - ysim[:-T]), initial=res_per))
     return CycleVerdict(period=T, residual_periodicity=res_per,
                         residual_interpolation=res_int,
                         nontrivial=nontrivial, trajectory=trajectory)

@@ -9,6 +9,7 @@ of the periodic response.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import operator
 
@@ -35,9 +36,11 @@ from luryecycle.interp import (
 from luryecycle.lti import (
     PeriodicSignal,
     StateSpaceRealization,
+    freq_response,
     periodic_response,
     realize,
 )
+from luryecycle.phase import KBAR_TIE_TOL, BoundKind, SlopeBound
 from luryecycle.sim import _loop_solver, periodic_steady_state
 
 
@@ -279,6 +282,101 @@ def phase_window_holds(delta: float, T: int) -> bool:
     if not -math.pi - 1e-12 <= delta <= math.pi + 1e-12:
         raise DomainError(f"delta={delta!r} is outside [-pi, pi]")
     return abs(delta) <= math.pi / T
+
+
+def slope_bound(response: complex, freq: RationalFrequency,
+                odd_variant: bool = False) -> SlopeBound:
+    """Closed-form slope bound for one plant response, one float at a
+    time: the scalar form of the sweep's bound."""
+    R = response.real
+    I = response.imag
+    t = math.tan(math.pi / (2 * freq.beta) if odd_variant
+                 else math.pi / freq.T)
+    denom = R * t + abs(I)
+    tiny = 1e-15 * max(1.0, abs(R) * t, abs(I))
+    if denom < -tiny:
+        kbar = -t / denom
+        if not R + 1.0 / kbar <= 1e-9 * max(1.0, abs(R)):
+            raise DomainError(
+                f"slope bound lost precision at response {response!r}: "
+                f"R + 1/kbar = {R + 1.0 / kbar:.3g} > 0")
+        return SlopeBound(freq, complex(response), odd_variant,
+                          BoundKind.FINITE, kbar)
+    if R < 0.0 and denom <= tiny:
+        return SlopeBound(freq, complex(response), odd_variant,
+                          BoundKind.INFINITE, None)
+    return SlopeBound(freq, complex(response), odd_variant,
+                      BoundKind.INFEASIBLE, None)
+
+
+def _tied(a: SlopeBound, b: SlopeBound) -> bool:
+    va, vb = a.sort_value, b.sort_value
+    if math.isinf(va) and math.isinf(vb):
+        return True
+    return abs(va - vb) <= KBAR_TIE_TOL
+
+
+def sorted_feasible(entries: list[SlopeBound]) -> list[SlopeBound]:
+    """Ascending by kbar; near-ties prefer smaller T, then smaller beta.
+    A near-tie group runs from its first entry to the last one tied to
+    that first entry."""
+    ent = sorted(entries,
+                 key=lambda e: (e.sort_value, e.freq.T, e.freq.beta))
+    out: list[SlopeBound] = []
+    i = 0
+    while i < len(ent):
+        j = i + 1
+        while j < len(ent) and _tied(ent[i], ent[j]):
+            j += 1
+        out.extend(sorted(ent[i:j], key=lambda e: (e.freq.T, e.freq.beta)))
+        i = j
+    return out
+
+
+def sweep_reference(plant: TransferFunction, beta_max: int,
+                    odd_variant: bool = False) -> list[SlopeBound]:
+    """The sweep one grid point at a time: freq_response and slope_bound
+    per coprime pair, feasible rows by sorted_feasible, then infeasible
+    rows in (beta, alpha) order."""
+    feasible: list[SlopeBound] = []
+    infeasible: list[SlopeBound] = []
+    for alpha, beta in coprime_pairs(beta_max):
+        freq = RationalFrequency(alpha, beta)
+        entry = slope_bound(freq_response(plant, freq.omega), freq,
+                            odd_variant)
+        (feasible if entry.feasible else infeasible).append(entry)
+    return sorted_feasible(feasible) + infeasible
+
+
+def sweep_rows_reference(entries) -> list[dict]:
+    """phase-sweep rows as dicts: the --report rows and the JSON table."""
+    return [{
+        "alpha": e.freq.alpha,
+        "beta": e.freq.beta,
+        "T": e.freq.T,
+        "omega": e.freq.omega,
+        "re": e.response.real,
+        "im": e.response.imag,
+        "phase": math.atan2(e.response.imag, e.response.real),
+        "kbar": e.kbar_json(),
+        "feasible": e.feasible,
+    } for e in entries]
+
+
+def sweep_stdout_reference(rows: list[dict], fmt: str) -> str:
+    """phase-sweep stdout for the given rows, one json.dumps with indent
+    or one CSV line per row."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = ["alpha,beta,T,omega,re,im,phase,kbar,feasible"]
+    for r in rows:
+        kbar = "" if r["kbar"] is None else (
+            r["kbar"] if isinstance(r["kbar"], str) else repr(r["kbar"]))
+        lines.append(f"{r['alpha']},{r['beta']},{r['T']},"
+                     f"{r['omega']!r},{r['re']!r},{r['im']!r},"
+                     f"{r['phase']!r},{kbar},"
+                     f"{'true' if r['feasible'] else 'false'}")
+    return "".join(line + "\n" for line in lines)
 
 
 def tail_sum_series(plant: TransferFunction, T: int,

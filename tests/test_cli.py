@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from luryecycle import (
     DomainError,
@@ -21,6 +24,13 @@ from luryecycle import (
 from luryecycle.cli import cli, exit_code_for
 from luryecycle.lti import freq_response, realize
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
+
+from helpers import (
+    random_stable_tf,
+    sweep_reference,
+    sweep_rows_reference,
+    sweep_stdout_reference,
+)
 
 
 @pytest.fixture
@@ -160,6 +170,49 @@ class TestPhaseSweep:
             assert fields[-1] == "false"
 
 
+    @given(seed=st.integers(0, 2**32 - 1), beta_max=st.integers(2, 40),
+           odd=st.booleans(), fmt=st.sampled_from(["csv", "json"]))
+    def test_table_matches_reference_formatter(self, tmp_path_factory, seed,
+                                               beta_max, odd, fmt):
+        g = random_stable_tf(np.random.default_rng(seed))
+        path = tmp_path_factory.mktemp("sweep") / "plant.json"
+        path.write_text(json.dumps({"num": list(g.num),
+                                    "den": list(g.den)}))
+        result = CliRunner().invoke(cli, [
+            "phase-sweep", str(path), "--beta-max", str(beta_max),
+            "--format", fmt] + (["--odd"] if odd else []))
+        rows = sweep_rows_reference(sweep_reference(g, beta_max, odd))
+        assert result.stdout == sweep_stdout_reference(rows, fmt)
+        assert result.exit_code == (0 if rows[0]["feasible"] else 3)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_report_rows_match_reference(self, runner, plant_file,
+                                         example_plant, tmp_path, odd):
+        report = tmp_path / "report.json"
+        result = runner.invoke(cli, [
+            "phase-sweep", str(plant_file), "--beta-max", "15",
+            "--report", str(report)] + (["--odd"] if odd else []))
+        assert result.exit_code == 0
+        rows = json.loads(report.read_text())["results"]["rows"]
+        assert rows == sweep_rows_reference(
+            sweep_reference(example_plant, 15, odd))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_response_writes_json_constants(self, runner,
+                                                        tmp_path):
+        # |G| overflows near z = -1, so rows hold inf and NaN responses
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"num": [1e308, 1e308, 1e308],
+                                    "den": [1.0, 0.0, 0.0]}))
+        g = load_plant(huge)
+        rows = sweep_rows_reference(sweep_reference(g, 6, False))
+        result = runner.invoke(cli, ["phase-sweep", str(huge), "--beta-max",
+                                     "6", "--format", "json"])
+        assert result.stdout == sweep_stdout_reference(rows, "json")
+        assert "Infinity" in result.stdout or "NaN" in result.stdout
+
+
 class TestConstruct:
     def test_writes_phi_and_signals(self, runner, plant_file, tmp_path):
         out = tmp_path / "phi.json"
@@ -284,6 +337,34 @@ class TestVerify:
                                      str(out), str(bad)])
         assert result.exit_code == 6
         assert "FAIL" in result.output
+
+    def test_nan_breakpoints_exit_2(self, runner, plant_file, artifacts,
+                                    tmp_path):
+        out, sig = artifacts
+        doc = json.loads(out.read_text())
+        for b in doc["breakpoints"]:
+            b["v_lo"] = b["v_hi"] = math.nan
+        bad = tmp_path / "nan_phi.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["verify", str(plant_file), str(bad),
+                                     str(sig)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not finite" in result.output
+        assert "PASS" not in result.output
+
+    def test_nan_signal_sample_exits_2(self, runner, plant_file, tmp_path):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({
+            "odd": False, "slope_bound": "inf",
+            "breakpoints": [{"y": 0.0, "v_lo": -1.0, "v_hi": 1.0}]}))
+        sig = tmp_path / "sig.csv"
+        sig.write_text("index,u,y\n0,1.0,nan\n1,-1.0,0.5\n")
+        result = runner.invoke(cli, ["verify", str(plant_file), str(phi),
+                                     str(sig)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "line 2" in result.output
 
     def test_negative_feedthrough_cycle_passes(self, runner, tmp_path):
         # D < 0 with |D|*s = 0.97 at (2, 3): the closed-loop check must

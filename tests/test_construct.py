@@ -19,7 +19,7 @@ from luryecycle import construct, interp
 from luryecycle.construct import plant_dc
 from luryecycle.interp import DataPairSet, interpolate
 from luryecycle.lti import freq_response
-from luryecycle.phase import slope_bound
+from helpers import slope_bound
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)

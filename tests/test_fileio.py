@@ -167,3 +167,18 @@ class TestSignalsRoundTrip:
         path.write_text("index,u,y\n")
         with pytest.raises(FileFormatError):
             load_signals(path)
+
+    @pytest.mark.parametrize("row", ["0,nan,1.0", "0,1.0,inf",
+                                     "0,-inf,1.0"])
+    def test_non_finite_sample_rejected(self, tmp_path, row):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"index,u,y\n{row}\n")
+        with pytest.raises(FileFormatError, match="line 2"):
+            load_signals(path)
+
+    def test_non_finite_breakpoint_rejected(self):
+        doc = {"odd": False, "slope_bound": "inf",
+               "breakpoints": [{"y": 0.0, "v_lo": math.nan,
+                                "v_hi": math.nan}]}
+        with pytest.raises(FileFormatError, match="not finite"):
+            phi_from_dict(doc)

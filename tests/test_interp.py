@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from luryecycle import (
@@ -71,6 +72,25 @@ class TestPiecewiseNonlinearity:
         bps = (Breakpoint(0.0, 0.0, 2.0), Breakpoint(1.0, 1.0, 3.0))
         with pytest.raises(ValueError):
             PiecewiseNonlinearity(bps)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0),
+                                     (math.inf, 0.0, 0.0),
+                                     (0.0, -math.inf, 0.0),
+                                     (0.0, 0.0, math.nan)])
+    def test_rejects_non_finite_breakpoint(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            PiecewiseNonlinearity((Breakpoint(-1.0, -1.0, -1.0),
+                                   Breakpoint(*bad)))
+
+    def test_keeps_float_breakpoints_and_converts_others(self):
+        kept = Breakpoint(0.0, 0.0, 1.0)
+        other = Breakpoint(1, np.float64(2.0), 2)
+        phi = PiecewiseNonlinearity((kept, other))
+        assert phi.breakpoints[0] is kept
+        assert phi.breakpoints[1] == Breakpoint(1.0, 2.0, 2.0)
+        assert all(type(v) is float for v in (phi.breakpoints[1].y,
+                                              phi.breakpoints[1].v_lo,
+                                              phi.breakpoints[1].v_hi))
 
     def test_rejects_nonpositive_slope_bound(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "phase_window_holds", "add_constant", "_solve_output",
            "_closed_loop_radius", "simulate_closed_loop_reference",
            "interpolation_residual_reference", "evaluate_reference",
-           "shift_data")
+           "shift_data", "slope_bound", "_sorted_feasible", "_sweep_rows")
 
 
 def test_every_exported_name_resolves():

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import luryecycle
 from luryecycle import (
@@ -17,11 +20,36 @@ from luryecycle import (
     sweep_entries,
 )
 from luryecycle.lti import freq_response
-from luryecycle.phase import BoundKind, phase_check, slope_bound
-from helpers import phase_window_holds, random_stable_tf
+from luryecycle.phase import (
+    KBAR_TIE_TOL,
+    BoundKind,
+    SlopeBound,
+    _feasible_order,
+    _slope_bounds,
+    phase_check,
+)
+from helpers import (
+    coprime_pairs,
+    phase_window_holds,
+    random_stable_tf,
+    sorted_feasible,
+    sweep_reference,
+)
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)
+
+
+def slope_bound(response: complex, freq: RationalFrequency,
+                odd_variant: bool = False) -> SlopeBound:
+    """The sweep's bound kernel applied to one response."""
+    t = math.tan(math.pi / (2 * freq.beta) if odd_variant
+                 else math.pi / freq.T)
+    kind, kbar = _slope_bounds(np.array([complex(response)]), np.array([t]))
+    kind = (BoundKind.FINITE, BoundKind.INFINITE,
+            BoundKind.INFEASIBLE)[kind[0]]
+    return SlopeBound(freq, complex(response), odd_variant, kind,
+                      float(kbar[0]) if kind is BoundKind.FINITE else None)
 
 
 class TestPhaseWindow:
@@ -103,11 +131,13 @@ class TestSlopeBound:
 
     def test_extreme_bound_is_finite_in_optimized_mode(self):
         src = Path(luryecycle.__file__).resolve().parents[1]
-        code = ("from luryecycle.lti import RationalFrequency\n"
-                "from luryecycle.phase import slope_bound\n"
-                f"b = slope_bound({self.EXTREME!r}, "
-                "RationalFrequency(2, 7))\n"
-                "print(b.kind.value, repr(b.kbar))\n")
+        code = ("import math\n"
+                "import numpy as np\n"
+                "from luryecycle.phase import _slope_bounds\n"
+                f"kind, kbar = _slope_bounds(np.array([{self.EXTREME!r}]), "
+                "np.array([math.tan(math.pi / 7)]))\n"
+                "print(['finite', 'inf', 'infeasible'][kind[0]], "
+                "repr(float(kbar[0])))\n")
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, check=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
@@ -160,21 +190,53 @@ class TestSweep:
                      if math.gcd(a, b) == 1)
         assert len(entries) == npairs
         feas = [e for e in entries if e.feasible]
-        assert entries[:len(feas)] == feas, "feasible entries come first"
+        assert list(entries[:len(feas)]) == feas, \
+            "feasible entries come first"
         kbars = [e.sort_value for e in feas]
         assert kbars == sorted(kbars)
         assert (feas[0].freq.alpha, feas[0].freq.beta) == (2, 7)
 
     def test_rows_equal_scalar_evaluation(self, example_plant, rng):
         # the sweep evaluates the whole grid at once; each row must be
-        # the one built from the scalar response, bit for bit
+        # the one built from the scalar response and the scalar bound,
+        # bit for bit (freq, response, kind, kbar), in the same order
         plants = [example_plant] + [random_stable_tf(rng) for _ in range(20)]
         for g in plants:
             for odd in (False, True):
-                for e in sweep_entries(g, 30, odd_variant=odd):
-                    want = slope_bound(freq_response(g, e.freq.omega),
-                                       e.freq, odd)
-                    assert e == want
+                assert list(sweep_entries(g, 30, odd_variant=odd)) == \
+                    sweep_reference(g, 30, odd)
+
+    def test_table_columns_match_rows(self, example_plant):
+        table = sweep_entries(example_plant, 12)
+        assert table.feasible() == [e.feasible for e in table]
+        assert table.kbar_json() == [e.kbar_json() for e in table]
+        assert table.omega == [e.freq.omega for e in table]
+        assert table.T == [e.freq.T for e in table]
+        assert list(table[3:9]) == list(table)[3:9]
+        assert table[-1] == list(table)[-1]
+
+    def test_near_ties_group_from_their_first_value(self):
+        # Three bounds in steps of 0.8*KBAR_TIE_TOL: the first two tie,
+        # but the third lies more than the tolerance above the first, so
+        # it starts a group of its own and stays last although its period
+        # is the smallest.  Chaining the steps would move it to the front.
+        kbar = np.array([1.0, 1.0 + 0.8 * KBAR_TIE_TOL,
+                         1.0 + 1.6 * KBAR_TIE_TOL, 2.0, np.inf, np.inf])
+        freqs = [RationalFrequency(a, b) for a, b in
+                 ((2, 9), (1, 4), (2, 3), (1, 2), (2, 7), (2, 5))]
+        T = np.array([f.T for f in freqs])  # 9, 8, 3, 4, 7, 5
+        beta = np.array([f.beta for f in freqs])
+        assert kbar[1] - kbar[0] <= KBAR_TIE_TOL
+        assert kbar[2] - kbar[1] <= KBAR_TIE_TOL
+        assert kbar[2] - kbar[0] > KBAR_TIE_TOL
+        order = _feasible_order(kbar, T, beta).tolist()
+        assert order == [1, 0, 2, 3, 5, 4]
+        rows = [SlopeBound(f, -1 + 0j, False,
+                           BoundKind.INFINITE if math.isinf(k)
+                           else BoundKind.FINITE,
+                           None if math.isinf(k) else k)
+                for k, f in zip(kbar.tolist(), freqs)]
+        assert [rows.index(e) for e in sorted_feasible(rows)] == order
 
     def test_rejects_tiny_beta_max(self, example_plant):
         with pytest.raises(ValueError):
@@ -199,3 +261,22 @@ class TestSweep:
     def test_odd_grid_minimum(self, example_plant):
         found = grid_search(example_plant, 12, odd_variant=True)
         assert (found[0].freq.alpha, found[0].freq.beta) == (1, 3)
+
+
+PAIRS = coprime_pairs(12)
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 12), st.none()),
+                          st.sampled_from(PAIRS)), min_size=1, max_size=40))
+def test_feasible_order_matches_reference_on_near_ties(draws):
+    # bounds on a grid of 0.4*KBAR_TIE_TOL, with repeats and inf, so
+    # chains of ties of every length occur
+    rows = [SlopeBound(RationalFrequency(a, b), -1 + 0j, False,
+                       BoundKind.INFINITE if k is None else BoundKind.FINITE,
+                       None if k is None else 1.0 + k * 0.4 * KBAR_TIE_TOL)
+            for k, (a, b) in draws]
+    order = _feasible_order(np.array([e.sort_value for e in rows]),
+                            np.array([e.freq.T for e in rows]),
+                            np.array([e.freq.beta for e in rows]))
+    assert [id(rows[i]) for i in order] == \
+        [id(e) for e in sorted_feasible(rows)]

@@ -20,6 +20,7 @@ from luryecycle.interp import (
     PiecewiseNonlinearity,
     interpolate,
 )
+from luryecycle import sim
 from luryecycle.lti import PeriodicSignal, realize
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
@@ -168,6 +169,21 @@ class TestVerifyCycle:
         assert np.array_equal(verdict.trajectory[0], ys)
         assert np.array_equal(verdict.trajectory[1], us)
         assert verdict == replace(verdict, trajectory=None)
+
+    def test_nan_simulation_fails_the_verdict(self, example_plant,
+                                              monkeypatch):
+        # Python's max(residual, nan) is the residual; the verdict must
+        # see the NaN instead
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        steps = 3 * 7
+        monkeypatch.setattr(sim, "simulate_closed_loop",
+                            lambda *args: (np.full(steps, np.nan),
+                                           np.full(steps, np.nan)))
+        verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
+                               periods=3)
+        assert math.isnan(verdict.residual_periodicity)
+        assert not verdict.ok()
 
     def test_multivalued_check_runs_without_periods(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))

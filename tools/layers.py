@@ -8,7 +8,10 @@ maps each measurement to its minimum over N repeats, in ms.  The plant
 is G = z/(z^2 - 1.8 z + 0.81) (D = 0), and G + 0.3 (D = 0.3) for the
 feedthrough simulation.  Measurements:
 
-- phase.sweep_entries at beta_max 20, 100, 300 and 1000;
+- phase.sweep_entries at beta_max 20, 100, 300 and 1000, and
+  phase.grid_search at 1000;
+- the phase-sweep command in-process (click's CliRunner, output
+  captured) at the same beta_max, in both formats;
 - construct.build_certificate at T = 7, 101, 301 and 1001, the
   frequencies (T - 1, T): in the monotone class with the even window
   (keys "T=<T>"), and with slope 1.0001*kbar in the even and the odd
@@ -27,6 +30,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,10 +54,13 @@ def _min_ms(fn, repeats: int) -> float:
 
 
 def measure(repeats: int) -> dict[str, float]:
+    from click.testing import CliRunner
+
     from luryecycle import RationalFrequency, TransferFunction
+    from luryecycle.cli import cli
     from luryecycle.construct import build_certificate
     from luryecycle.lti import freq_response, realize
-    from luryecycle.phase import slope_bound, sweep_entries
+    from luryecycle.phase import grid_search, sweep_entries
     from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
     g = TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81))
@@ -63,12 +70,17 @@ def measure(repeats: int) -> dict[str, float]:
     for beta_max in SWEEP_BETA_MAX:
         out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
             lambda: sweep_entries(g, beta_max), repeats)
+    out[f"phase.grid_search beta_max={SWEEP_BETA_MAX[-1]}"] = _min_ms(
+        lambda: grid_search(g, SWEEP_BETA_MAX[-1]), repeats)
     for T in PERIODS:
         freq = RationalFrequency(T - 1, T)
         out[f"construct.build_certificate T={T}"] = _min_ms(
             lambda: build_certificate(g, freq), repeats)
         for odd in (False, True):
-            kbar = slope_bound(freq_response(g, freq.omega), freq, odd).kbar
+            # the closed-form bound; (T - 1, T) lies in its window
+            resp = freq_response(g, freq.omega)
+            t = math.tan(math.pi / (2 * T if odd else T))
+            kbar = -t / (resp.real * t + abs(resp.imag))
             key = f"construct.build_certificate T={T} " \
                   f"{'odd' if odd else 'even'} k"
             out[key] = _min_ms(
@@ -85,6 +97,19 @@ def measure(repeats: int) -> dict[str, float]:
     ss = realize(g)
     out[f"sim.periodic_steady_state T={cert.u.period}"] = _min_ms(
         lambda: periodic_steady_state(ss, cert.u), repeats)
+    # Last: resident memory grows by about the output size with each
+    # in-process run, which would disturb the timings above.
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        plant = Path(tmp) / "plant.json"
+        plant.write_text(json.dumps({"num": list(g.num),
+                                     "den": list(g.den)}))
+        for beta_max in SWEEP_BETA_MAX:
+            for fmt in ("csv", "json"):
+                args = ["phase-sweep", str(plant), "--beta-max",
+                        str(beta_max), "--format", fmt]
+                out[f"cli.phase_sweep beta_max={beta_max} {fmt}"] = _min_ms(
+                    lambda: runner.invoke(cli, args), repeats)
     return out
 
 
