@@ -7,9 +7,6 @@ plant scales each one by its frequency response, so the steady-state
 response to one period u is the DFT product
 
     y = ifft(G(e^{j*2*pi*k/T}) * fft(u)).
-
-The state-space realization serves only the time-domain simulation; its
-companion form makes a step A x + B u O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -30,12 +27,10 @@ POLE_MARGIN = 1e-9
 __all__ = [
     "POLE_MARGIN",
     "TransferFunction",
-    "StateSpaceRealization",
     "RationalFrequency",
     "PeriodicSignal",
     "freq_response",
     "dc_gain",
-    "realize",
     "periodic_response",
 ]
 
@@ -151,44 +146,6 @@ class PeriodicSignal:
         return self.values[i]
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpaceRealization:
-    """SISO state-space form x+ = A x + B u, y = C x + D u with stable A,
-    in the companion form :func:`realize` builds, which construction
-    checks: A is a shift below row 0 and B = e_0, so
-    x+ = (A[0] . x + u, x_0, ..., x_{n-2})."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: float
-
-    def __post_init__(self):
-        a, b, c = (np.array(m, dtype=float) for m in (self.a, self.b, self.c))
-        n = c.size
-        if not (c.shape == (n,) and a.shape == (n, n)
-                and np.array_equal(a[1:], np.eye(n, k=-1)[1:])
-                and np.array_equal(b, np.eye(1, n)[0])):
-            raise PlantValidationError(
-                f"not a companion form of one order: A {a.shape}, "
-                f"B {b.shape}, C {c.shape}")
-        rho = max(abs(np.linalg.eigvals(a)), default=0.0)
-        if rho >= 1.0 - POLE_MARGIN:
-            raise PlantValidationError(
-                f"state matrix spectral radius {rho:.12g} is not strictly "
-                f"inside the unit circle")
-        for arr in (a, b, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", float(self.d))
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-
 def freq_response(plant: TransferFunction, omega: float) -> complex:
     """Evaluate G(e^{j*omega}) by direct polynomial evaluation."""
     z = complex(math.cos(omega), math.sin(omega))
@@ -198,24 +155,6 @@ def freq_response(plant: TransferFunction, omega: float) -> complex:
 def dc_gain(plant: TransferFunction) -> float:
     """G(1), the steady-state gain for a constant input."""
     return freq_response(plant, 0.0).real
-
-
-def realize(plant: TransferFunction) -> StateSpaceRealization:
-    """Controllable companion-form realization of a proper transfer function."""
-    den = list(plant.den)
-    n = len(den) - 1
-    num = [0.0] * (len(den) - len(plant.num)) + list(plant.num)
-    d = num[0]
-    # Split off the feedthrough; what remains is strictly proper.
-    rem = [b - d * a for b, a in zip(num[1:], den[1:])]
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    if n:
-        a[0, :] = [-c for c in den[1:]]
-        if n > 1:
-            a[1:, :-1] = np.eye(n - 1)
-        b[0] = 1.0
-    return StateSpaceRealization(a, b, np.array(rem, dtype=float), d)
 
 
 def periodic_response(plant: TransferFunction,

@@ -105,14 +105,6 @@ class SlopeBound:
     def feasible(self) -> bool:
         return self.kind is not BoundKind.INFEASIBLE
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is BoundKind.FINITE
-
-    @property
-    def sort_value(self) -> float:
-        return self.kbar if self.kind is BoundKind.FINITE else math.inf
-
     def kbar_json(self):
         """kbar as a JSON-safe value: number, "inf", or None."""
         if self.kind is BoundKind.FINITE:

@@ -5,11 +5,13 @@ cycle (u, y) is accepted when three things hold: y is the steady-state
 linear response to u, every -u_k lies in phi(y_k), and the cycle is not
 the trivial equilibrium.  When phi is single-valued the loop is also
 simulated from the periodic initial state and the trajectory must come
-back to itself every T steps.  The state-space realization serves only
-this simulation; the linear gain margin is exact from G(e^{jw}).  In its
-companion form a step puts A[0] . x + u first and shifts the rest of x
-down one place, so the simulations hold x in a deque of length n and a
-step is one O(n) appendleft.
+back to itself every T steps; the linear gain margin is exact from
+G(e^{jw}).  The simulation runs on the controllable companion form of
+G = num/den of order n: x+ = A x + e_0 u, y = C x + D u, where row 0 of
+A is -den[1:], the rows below shift x down one place, D = num[0] and
+C = num[1:] - D*den[1:] (num padded to n + 1 coefficients).  A step puts
+A[0] . x + u first, so the simulations hold x in a deque of length n and
+a step is one O(n) appendleft.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -39,11 +41,9 @@ from .errors import (
 from .interp import PiecewiseNonlinearity
 from .lti import (
     PeriodicSignal,
-    StateSpaceRealization,
     TransferFunction,
     freq_response,
     periodic_response,
-    realize,
 )
 
 # Verification constants: VERDICT_TOL is the pass threshold for
@@ -70,19 +70,30 @@ __all__ = [
 ]
 
 
-def periodic_steady_state(ss: StateSpaceRealization,
+def _companion_rows(plant: TransferFunction):
+    """Row 0 of A, C and D of the companion form in the module docstring."""
+    den = plant.den
+    num = (0.0,) * (len(den) - len(plant.num)) + plant.num
+    d = num[0]
+    return ([-c for c in den[1:]],
+            [b - d * a for b, a in zip(num[1:], den[1:])], d)
+
+
+def periodic_steady_state(plant: TransferFunction,
                           u: PeriodicSignal) -> np.ndarray:
     """Initial state of the unique T-periodic trajectory driven by u.
 
     Solves x0 = A^T x0 + sum_i A^{T-1-i} B u_i in closed form.
     """
-    n = ss.order
+    n = plant.order
     T = u.period
-    a0 = ss.a[:1].ravel().tolist()  # row 0 of A; empty when n = 0
+    a0, _, _ = _companion_rows(plant)
     x = deque([0.0] * n, maxlen=n)
     for ui in u.values:
         x.appendleft(sum(map(mul, a0, x)) + ui)
-    a_pow = np.linalg.matrix_power(ss.a, T)
+    a = np.eye(n, k=-1)
+    a[:1] = a0
+    a_pow = np.linalg.matrix_power(a, T)
     try:
         return np.linalg.solve(np.eye(n) - a_pow, np.array(x))
     except np.linalg.LinAlgError as exc:
@@ -137,10 +148,11 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
     return solve
 
 
-def simulate_closed_loop(ss: StateSpaceRealization,
+def simulate_closed_loop(plant: TransferFunction,
                          phi: PiecewiseNonlinearity, x0,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate x+ = A x + B u, y = C x + D u, u = -phi(y).
+    """Simulate the plant's companion form x+ = A x + B u, y = C x + D u
+    in the loop u = -phi(y), from the initial state x0.
 
     phi must be single-valued.  Returns the (y, u) trajectories.  With
     D != 0 each output is the exact loop root described in the module
@@ -149,14 +161,14 @@ def simulate_closed_loop(ss: StateSpaceRealization,
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
             "simulation needs a single-valued nonlinearity")
+    n = plant.order
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (ss.order,):
-        raise ValueError(f"initial state must have length {ss.order}")
-    x = deque(x.tolist(), maxlen=ss.order)
-    a0 = ss.a[:1].ravel().tolist()
-    c = ss.c.tolist()
+    if x.shape != (n,):
+        raise ValueError(f"initial state must have length {n}")
+    x = deque(x.tolist(), maxlen=n)
+    a0, c, d = _companion_rows(plant)
     value = phi.bounds[0]  # phi itself, phi being single-valued
-    solve = _loop_solver(phi, ss.d) if ss.d != 0.0 else None
+    solve = _loop_solver(phi, d) if d != 0.0 else None
     ys, us = [], []
     for _ in range(steps):
         lin = sum(map(mul, c, x), 0.0)
@@ -228,9 +240,8 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
     trajectory = None
     if phi.is_single_valued:
-        ss = realize(plant)
-        x0 = periodic_steady_state(ss, u)
-        trajectory = simulate_closed_loop(ss, phi, x0, periods * T)
+        x0 = periodic_steady_state(plant, u)
+        trajectory = simulate_closed_loop(plant, phi, x0, periods * T)
         ysim = trajectory[0]
         # np.max keeps a NaN that Python's max would drop
         res_per = float(np.max(np.abs(ysim[T:] - ysim[:-T]), initial=res_per))

@@ -12,6 +12,7 @@ import bisect
 import json
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -33,13 +34,7 @@ from luryecycle.interp import (
     monotone_interpolable,
     odd_append,
 )
-from luryecycle.lti import (
-    PeriodicSignal,
-    StateSpaceRealization,
-    freq_response,
-    periodic_response,
-    realize,
-)
+from luryecycle.lti import PeriodicSignal, freq_response, periodic_response
 from luryecycle.phase import KBAR_TIE_TOL, BoundKind, SlopeBound
 from luryecycle.sim import _loop_solver, periodic_steady_state
 
@@ -74,6 +69,36 @@ def add_constant(plant: TransferFunction, c: float) -> TransferFunction:
     pad = [0.0] * (len(plant.den) - len(plant.num)) + list(plant.num)
     num = tuple(a + c * b for a, b in zip(pad, plant.den))
     return TransferFunction(num, plant.den)
+
+
+class StateSpaceRealization(NamedTuple):
+    """SISO state-space form x+ = A x + B u, y = C x + D u."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: float
+
+    @property
+    def order(self) -> int:
+        return self.a.shape[0]
+
+
+def realize(plant: TransferFunction) -> StateSpaceRealization:
+    """Controllable companion-form realization of a proper transfer
+    function, built as a full n x n state matrix."""
+    den = list(plant.den)
+    n = len(den) - 1
+    num = [0.0] * (len(den) - len(plant.num)) + list(plant.num)
+    d = num[0]
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    if n:
+        a[0, :] = [-c for c in den[1:]]
+        a[1:, :-1] = np.eye(n - 1)
+        b[0] = 1.0
+    c = np.array([bi - d * ai for bi, ai in zip(num[1:], den[1:])])
+    return StateSpaceRealization(a, b, c, d)
 
 
 def state_space_response(ss: StateSpaceRealization,
@@ -309,8 +334,13 @@ def slope_bound(response: complex, freq: RationalFrequency,
                       BoundKind.INFEASIBLE, None)
 
 
+def kbar_or_inf(e: SlopeBound) -> float:
+    """A feasible row's kbar, inf where the bound is not finite."""
+    return math.inf if e.kbar is None else e.kbar
+
+
 def _tied(a: SlopeBound, b: SlopeBound) -> bool:
-    va, vb = a.sort_value, b.sort_value
+    va, vb = kbar_or_inf(a), kbar_or_inf(b)
     if math.isinf(va) and math.isinf(vb):
         return True
     return abs(va - vb) <= KBAR_TIE_TOL
@@ -321,7 +351,7 @@ def sorted_feasible(entries: list[SlopeBound]) -> list[SlopeBound]:
     A near-tie group runs from its first entry to the last one tied to
     that first entry."""
     ent = sorted(entries,
-                 key=lambda e: (e.sort_value, e.freq.T, e.freq.beta))
+                 key=lambda e: (kbar_or_inf(e), e.freq.T, e.freq.beta))
     out: list[SlopeBound] = []
     i = 0
     while i < len(ent):
@@ -676,7 +706,7 @@ def check_steady_state_is_fixed_point(rng: np.random.Generator,
         ss = realize(plant)
         T = int(rng.integers(1, 9))
         u = PeriodicSignal(tuple(rng.uniform(-1.0, 1.0, size=T)))
-        x0 = periodic_steady_state(ss, u)
+        x0 = periodic_steady_state(plant, u)
 
         long_u = np.tile(u.as_array(), 200)
         _, xs = simulate_linear(ss, long_u, np.zeros(ss.order))

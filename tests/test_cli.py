@@ -22,7 +22,7 @@ from luryecycle import (
     trajectory_csv,
 )
 from luryecycle.cli import cli, exit_code_for
-from luryecycle.lti import freq_response, realize
+from luryecycle.lti import freq_response
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
 from helpers import (
@@ -307,9 +307,9 @@ class TestVerify:
         assert len(rows) == 1 + 3 * 7
         # the trace is the trajectory the check simulated
         u, _ = load_signals(sig)
-        ss = realize(load_plant(plant_file))
-        ys, us = simulate_closed_loop(ss, load_phi(out),
-                                      periodic_steady_state(ss, u), 3 * 7)
+        plant = load_plant(plant_file)
+        ys, us = simulate_closed_loop(plant, load_phi(out),
+                                      periodic_steady_state(plant, u), 3 * 7)
         assert trace.read_text() == trajectory_csv(ys, us)
 
     @pytest.mark.parametrize("periods", ["0", "1", "-2"])

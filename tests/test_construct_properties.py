@@ -24,10 +24,9 @@ from luryecycle.lti import (
     dc_gain,
     freq_response,
     periodic_response,
-    realize,
 )
 
-from helpers import circulant, impulse_tail_sums, random_stable_tf
+from helpers import circulant, impulse_tail_sums, random_stable_tf, realize
 
 BETA_MAX = 20
 SLOPE_MARGIN = 1.0001
@@ -49,7 +48,7 @@ def constructions(draw):
         assume(False)
     row = rows[draw(st.integers(0, min(4, len(rows) - 1)))]
     slope = math.inf
-    if row.is_finite and draw(st.booleans()):
+    if row.kbar is not None and draw(st.booleans()):
         slope = SLOPE_MARGIN * row.kbar
     return g, row.freq, odd, slope
 

@@ -13,13 +13,13 @@ from luryecycle.lti import (
     dc_gain,
     freq_response,
     periodic_response,
-    realize,
 )
 from helpers import (
     add_constant,
     circulant,
     impulse_tail_sums,
     random_stable_tf,
+    realize,
     state_space_response,
     tail_sum_series,
 )

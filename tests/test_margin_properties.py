@@ -14,12 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from luryecycle import nyquist_gain
-from luryecycle.lti import realize
 
 from helpers import (
     closed_loop_radius,
     nyquist_scan_reference,
     random_stable_tf,
+    realize,
 )
 
 SCAN_K_MAX = 100.0

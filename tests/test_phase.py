@@ -30,6 +30,7 @@ from luryecycle.phase import (
 )
 from helpers import (
     coprime_pairs,
+    kbar_or_inf,
     phase_window_holds,
     random_stable_tf,
     sorted_feasible,
@@ -172,7 +173,6 @@ class TestSlopeBound:
         assert b.kind is BoundKind.INFINITE
         assert b.kbar is None
         assert b.feasible
-        assert math.isinf(b.sort_value)
         assert b.kbar_json() == "inf"
 
     def test_infeasible_when_real_part_positive(self):
@@ -192,7 +192,7 @@ class TestSweep:
         feas = [e for e in entries if e.feasible]
         assert list(entries[:len(feas)]) == feas, \
             "feasible entries come first"
-        kbars = [e.sort_value for e in feas]
+        kbars = [kbar_or_inf(e) for e in feas]
         assert kbars == sorted(kbars)
         assert (feas[0].freq.alpha, feas[0].freq.beta) == (2, 7)
 
@@ -255,7 +255,7 @@ class TestSweep:
         found = grid_search(example_plant, 12)
         assert all(e.feasible for e in found)
         assert (found[0].freq.alpha, found[0].freq.beta) == (2, 7)
-        ks = [e.sort_value for e in found]
+        ks = [kbar_or_inf(e) for e in found]
         assert ks == sorted(ks)
 
     def test_odd_grid_minimum(self, example_plant):
@@ -275,7 +275,7 @@ def test_feasible_order_matches_reference_on_near_ties(draws):
                        BoundKind.INFINITE if k is None else BoundKind.FINITE,
                        None if k is None else 1.0 + k * 0.4 * KBAR_TIE_TOL)
             for k, (a, b) in draws]
-    order = _feasible_order(np.array([e.sort_value for e in rows]),
+    order = _feasible_order(np.array([kbar_or_inf(e) for e in rows]),
                             np.array([e.freq.T for e in rows]),
                             np.array([e.freq.beta for e in rows]))
     assert [id(rows[i]) for i in order] == \

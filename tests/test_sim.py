@@ -21,10 +21,10 @@ from luryecycle.interp import (
     interpolate,
 )
 from luryecycle import sim
-from luryecycle.lti import PeriodicSignal, realize
+from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
-from helpers import closed_loop_radius, simulate_linear
+from helpers import closed_loop_radius, realize, simulate_linear
 
 DELAY = TransferFunction((0.0, 1.0), (1.0, 0.0))  # G(z) = 1/z
 # A narrow instability window that a 1000-step gain scan up to 1e4
@@ -67,13 +67,12 @@ class TestLinearSimulation:
 
 class TestPeriodicSteadyState:
     def test_delay_holds_last_input(self):
-        x0 = periodic_steady_state(realize(DELAY),
-                                   PeriodicSignal((1.0, 2.0, 3.0)))
+        x0 = periodic_steady_state(DELAY, PeriodicSignal((1.0, 2.0, 3.0)))
         assert x0 == pytest.approx([3.0])
 
     def test_static_plant_has_empty_state(self):
         g = TransferFunction((0.5,), (1.0,))
-        x0 = periodic_steady_state(realize(g), PeriodicSignal((1.0,)))
+        x0 = periodic_steady_state(g, PeriodicSignal((1.0,)))
         assert x0.shape == (0,)
 
 
@@ -81,14 +80,23 @@ class TestClosedLoopSimulation:
     def test_multivalued_phi_rejected(self, example_plant):
         phi = PiecewiseNonlinearity((Breakpoint(0.0, -1.0, 1.0),))
         with pytest.raises(MultivaluedPhiError):
-            simulate_closed_loop(realize(example_plant), phi,
-                                 np.zeros(2), 5)
+            simulate_closed_loop(example_plant, phi, np.zeros(2), 5)
+
+    @pytest.mark.parametrize("plant", [
+        TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81)),
+        TransferFunction((1.0, 0.5), (1.0, -0.5)),
+        TransferFunction((0.5,), (1.0,)),
+    ], ids=["strictly-proper", "feedthrough", "static"])
+    def test_rejects_wrong_state_length(self, plant):
+        n = plant.order
+        for length in (n + 1, n - 1 if n else n + 2):
+            with pytest.raises(ValueError, match=f"length {n}"):
+                simulate_closed_loop(plant, line(0.2), np.zeros(length), 5)
 
     def test_feedthrough_loop_solved_consistently(self):
         # D = 1 with a mild 0.2 line: y = lin - 0.2*y on every step.
         g = TransferFunction((1.0, 0.5), (1.0, -0.5))
-        ss = realize(g)
-        ys, us = simulate_closed_loop(ss, line(0.2), np.array([1.0]), 30)
+        ys, us = simulate_closed_loop(g, line(0.2), np.array([1.0]), 30)
         x = 1.0
         for k in range(30):
             assert ys[k] == pytest.approx(x + us[k], abs=1e-12)
@@ -99,8 +107,7 @@ class TestClosedLoopSimulation:
         # Same plant, steep 4.0 line: a damped iteration ends in a
         # 2-cycle, but the loop y = lin - 4*y has the unique root lin/5.
         g = TransferFunction((1.0, 0.5), (1.0, -0.5))
-        ys, us = simulate_closed_loop(realize(g), line(4.0),
-                                      np.array([1.0]), 5)
+        ys, us = simulate_closed_loop(g, line(4.0), np.array([1.0]), 5)
         x = 1.0
         for k in range(5):
             assert ys[k] == pytest.approx(x / 5.0, rel=1e-15)
@@ -163,9 +170,8 @@ class TestVerifyCycle:
                                  slope=1.31)
         verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
                                periods=3)
-        ss = realize(example_plant)
-        x0 = periodic_steady_state(ss, cert.u)
-        ys, us = simulate_closed_loop(ss, cert.phi, x0, 3 * 7)
+        x0 = periodic_steady_state(example_plant, cert.u)
+        ys, us = simulate_closed_loop(example_plant, cert.phi, x0, 3 * 7)
         assert np.array_equal(verdict.trajectory[0], ys)
         assert np.array_equal(verdict.trajectory[1], us)
         assert verdict == replace(verdict, trajectory=None)

@@ -59,7 +59,7 @@ def measure(repeats: int) -> dict[str, float]:
     from luryecycle import RationalFrequency, TransferFunction
     from luryecycle.cli import cli
     from luryecycle.construct import build_certificate
-    from luryecycle.lti import freq_response, realize
+    from luryecycle.lti import freq_response
     from luryecycle.phase import grid_search, sweep_entries
     from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
@@ -90,13 +90,12 @@ def measure(repeats: int) -> dict[str, float]:
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
     for label, plant in (("0", g), (str(FEEDTHROUGH), g_d)):
-        ss = realize(plant)
-        x0 = periodic_steady_state(ss, cert.u)
+        x0 = periodic_steady_state(plant, cert.u)
         out[f"sim.simulate_closed_loop D={label} steps={steps}"] = _min_ms(
-            lambda: simulate_closed_loop(ss, cert.phi, x0, steps), repeats)
-    ss = realize(g)
+            lambda: simulate_closed_loop(plant, cert.phi, x0, steps),
+            repeats)
     out[f"sim.periodic_steady_state T={cert.u.period}"] = _min_ms(
-        lambda: periodic_steady_state(ss, cert.u), repeats)
+        lambda: periodic_steady_state(g, cert.u), repeats)
     # Last: resident memory grows by about the output size with each
     # in-process run, which would disturb the timings above.
     runner = CliRunner()
