@@ -11,7 +11,7 @@ maps to a fixed exit code:
     3  no feasible frequency pair
     4  phase condition failed
     5  no shift intersection
-    6  verification failed
+    6  construction or verification failed
 """
 
 from __future__ import annotations
@@ -28,14 +28,20 @@ import click
 from . import __version__
 from .construct import build_certificate, plant_response
 from .errors import (
+    AlgebraicLoopError,
     DomainError,
     EmptyResultError,
     FileFormatError,
     LuryecycleError,
+    MultivaluedPhiError,
     NoIntersectionError,
+    NotMonotoneError,
     PhaseConditionError,
     PlantValidationError,
     SelfVerifyError,
+    SingularMatrixError,
+    SlopeViolationError,
+    ZeroResponseError,
 )
 from .fileio import (
     load_phi,
@@ -56,14 +62,15 @@ EXIT_PHASE_FAILED = 4
 EXIT_NO_INTERSECTION = 5
 EXIT_VERIFY_FAILED = 6
 
-_ERROR_CODES: tuple[tuple[type, int], ...] = (
-    (PhaseConditionError, EXIT_PHASE_FAILED),
-    (NoIntersectionError, EXIT_NO_INTERSECTION),
-    (EmptyResultError, EXIT_NO_FEASIBLE),
-    (SelfVerifyError, EXIT_VERIFY_FAILED),
-    (PlantValidationError, EXIT_INVALID_PLANT),
-    (FileFormatError, EXIT_INVALID_PLANT),
-    (DomainError, EXIT_INVALID_PLANT),
+_ERROR_CODES: tuple[tuple[tuple[type, ...], int], ...] = (
+    ((PhaseConditionError, ZeroResponseError), EXIT_PHASE_FAILED),
+    ((NoIntersectionError,), EXIT_NO_INTERSECTION),
+    ((EmptyResultError,), EXIT_NO_FEASIBLE),
+    ((SelfVerifyError, NotMonotoneError, SlopeViolationError,
+      MultivaluedPhiError, AlgebraicLoopError, SingularMatrixError),
+     EXIT_VERIFY_FAILED),
+    ((PlantValidationError, FileFormatError, DomainError),
+     EXIT_INVALID_PLANT),
 )
 
 

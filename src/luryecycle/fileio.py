@@ -105,8 +105,6 @@ def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
                     for b in doc["breakpoints"])
         return PiecewiseNonlinearity(bps, odd=bool(doc["odd"]),
                                      slope_bound=slope)
-    except FileFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad nonlinearity document: {exc}") from exc
 

@@ -1,30 +1,26 @@
 """Monotone interpolation of feedback data and the input-shift machinery.
 
-Data pairs (y, v) sample a candidate nonlinearity v = phi(y) with the
-feedback sign convention v = -u.  A set is interpolable by a monotone
-(possibly multivalued) nonlinearity iff every chord is non-decreasing:
-(y_i - y_l)(v_i - v_l) >= 0.  Outputs within the clustering width are one
-breakpoint, so the test reduces to one sorted sweep: the values of each
-cluster must lie above those of the cluster before.  The interpolant is
-piecewise linear between breakpoints, takes the whole interval
-[v_lo, v_hi] at a multivalued breakpoint, and extrapolates by its nearest
-value outside the data span.
+Data is a sequence of float pairs (y, v) that sample a candidate
+nonlinearity v = phi(y) with the feedback sign convention v = -u.  A set
+is interpolable by a monotone (possibly multivalued) nonlinearity iff
+every chord is non-decreasing: (y_i - y_l)(v_i - v_l) >= 0.  Outputs
+within the clustering width are one breakpoint, so the test reduces to
+one sorted sweep: the values of each cluster must lie above those of the
+cluster before.  The interpolant is piecewise linear between
+breakpoints, takes the whole interval [v_lo, v_hi] at a multivalued
+breakpoint, and extrapolates by its nearest value outside the data span.
+The input shift only locates xi; the caller shifts and interpolates.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    MultivaluedPhiError,
-    NoIntersectionError,
-    NotMonotoneError,
-    SlopeViolationError,
-)
+from .errors import NoIntersectionError, NotMonotoneError, SlopeViolationError
 
 # Y_TOL_FACTOR scales the breakpoint clustering width with the data;
 # INTERPOLABLE_TOL is the relative slack by which a breakpoint's values may
@@ -41,10 +37,8 @@ __all__ = [
     "INTERPOLABLE_TOL",
     "ORIGIN_TOL",
     "SLOPE_SLACK",
-    "DataPairSet",
     "Breakpoint",
     "PiecewiseNonlinearity",
-    "monotone_interpolable",
     "interpolate",
     "interval_distance",
     "odd_append",
@@ -52,47 +46,12 @@ __all__ = [
     "loop_transform_data",
 ]
 
-
-@dataclass(frozen=True)
-class DataPairSet:
-    """Finite set of (y, v) samples of a candidate nonlinearity."""
-
-    pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pairs = tuple((float(y), float(v)) for y, v in self.pairs)
-        if not pairs:
-            raise ValueError("a data set needs at least one pair")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def y_tol(self) -> float:
-        """Clustering width: relative to the largest output magnitude."""
-        return Y_TOL_FACTOR * max(1.0, max(abs(y) for y, _ in self.pairs))
-
-    def v_tol(self) -> float:
-        return Y_TOL_FACTOR * max(1.0, max(abs(v) for _, v in self.pairs))
+_Pairs = Sequence[tuple[float, float]]  # (y, v) samples, at least one
 
 
-def monotone_interpolable(data: DataPairSet,
-                          tol: float = INTERPOLABLE_TOL) -> bool:
-    """Whether the clustered data rises from one cluster to the next.
-
-    The clusters are the breakpoints of :func:`interpolate`; inside a
-    cluster any value order is a vertical riser.  Each cluster's lowest
-    value may fall below the highest value of the cluster before it by
-    at most tol * scale, where scale covers the value magnitude, so the
-    answer is True exactly when the breakpoints form a monotone
-    :class:`PiecewiseNonlinearity`.
-    """
-    return _rises(_cluster_breakpoints(data), data, tol)
-
-
-def _rises(bps: list[Breakpoint], data: DataPairSet, tol: float) -> bool:
-    slack = tol * max(1.0, max(abs(v) for _, v in data.pairs))
-    return not any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:]))
+def _width(values: Iterable[float]) -> float:
+    """Clustering width: relative to the largest magnitude."""
+    return Y_TOL_FACTOR * max(1.0, max(abs(x) for x in values))
 
 
 @dataclass(frozen=True)
@@ -161,8 +120,7 @@ class PiecewiseNonlinearity:
                     f"chord slope {peak:.9g} exceeds the declared bound "
                     f"{self.slope_bound:.9g}")
         if self.odd:
-            vscale = max(1.0, max(abs(b.v_hi) for b in bps))
-            flaw = _odd_flaw(self, self.y_tol, Y_TOL_FACTOR * vscale)
+            flaw = _odd_flaw(self, self.y_tol, _width(b.v_hi for b in bps))
             if flaw:
                 raise ValueError(f"odd flag set but {flaw}")
 
@@ -170,8 +128,7 @@ class PiecewiseNonlinearity:
     def y_tol(self) -> float:
         """Snap width for evaluation at (nearly) a breakpoint; derived from
         the breakpoints so stored and reloaded graphs agree."""
-        return Y_TOL_FACTOR * max(1.0, max(abs(b.y)
-                                           for b in self.breakpoints))
+        return _width(b.y for b in self.breakpoints)
 
     @cached_property
     def columns(self) -> tuple[list[float], list[float], list[float]]:
@@ -207,13 +164,6 @@ class PiecewiseNonlinearity:
         lower, upper = self.bounds
         return (lower(y), upper(y))
 
-    def scalar(self, y: float) -> float:
-        """Single value at y; raises if the graph is multivalued."""
-        if not self.is_single_valued:
-            raise MultivaluedPhiError(
-                "graph is multivalued; no scalar value exists")
-        return self.bounds[0](y)
-
 
 def _graph_end(ys: list[float], snap: list[float], los: list[float],
                his: list[float], tol: float) -> Callable[[float], float]:
@@ -246,12 +196,12 @@ def interval_distance(interval: tuple[float, float], v: float) -> float:
     return max(0.0, lo - v, v - hi)
 
 
-def _cluster_breakpoints(data: DataPairSet) -> list[Breakpoint]:
+def _cluster_breakpoints(data: _Pairs) -> list[Breakpoint]:
     """Sorts once and chains outputs whose consecutive gaps are within
-    data.y_tol() into clusters; each becomes one breakpoint at the mean
-    of its outputs, holding its lowest and highest value."""
-    pts = sorted(data.pairs)
-    eps = data.y_tol()
+    the output width into clusters; each becomes one breakpoint at the
+    mean of its outputs, holding its lowest and highest value."""
+    pts = sorted(data)
+    eps = _width(y for y, _ in data)
     bps = []
     start = 0
     for i in range(1, len(pts) + 1):
@@ -262,7 +212,7 @@ def _cluster_breakpoints(data: DataPairSet) -> list[Breakpoint]:
     return bps
 
 
-def interpolate(data: DataPairSet,
+def interpolate(data: _Pairs,
                 slope_bound: float = math.inf) -> PiecewiseNonlinearity:
     """Monotone piecewise-linear interpolant through the data pairs.
 
@@ -274,7 +224,8 @@ def interpolate(data: DataPairSet,
     symmetric breakpoint set whose graph contains the origin.
     """
     bps = _cluster_breakpoints(data)
-    if not _rises(bps, data, INTERPOLABLE_TOL):
+    slack = INTERPOLABLE_TOL * max(1.0, max(abs(v) for _, v in data))
+    if any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:])):
         raise NotMonotoneError(
             "data pairs admit no monotone interpolant (a chord decreases)")
     try:
@@ -287,7 +238,8 @@ def interpolate(data: DataPairSet,
                 f"transformed data needs chord slope {peak:.9g}, outside "
                 f"the class limit {slope_bound:.9g}") from exc
         raise NotMonotoneError(str(exc)) from exc
-    if _odd_flaw(phi, data.y_tol(), data.v_tol()) is None:
+    if _odd_flaw(phi, _width(y for y, _ in data),
+                 _width(v for _, v in data)) is None:
         # The odd=True check of construction, with the data's widths.
         object.__setattr__(phi, "odd", True)
     return phi
@@ -322,17 +274,17 @@ def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
     return None
 
 
-def odd_append(data: DataPairSet) -> DataPairSet:
+def odd_append(data: _Pairs) -> tuple[tuple[float, float], ...]:
     """Union of the data with its point reflection through the origin.
 
     Reflected pairs that duplicate an existing pair within the clustering
     width (in both coordinates) are dropped.  One sweep in (y, v) order:
     only kept pairs within eps_y behind the current one can duplicate it.
     """
-    eps_y = data.y_tol()
-    eps_v = data.v_tol()
+    eps_y = _width(y for y, _ in data)
+    eps_v = _width(v for _, v in data)
     kept: list[tuple[float, float]] = []
-    for y, v in sorted(list(data.pairs) + [(-y, -v) for y, v in data.pairs]):
+    for y, v in sorted([*data, *((-y, -v) for y, v in data)]):
         i = len(kept) - 1
         while i >= 0 and y - kept[i][0] <= eps_y:
             if abs(v - kept[i][1]) <= eps_v:
@@ -340,13 +292,12 @@ def odd_append(data: DataPairSet) -> DataPairSet:
             i -= 1
         else:
             kept.append((y, v))
-    return DataPairSet(tuple(kept))
+    return tuple(kept)
 
 
-def compute_shift(data: DataPairSet,
-                  dc: float) -> tuple[float, PiecewiseNonlinearity]:
-    """Input shift xi that drags the data curve through the origin, and
-    the interpolant of the shifted data (y + xi*dc, v - xi).
+def compute_shift(data: _Pairs, dc: float) -> float:
+    """Input shift xi that drags the data curve through the origin: the
+    shifted pairs (y + xi*dc, v - xi) meet (0, 0).
 
     Walks the monotone staircase through the data (vertical risers over
     clustered y values, chords between clusters; same clustering as
@@ -354,8 +305,7 @@ def compute_shift(data: DataPairSet,
     {s * (dc, -1)}; a point s*(dc, -1) on the curve means shifting the
     input by xi = -s moves it to (0, 0).  With several crossings the one
     with smallest |s| wins.  Raises :class:`NoIntersectionError` when
-    the curve misses the ray over the data span, or when the shifted
-    interpolant misses the origin by more than ORIGIN_TOL.
+    the curve misses the ray over the data span.
     """
     if len(data) < 2:
         raise NoIntersectionError(
@@ -383,18 +333,11 @@ def compute_shift(data: DataPairSet,
         raise NoIntersectionError(
             f"curve over y in [{verts[0][0]:.6g}, {verts[-1][0]:.6g}] never "
             f"meets the ray through (0, 0) and ({dc:.6g}, -1)")
-    xi = -best_s
-    # -(xi - v), not v - xi: with v = -u it is -(u + xi) to the sign of
-    # a zero, so a caller that shifts u itself gets exactly these pairs.
-    phi = interpolate(DataPairSet(tuple((y + xi * dc, -(xi - v))
-                                        for y, v in data.pairs)))
-    if interval_distance(phi.evaluate(0.0), 0.0) > ORIGIN_TOL:
-        raise NoIntersectionError(
-            "shifted data does not pass through the origin")
-    return xi, phi
+    return -best_s
 
 
-def loop_transform_data(data: DataPairSet, k: float) -> DataPairSet:
+def loop_transform_data(data: _Pairs,
+                        k: float) -> tuple[tuple[float, float], ...]:
     """Map samples of a monotone nonlinearity back to the slope-k class.
 
     Each pair (y, v) becomes (y + v/k, v).  ``interpolate(out,
@@ -403,4 +346,4 @@ def loop_transform_data(data: DataPairSet, k: float) -> DataPairSet:
     """
     if not (math.isfinite(k) and k > 0):
         raise ValueError("loop transform needs a finite positive slope")
-    return DataPairSet(tuple((y + v / k, v) for y, v in data.pairs))
+    return tuple((y + v / k, v) for y, v in data)

@@ -19,19 +19,19 @@ from hypothesis import strategies as st
 
 from luryecycle import (
     DomainError,
+    NotMonotoneError,
     RationalFrequency,
     SingularMatrixError,
     TransferFunction,
 )
 from luryecycle.interp import (
     ORIGIN_TOL,
+    Y_TOL_FACTOR,
     Breakpoint,
-    DataPairSet,
     PiecewiseNonlinearity,
     interpolate,
     interval_distance,
     loop_transform_data,
-    monotone_interpolable,
     odd_append,
 )
 from luryecycle.lti import PeriodicSignal, freq_response, periodic_response
@@ -134,7 +134,7 @@ def simulate_linear(ss: StateSpaceRealization, inputs,
 def simulate_closed_loop_reference(
         ss: StateSpaceRealization, phi, x0,
         steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed loop x+ = A x + B u, y = C x + D u, u = -phi.scalar(y)
+    """The closed loop x+ = A x + B u, y = C x + D u, u = -phi(y)
     with the generic O(n^2) update A x + B u on plain floats; returns the
     (y, u) trajectories.  With D != 0 each output comes from the
     library's exact loop solve, which test_sim_properties checks against
@@ -150,7 +150,7 @@ def simulate_closed_loop_reference(
     for k in range(steps):
         lin = sum(map(operator.mul, c, x), 0.0)
         y = lin if solve is None else solve(lin)
-        u = -phi.scalar(y)
+        u = -phi.evaluate(y)[0]
         ys[k] = y
         us[k] = u
         x = [sum(map(operator.mul, row, x)) + bi * u
@@ -207,7 +207,7 @@ def solve_output_reference(d: float, phi, lin: float) -> float | None:
     """
     y = lin
     for _ in range(LOOP_MAX_ITER):
-        nxt = y + LOOP_DAMPING * ((lin - d * phi.scalar(y)) - y)
+        nxt = y + LOOP_DAMPING * ((lin - d * phi.evaluate(y)[0]) - y)
         if abs(nxt - y) <= LOOP_TOL:
             return nxt
         y = nxt
@@ -451,14 +451,22 @@ def pl_eval_reference(breakpoints, y: float) -> tuple[float, float]:
 CHORD_TOL = 1e-10
 
 
-def monotone_interpolable_reference(data: DataPairSet,
-                                    tol: float = CHORD_TOL) -> bool:
+def interpolates(data) -> bool:
+    """Whether the library finds a monotone interpolant of the data."""
+    try:
+        interpolate(data)
+    except NotMonotoneError:
+        return False
+    return True
+
+
+def monotone_interpolable_reference(data, tol: float = CHORD_TOL) -> bool:
     """All-pairs chord test: (y_i - y_l)(v_i - v_l) >= 0 within tolerance.
 
     Products down to -tol * scale^2 pass, where scale covers the data
     magnitude, so exact repeats perturbed by rounding are not rejected.
     """
-    pts = data.pairs
+    pts = data
     scale = max(1.0, max(abs(y) for y, _ in pts), max(abs(v) for _, v in pts))
     floor = -tol * scale * scale
     for i in range(len(pts)):
@@ -470,23 +478,29 @@ def monotone_interpolable_reference(data: DataPairSet,
     return True
 
 
-def odd_append_reference(data: DataPairSet) -> DataPairSet:
+def data_widths(data) -> tuple[float, float]:
+    """Clustering widths of the outputs and of the values of data pairs."""
+    return (Y_TOL_FACTOR * max(1.0, max(abs(y) for y, _ in data)),
+            Y_TOL_FACTOR * max(1.0, max(abs(v) for _, v in data)))
+
+
+def odd_append_reference(data) -> tuple[tuple[float, float], ...]:
     """Point-reflected union, each candidate checked against every kept
     pair for a duplicate within the clustering width."""
-    eps_y = data.y_tol()
-    eps_v = data.v_tol()
+    eps_y, eps_v = data_widths(data)
     kept: list[tuple[float, float]] = []
-    for y, v in sorted(list(data.pairs) + [(-y, -v) for y, v in data.pairs]):
+    for y, v in sorted(list(data) + [(-y, -v) for y, v in data]):
         if any(abs(y - y0) <= eps_y and abs(v - v0) <= eps_v
                for y0, v0 in kept):
             continue
         kept.append((y, v))
-    return DataPairSet(tuple(kept))
+    return tuple(kept)
 
 
-def shift_data(data: DataPairSet, xi: float, dc: float) -> DataPairSet:
+def shift_data(data, xi: float,
+               dc: float) -> tuple[tuple[float, float], ...]:
     """Apply the input shift xi: (y, v) -> (y + xi*dc, v - xi)."""
-    return DataPairSet(tuple((y + xi * dc, v - xi) for y, v in data.pairs))
+    return tuple((y + xi * dc, v - xi) for y, v in data)
 
 
 def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
@@ -541,14 +555,13 @@ def probe_points(phi) -> list[float]:
 
 
 def carrier_data(freq: RationalFrequency, delta: float,
-                 T: int | None = None) -> DataPairSet:
+                 T: int | None = None) -> tuple[tuple[float, float], ...]:
     """Cycle data of a unit-gain loop whose return phase is offset delta."""
     if T is None:
         T = freq.T
     w = freq.omega
-    pairs = tuple((math.cos(w * t), math.cos(w * t + delta))
-                  for t in range(T))
-    return DataPairSet(pairs)
+    return tuple((math.cos(w * t), math.cos(w * t + delta))
+                 for t in range(T))
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +591,11 @@ def check_phase_window_matches_data(beta_max: int = 8,
             data = carrier_data(freq, delta)
             if abs(abs(delta) - math.pi / T) > BOUNDARY_BAND:
                 expected = phase_window_holds(delta, T)
-                assert monotone_interpolable(data) == expected, \
+                assert interpolates(data) == expected, \
                     (alpha, beta, delta)
                 checked += 1
             if abs(abs(delta) - math.pi / (2 * beta)) > BOUNDARY_BAND:
-                odd_ok = monotone_interpolable(odd_append(data))
+                odd_ok = interpolates(odd_append(data))
                 assert odd_ok == (abs(delta) <= math.pi / (2 * beta)), \
                     (alpha, beta, delta, "odd")
                 checked += 1
@@ -650,8 +663,8 @@ def check_interpolation_invariants(rng: np.random.Generator,
             pairs.append((pairs[j][0], pairs[j + 1][1]))
         if odd_case:
             pairs = pairs + [(-y, -v) for y, v in pairs] + [(0.0, 0.0)]
-        data = DataPairSet(tuple(pairs))
-        assert monotone_interpolable(data)
+        data = tuple(pairs)
+        assert interpolates(data)
         phi = interpolate(data)
 
         for y, v in pairs:

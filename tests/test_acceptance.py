@@ -18,7 +18,7 @@ from luryecycle import (
     nyquist_gain,
 )
 from luryecycle.cli import cli
-from luryecycle.interp import monotone_interpolable, odd_append
+from luryecycle.interp import odd_append
 from luryecycle.lti import dc_gain
 from helpers import (
     add_constant,
@@ -27,6 +27,7 @@ from helpers import (
     check_interpolation_invariants,
     check_phase_window_matches_data,
     check_steady_state_is_fixed_point,
+    interpolates,
 )
 
 
@@ -159,5 +160,5 @@ def test_criterion_9_figure_data(plant_file, tmp_path):
     # 9c: the same boundary device at (2, 3) admits no odd monotone
     # interpolant even though the plain data does.
     data = carrier_data(RationalFrequency(2, 3), math.pi / 3)
-    assert monotone_interpolable(data)
-    assert not monotone_interpolable(odd_append(data))
+    assert interpolates(data)
+    assert not interpolates(odd_append(data))

@@ -66,6 +66,39 @@ def test_exit_code_table():
     assert exit_code_for(LuryecycleError("x")) == 1
 
 
+def _subclasses(klass: type) -> list[type]:
+    return [s for c in klass.__subclasses__() for s in [c, *_subclasses(c)]]
+
+
+def test_every_typed_error_has_a_documented_code():
+    errors = _subclasses(LuryecycleError)
+    assert errors
+    for klass in errors:
+        assert exit_code_for(klass("x")) in (2, 3, 4, 5, 6), klass
+
+
+@pytest.mark.parametrize("plant, args, code", [
+    # G(e^{j*pi/2}) is numerically zero, so it has no phase.
+    ({"num": [1, 0, 1], "den": [1, 0, 0.25]}, ["1", "2"], 4),
+    # Just inside the window, a huge slope reclusters the transformed
+    # data into a multivalued breakpoint outside the slope class.
+    ({"anchor": {"omega": 2 * math.pi / 7,
+                 "re": -math.cos(math.pi / 7 * (1 - 1e-10)),
+                 "im": -math.sin(math.pi / 7 * (1 - 1e-10))}, "dc": 1},
+     ["2", "7", "--slope", "1e12"], 6),
+    # The response overflows to -inf and still passes the phase check.
+    ({"num": [-1.7e308, 0], "den": [1, 0.5]}, ["1", "3"], 2),
+], ids=["zero-response", "slope-violation", "overflow"])
+def test_typed_construction_failures_exit_with_their_code(
+        runner, tmp_path, plant, args, code):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    result = runner.invoke(cli, ["construct", str(path), "--alpha", args[0],
+                                 "--beta", args[1], *args[2:]])
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ")
+
+
 def test_version(runner):
     result = runner.invoke(cli, ["--version"])
     assert result.exit_code == 0

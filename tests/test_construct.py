@@ -6,6 +6,8 @@ import pytest
 
 from luryecycle import (
     AnchorPlant,
+    DomainError,
+    NoIntersectionError,
     PhaseConditionError,
     PlantValidationError,
     RationalFrequency,
@@ -17,7 +19,7 @@ from luryecycle import (
 )
 from luryecycle import construct, interp
 from luryecycle.construct import plant_dc
-from luryecycle.interp import DataPairSet, interpolate
+from luryecycle.interp import interpolate, loop_transform_data, odd_append
 from luryecycle.lti import freq_response
 from helpers import slope_bound
 
@@ -54,6 +56,12 @@ class TestPlantForms:
             AnchorPlant(omega=math.nan, value=1.0 + 0.0j)
         with pytest.raises(PlantValidationError):
             AnchorPlant(omega=1.0, value=complex(math.inf, 0.0))
+
+    def test_overflowing_response_raises_domain_error(self):
+        # G(e^{j*pi/3}) overflows to -inf yet passes the phase check.
+        g = TransferFunction((-1.7e308, 0.0), (1.0, 0.5))
+        with pytest.raises(DomainError, match="overflows the cycle data"):
+            build_certificate(g, F13)
 
 
 class TestBuildVariants:
@@ -158,8 +166,7 @@ class TestOnePass:
             (-0.8605156073672797, -1.5134944072721068, -0.1666548508803217),
             (1.0, 1.551989120284625, 0.692090388956185))
         cert = build_certificate(g, RationalFrequency(4, 5))
-        data = DataPairSet(tuple(zip(cert.y.values,
-                                     [-u for u in cert.u.values])))
+        data = tuple(zip(cert.y.values, [-u for u in cert.u.values]))
         assert repr(cert.phi) == repr(interpolate(data))
         assert any(b.v_lo == 0.0 and math.copysign(1.0, b.v_lo) < 0.0
                    for b in cert.phi.breakpoints)
@@ -175,6 +182,36 @@ class TestOnePass:
                            match="transformed data needs chord slope "
                                  ".* outside the class limit"):
             build_certificate(g, freq, slope=0.999999 * kbar)
+
+
+class TestStepOrder:
+    """Two step orders that decide builds near the window edge."""
+
+    def test_origin_is_tested_before_the_loop_transform(self):
+        # The shifted data misses the origin by 6e-8 > ORIGIN_TOL; its
+        # loop transform passes through it, which would have been
+        # accepted had the test run on the final phi.
+        anchor = AnchorPlant(2 * math.pi / 7,
+                             -308.8394175345349 + 1.08735650224377j,
+                             -0.0011107415830772913)
+        with pytest.raises(NoIntersectionError,
+                           match="does not pass through the origin"):
+            build_certificate(anchor, F27, slope=0.0032617754362836847)
+
+    def test_odd_data_is_reflected_before_the_loop_transform(self):
+        freq = RationalFrequency(3, 5)
+        anchor = AnchorPlant(3 * math.pi / 5,
+                             -0.04202511540717001 + 0.004511932201940888j,
+                             0.0)
+        k = 35.54165185321758
+        cert = build_certificate(anchor, freq, odd=True, slope=k)
+        t = np.arange(freq.T)
+        y = ((anchor.value + 1.0 / k) * np.exp(1j * freq.omega * t)).real
+        pairs = tuple(zip(y.tolist(), (-np.cos(freq.omega * t)).tolist()))
+        assert cert.phi == interpolate(
+            loop_transform_data(odd_append(pairs), k), slope_bound=k)
+        assert cert.phi != interpolate(
+            odd_append(loop_transform_data(pairs, k)), slope_bound=k)
 
 
 class TestFeedthroughLoops:

@@ -4,54 +4,50 @@ import numpy as np
 import pytest
 
 from luryecycle import (
-    MultivaluedPhiError,
     NoIntersectionError,
     NotMonotoneError,
     SlopeViolationError,
 )
 from luryecycle.interp import (
     Breakpoint,
-    DataPairSet,
     PiecewiseNonlinearity,
     compute_shift,
     interpolate,
     interval_distance,
     loop_transform_data,
-    monotone_interpolable,
     odd_append,
 )
 
-from helpers import shift_data
+from helpers import interpolates, shift_data
 
 
-def stair_data(omega: float, T: int, delta: float) -> DataPairSet:
+def stair_data(omega: float, T: int,
+               delta: float) -> tuple[tuple[float, float], ...]:
     """Cycle data (y, -u) of a unit-gain loop with return phase delta."""
-    return DataPairSet(tuple((-math.cos(omega * t + delta),
-                              -math.cos(omega * t)) for t in range(T)))
+    return tuple((-math.cos(omega * t + delta), -math.cos(omega * t))
+                 for t in range(T))
 
 
 class TestMonotoneInterpolable:
     def test_monotone_pairs_pass(self):
-        assert monotone_interpolable(DataPairSet(((0.0, 0.0), (1.0, 2.0),
-                                         (-1.0, -0.5))))
+        assert interpolates(((0.0, 0.0), (1.0, 2.0), (-1.0, -0.5)))
 
     def test_decreasing_chord_fails(self):
-        assert not monotone_interpolable(DataPairSet(((0.0, 1.0), (1.0, 0.0))))
+        assert not interpolates(((0.0, 1.0), (1.0, 0.0)))
 
     def test_vertical_riser_passes(self):
-        assert monotone_interpolable(DataPairSet(((0.0, 0.0), (0.0, 1.0),
-                                         (1.0, 1.5))))
+        assert interpolates(((0.0, 0.0), (0.0, 1.0), (1.0, 1.5)))
 
     def test_tolerance_absorbs_roundoff(self):
         eps = 1e-14
-        assert monotone_interpolable(DataPairSet(((0.0, eps), (eps, 0.0))))
+        assert interpolates(((0.0, eps), (eps, 0.0)))
 
     def test_boundary_phase_data_passes_plain_but_not_odd(self):
         # Unit response at angle pi - pi/3 sits exactly on the plain
         # window edge for T = 3 and far outside the odd window pi/6.
         data = stair_data(2 * math.pi / 3, 3, math.pi / 3)
-        assert monotone_interpolable(data)
-        assert not monotone_interpolable(odd_append(data))
+        assert interpolates(data)
+        assert not interpolates(odd_append(data))
 
 
 class TestPiecewiseNonlinearity:
@@ -114,11 +110,6 @@ class TestPiecewiseNonlinearity:
             PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 0.0),
                                    Breakpoint(1.0, 2.0, 2.0)), odd=True)
 
-    def test_scalar_on_multivalued_raises(self):
-        phi = PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 1.0),))
-        with pytest.raises(MultivaluedPhiError):
-            phi.scalar(0.0)
-
     def test_evaluation_regions(self):
         phi = PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 1.0),
                                      Breakpoint(2.0, 3.0, 3.0)))
@@ -133,11 +124,10 @@ class TestPiecewiseNonlinearity:
 class TestInterpolate:
     def test_non_monotone_data_rejected(self):
         with pytest.raises(NotMonotoneError):
-            interpolate(DataPairSet(((0.0, 1.0), (1.0, 0.0))))
+            interpolate(((0.0, 1.0), (1.0, 0.0)))
 
     def test_clusters_equal_y_into_multivalued_breakpoint(self):
-        phi = interpolate(DataPairSet(((0.0, 0.0), (0.0, 1.0),
-                                       (1.0, 1.5))))
+        phi = interpolate(((0.0, 0.0), (0.0, 1.0), (1.0, 1.5)))
         assert len(phi.breakpoints) == 2
         assert phi.breakpoints[0].v_lo == 0.0
         assert phi.breakpoints[0].v_hi == 1.0
@@ -156,11 +146,11 @@ class TestInterpolate:
         assert phi.odd
 
     def test_detects_odd_symmetry(self):
-        data = DataPairSet(((-1.0, -2.0), (0.0, 0.0), (1.0, 2.0)))
+        data = ((-1.0, -2.0), (0.0, 0.0), (1.0, 2.0))
         assert interpolate(data).odd
 
     def test_asymmetric_data_is_not_odd(self):
-        data = DataPairSet(((-1.0, -2.0), (0.0, 0.0), (1.0, 5.0)))
+        data = ((-1.0, -2.0), (0.0, 0.0), (1.0, 5.0))
         assert not interpolate(data).odd
 
     def test_interpolant_contains_all_data(self, rng):
@@ -168,70 +158,70 @@ class TestInterpolate:
             m = int(rng.integers(2, 7))
             ys = sorted(rng.uniform(-1, 1, size=m).tolist())
             vs = sorted(rng.uniform(-1, 1, size=m).tolist())
-            data = DataPairSet(tuple(zip(ys, vs)))
+            data = tuple(zip(ys, vs))
             phi = interpolate(data)
-            for y, v in data.pairs:
+            for y, v in data:
                 assert interval_distance(phi.evaluate(y), v) <= 1e-9
 
 
 class TestOddAppend:
     def test_adds_reflection(self):
-        data = DataPairSet(((1.0, 2.0),))
+        data = ((1.0, 2.0),)
         out = odd_append(data)
-        assert sorted(out.pairs) == [(-1.0, -2.0), (1.0, 2.0)]
+        assert sorted(out) == [(-1.0, -2.0), (1.0, 2.0)]
 
     def test_deduplicates_existing_reflection(self):
-        data = DataPairSet(((-1.0, -2.0), (1.0, 2.0), (0.0, 0.0)))
+        data = ((-1.0, -2.0), (1.0, 2.0), (0.0, 0.0))
         out = odd_append(data)
-        assert len(out.pairs) == 3
+        assert len(out) == 3
 
     def test_near_duplicates_collapse(self):
-        data = DataPairSet(((1.0, 2.0), (-1.0 + 1e-12, -2.0 - 1e-12)))
+        data = ((1.0, 2.0), (-1.0 + 1e-12, -2.0 - 1e-12))
         out = odd_append(data)
-        assert len(out.pairs) == 2
+        assert len(out) == 2
 
 
 class TestShift:
     def test_shift_moves_curve_through_origin(self):
         # Segment from (0,-1) to (1,1) against the ray s*(1,-1): the
         # crossing is at s = 1/3, so xi = -1/3.
-        data = DataPairSet(((0.0, -1.0), (1.0, 1.0)))
-        xi, phi = compute_shift(data, 1.0)
+        data = ((0.0, -1.0), (1.0, 1.0))
+        xi = compute_shift(data, 1.0)
+        assert type(xi) is float
         assert xi == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert phi == interpolate(shift_data(data, xi, 1.0))
+        phi = interpolate(shift_data(data, xi, 1.0))
         assert interval_distance(phi.evaluate(0.0), 0.0) <= 1e-9
 
     def test_riser_crossing_beats_farther_chord(self):
         # The ray s*(10,-1) pierces the riser at y=0 (s=0) and nothing
         # else closer.
-        data = DataPairSet(((0.0, -0.5), (0.0, 0.5), (1.0, 1.0),
-                            (-1.0, -1.0)))
-        xi, _ = compute_shift(data, 10.0)
+        data = ((0.0, -0.5), (0.0, 0.5), (1.0, 1.0), (-1.0, -1.0))
+        xi = compute_shift(data, 10.0)
         assert xi == pytest.approx(0.0, abs=1e-12)
 
     def test_no_crossing_raises(self):
-        data = DataPairSet(((1.0, 2.0), (2.0, 3.0)))
+        data = ((1.0, 2.0), (2.0, 3.0))
         with pytest.raises(NoIntersectionError):
             compute_shift(data, 1.0)
 
     def test_single_pair_raises(self):
         with pytest.raises(NoIntersectionError):
-            compute_shift(DataPairSet(((1.0, 2.0),)), 1.0)
+            compute_shift(((1.0, 2.0),), 1.0)
 
     def test_shift_data_is_affine(self):
-        data = DataPairSet(((1.0, 2.0), (3.0, 4.0)))
+        data = ((1.0, 2.0), (3.0, 4.0))
         out = shift_data(data, 0.5, 2.0)
-        assert sorted(out.pairs) == [(2.0, 1.5), (4.0, 3.5)]
+        assert sorted(out) == [(2.0, 1.5), (4.0, 3.5)]
 
 
 class TestLoopTransform:
     def test_transform_tilts_by_inverse_slope(self):
-        data = DataPairSet(((0.0, 0.0), (1.0, 2.0)))
+        data = ((0.0, 0.0), (1.0, 2.0))
         out = loop_transform_data(data, 4.0)
-        assert sorted(out.pairs) == [(0.0, 0.0), (1.5, 2.0)]
+        assert sorted(out) == [(0.0, 0.0), (1.5, 2.0)]
 
     def test_riser_becomes_exact_slope_k_chord(self):
-        data = DataPairSet(((0.0, 0.0), (0.0, 1.0), (2.0, 2.0)))
+        data = ((0.0, 0.0), (0.0, 1.0), (2.0, 2.0))
         out = loop_transform_data(data, 2.0)
         phi = interpolate(out, slope_bound=2.0)
         assert phi.is_single_valued
@@ -241,13 +231,13 @@ class TestLoopTransform:
         # With a huge slope the transform barely separates the riser, the
         # two points recluster into a multivalued breakpoint, and the
         # class constraint cannot hold.
-        data = DataPairSet(((0.0, 0.0), (0.0, 0.19), (1.0, 0.3)))
+        data = ((0.0, 0.0), (0.0, 0.19), (1.0, 0.3))
         with pytest.raises(SlopeViolationError,
                            match="transformed data needs chord slope inf"):
             interpolate(loop_transform_data(data, 1e9), slope_bound=1e9)
 
     def test_rejects_non_finite_slope(self):
-        data = DataPairSet(((0.0, 0.0), (1.0, 1.0)))
+        data = ((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             loop_transform_data(data, math.inf)
 

@@ -13,20 +13,19 @@ import math
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from luryecycle import NotMonotoneError
 from luryecycle.interp import (
     Breakpoint,
-    DataPairSet,
     PiecewiseNonlinearity,
     Y_TOL_FACTOR,
     interpolate,
-    monotone_interpolable,
     odd_append,
 )
 
 from helpers import (
+    data_widths,
     dyadic_phis,
     evaluate_reference,
+    interpolates,
     monotone_interpolable_reference,
     odd_append_reference,
     odd_reference,
@@ -41,7 +40,7 @@ def _nudge(x: float, ulps: int) -> float:
 
 
 @st.composite
-def grid_data(draw, first_quadrant: bool = False) -> DataPairSet:
+def grid_data(draw, first_quadrant: bool = False):
     """Monotone grid pairs with risers and flat runs, optionally broken
     by one swap of values, optionally odd-reflected, rounding-jittered
     and shuffled."""
@@ -66,58 +65,44 @@ def grid_data(draw, first_quadrant: bool = False) -> DataPairSet:
     jitter = st.integers(-3, 3)
     pairs = [(_nudge(y, draw(jitter)), _nudge(v, draw(jitter)))
              for y, v in pairs]
-    return DataPairSet(tuple(draw(st.permutations(pairs))))
+    return tuple(draw(st.permutations(pairs)))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 float_data = st.lists(st.tuples(finite, finite), min_size=1,
-                      max_size=20).map(lambda p: DataPairSet(tuple(p)))
-
-
-def _interpolates(data: DataPairSet) -> bool:
-    try:
-        interpolate(data)
-    except NotMonotoneError:
-        return False
-    return True
+                      max_size=20).map(tuple)
 
 
 @given(grid_data())
 def test_chord_test_matches_all_pairs_reference(data):
-    assert monotone_interpolable(data) == \
-        monotone_interpolable_reference(data)
+    assert interpolates(data) == monotone_interpolable_reference(data)
 
 
 @given(grid_data())
 def test_odd_appended_chord_test_matches_reference(data):
     out = odd_append(data)
-    assert monotone_interpolable(out) == monotone_interpolable_reference(out)
-
-
-@given(st.one_of(grid_data(), float_data))
-def test_chord_test_decides_whether_interpolate_succeeds(data):
-    assert monotone_interpolable(data) == _interpolates(data)
+    assert interpolates(out) == monotone_interpolable_reference(out)
 
 
 @given(st.one_of(grid_data(), grid_data(first_quadrant=True), float_data))
 def test_odd_append_matches_reference(data):
     out = odd_append(data)
     ref = odd_append_reference(data)
-    assert out.pairs == ref.pairs
+    assert out == ref
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()))
 def test_odd_detection_matches_reference(data):
-    assume(monotone_interpolable(data))
+    assume(interpolates(data))
     phi = interpolate(data)
-    assert phi.odd == odd_reference(phi, data.y_tol(), data.v_tol())
+    assert phi.odd == odd_reference(phi, *data_widths(data))
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()))
 def test_detected_odd_flag_passes_the_constructor_check(data):
     """interpolate sets a detected odd flag without building phi again;
     the constructor's own odd check accepts the same graph."""
-    assume(monotone_interpolable(data))
+    assume(interpolates(data))
     phi = interpolate(data)
     assume(phi.odd)
     assert PiecewiseNonlinearity(phi.breakpoints, odd=True) == phi
@@ -134,7 +119,7 @@ def _outcome(fn, y: float) -> str:
 
 @given(st.one_of(dyadic_phis(), dyadic_phis(multivalued=True)))
 def test_cached_evaluators_match_reference(phi):
-    """evaluate, and scalar for a single-valued phi, give exactly the
+    """evaluate, and lower for a single-valued phi, give exactly the
     breakpoint-by-breakpoint reference: at and near breakpoints, on
     exact ties, outside the span, at inf and at NaN (with one breakpoint
     all divide by zero there)."""
@@ -142,7 +127,7 @@ def test_cached_evaluators_match_reference(phi):
         want = _outcome(lambda q: evaluate_reference(phi, q), y)
         assert _outcome(phi.evaluate, y) == want, y
         if phi.is_single_valued:
-            assert _outcome(phi.scalar, y) == \
+            assert _outcome(phi.bounds[0], y) == \
                 _outcome(lambda q: evaluate_reference(phi, q)[0], y), y
 
 
@@ -152,7 +137,7 @@ def test_odd_flag_check_matches_reference(data, which, shift):
     """Declaring odd=True succeeds exactly when every breakpoint has a
     mirror; one breakpoint moved by a multiple of the snap width probes
     the edge of the mirror window."""
-    assume(monotone_interpolable(data))
+    assume(interpolates(data))
     bps = list(interpolate(data).breakpoints)
     if which >= 0 and len(bps) > 1:
         # move an end breakpoint outward so the graph stays monotone

@@ -16,7 +16,6 @@ from luryecycle import (
 )
 from luryecycle.interp import (
     Breakpoint,
-    DataPairSet,
     PiecewiseNonlinearity,
     interpolate,
 )
@@ -122,8 +121,7 @@ class TestVerifyCycle:
         # data interpolates to a multivalued graph.
         u = PeriodicSignal((1.0, -0.5, -0.5))
         y = PeriodicSignal((-0.5, 1.0, -0.5))
-        phi = interpolate(DataPairSet(tuple(zip(y.values,
-                                                [-v for v in u.values]))))
+        phi = interpolate(tuple(zip(y.values, [-v for v in u.values])))
         assert not phi.is_single_valued
         verdict = verify_cycle(DELAY, phi, u, y)
         assert verdict.ok()
@@ -134,8 +132,7 @@ class TestVerifyCycle:
     def test_tampered_output_fails(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))
         y = PeriodicSignal((-0.5, 1.01, -0.5))
-        phi = interpolate(DataPairSet(((-0.5, -1.0), (1.0, 0.5),
-                                       (-0.5, 0.5))))
+        phi = interpolate(((-0.5, -1.0), (1.0, 0.5), (-0.5, 0.5)))
         verdict = verify_cycle(DELAY, phi, u, y)
         assert not verdict.ok()
         assert verdict.residual_periodicity == pytest.approx(0.01)
@@ -143,14 +140,13 @@ class TestVerifyCycle:
     def test_trivial_cycle_flagged(self):
         u = PeriodicSignal((0.0, 0.0))
         y = PeriodicSignal((0.0, 0.0))
-        phi = interpolate(DataPairSet(((-1.0, -1.0), (0.0, 0.0),
-                                       (1.0, 1.0))))
+        phi = interpolate(((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)))
         verdict = verify_cycle(DELAY, phi, u, y)
         assert not verdict.nontrivial
         assert not verdict.ok()
 
     def test_period_mismatch_rejected(self):
-        phi = interpolate(DataPairSet(((0.0, 0.0), (1.0, 1.0))))
+        phi = interpolate(((0.0, 0.0), (1.0, 1.0)))
         with pytest.raises(ValueError):
             verify_cycle(DELAY, phi, PeriodicSignal((1.0, 2.0)),
                          PeriodicSignal((1.0,)))
@@ -159,7 +155,7 @@ class TestVerifyCycle:
     def test_single_valued_check_needs_two_periods(self, periods):
         # the closed-loop simulation is part of the check; it must not
         # be skipped in silence
-        phi = interpolate(DataPairSet(((-1.0, -1.0), (1.0, 1.0))))
+        phi = interpolate(((-1.0, -1.0), (1.0, 1.0)))
         u = PeriodicSignal((1.0, -1.0))
         with pytest.raises(DomainError, match="2 periods"):
             verify_cycle(DELAY, phi, u, PeriodicSignal((-1.0, 1.0)),
@@ -194,8 +190,7 @@ class TestVerifyCycle:
     def test_multivalued_check_runs_without_periods(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))
         y = PeriodicSignal((-0.5, 1.0, -0.5))
-        phi = interpolate(DataPairSet(tuple(zip(y.values,
-                                                [-v for v in u.values]))))
+        phi = interpolate(tuple(zip(y.values, [-v for v in u.values])))
         assert verify_cycle(DELAY, phi, u, y, periods=0).ok()
 
 
