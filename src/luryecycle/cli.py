@@ -62,10 +62,10 @@ EXIT_PHASE_FAILED = 4
 EXIT_NO_INTERSECTION = 5
 EXIT_VERIFY_FAILED = 6
 
-_ERROR_CODES: tuple[tuple[tuple[type, ...], int], ...] = (
+_ERROR_CODES: tuple[tuple[type | tuple[type, ...], int], ...] = (
     ((PhaseConditionError, ZeroResponseError), EXIT_PHASE_FAILED),
-    ((NoIntersectionError,), EXIT_NO_INTERSECTION),
-    ((EmptyResultError,), EXIT_NO_FEASIBLE),
+    (NoIntersectionError, EXIT_NO_INTERSECTION),
+    (EmptyResultError, EXIT_NO_FEASIBLE),
     ((SelfVerifyError, NotMonotoneError, SlopeViolationError,
       MultivaluedPhiError, AlgebraicLoopError, SingularMatrixError),
      EXIT_VERIFY_FAILED),

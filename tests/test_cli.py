@@ -96,7 +96,7 @@ def test_typed_construction_failures_exit_with_their_code(
     result = runner.invoke(cli, ["construct", str(path), "--alpha", args[0],
                                  "--beta", args[1], *args[2:]])
     assert result.exit_code == code, result.output
-    assert result.output.startswith("error: ")
+    assert "error: " in result.output
 
 
 def test_version(runner):
