@@ -186,6 +186,9 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
 
     resp0 = plant_response(plant, freq)
     resp = resp0 + shift_c
+    if not np.isfinite(resp):
+        raise DomainError(f"response {resp!r} at omega = "
+                          f"{freq.alpha}*pi/{freq.beta} is not finite")
     check = phase_check(resp, freq, odd_variant=odd)
     if not check.satisfied:
         raise PhaseConditionError(
@@ -197,7 +200,8 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     T = freq.T
     w = freq.omega
     u = np.cos(w * np.arange(T))
-    ytilde = (resp * np.exp(1j * w * np.arange(T))).real
+    with np.errstate(all="ignore"):
+        ytilde = (resp * np.exp(1j * w * np.arange(T))).real
     if not np.all(np.isfinite(ytilde)):
         raise DomainError(f"response {resp0!r} overflows the cycle data")
     dc0 = plant_dc(plant)
@@ -211,6 +215,8 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             raise PlantValidationError(
                 "anchor plant needs a dc value for the even-alpha "
                 "construction without the odd option")
+        if not math.isfinite(dc):
+            raise DomainError(f"dc gain {dc!r} is not finite")
         xi = compute_shift(data, dc)
         u = u + xi
         ytilde = ytilde + xi * dc

@@ -147,9 +147,11 @@ class PeriodicSignal:
 
 
 def freq_response(plant: TransferFunction, omega: float) -> complex:
-    """Evaluate G(e^{j*omega}) by direct polynomial evaluation."""
+    """Evaluate G(e^{j*omega}) by direct polynomial evaluation.  A value
+    beyond the float range comes back non-finite, without a warning."""
     z = complex(math.cos(omega), math.sin(omega))
-    return complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
+    with np.errstate(all="ignore"):
+        return complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
 
 
 def dc_gain(plant: TransferFunction) -> float:

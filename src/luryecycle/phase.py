@@ -119,7 +119,8 @@ def _slope_bounds(response: np.ndarray,
     """Closed-form slope bounds of responses G(e^{j*omega}) at window
     half-widths with tangents t: the kind of each (0 finite, 1 inf,
     2 infeasible) and kbar (NaN where not finite).
-    Raises DomainError at the first finite bound whose shifted real part
+    Raises DomainError at the first row whose denominator R*t + |I|
+    overflows, and else at the first finite bound whose shifted real part
     R + 1/kbar has lost its sign to rounding."""
     R = response.real
     I = np.abs(response.imag)
@@ -134,6 +135,12 @@ def _slope_bounds(response: np.ndarray,
         # rounding of order eps*|R|, so the slack scales with |R|.
         shifted = R + 1.0 / kbar
         lost = finite & ~(shifted <= 1e-9 * np.fmax(1.0, np.abs(R)))
+    overflow = ~np.isfinite(denom)
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise DomainError(
+            f"slope bound overflows at response {complex(response[i])!r}: "
+            f"R*t + |I| = {float(denom[i])!r}")
     if lost.any():
         i = int(np.argmax(lost))
         raise DomainError(
@@ -237,7 +244,13 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
     z = np.empty(len(w), dtype=complex)
     z.real = list(map(math.cos, w))
     z.imag = list(map(math.sin, w))
-    resp = np.polyval(plant.num, z) / np.polyval(plant.den, z)
+    with np.errstate(all="ignore"):
+        resp = np.polyval(plant.num, z) / np.polyval(plant.den, z)
+    overflow = ~np.isfinite(resp)
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise DomainError(f"response {complex(resp[i])!r} at omega = "
+                          f"{alpha[i]}*pi/{beta[i]} is not finite")
     # One tangent per window width pi/m, m = T or 2*beta (odd window).
     tans = np.array([math.nan, math.nan] + [
         math.tan(math.pi / m) for m in range(2, 2 * beta_max + 1)])

@@ -10,8 +10,11 @@ G(e^{jw}).  The simulation runs on the controllable companion form of
 G = num/den of order n: x+ = A x + e_0 u, y = C x + D u, where row 0 of
 A is -den[1:], the rows below shift x down one place, D = num[0] and
 C = num[1:] - D*den[1:] (num padded to n + 1 coefficients).  A step puts
-A[0] . x + u first, so the simulations hold x in a deque of length n and
-a step is one O(n) appendleft.
+A[0] . x + u first and shifts the rest of x down one place.  The
+periodic steady state holds x in a deque of length n, where a step is
+one O(n) appendleft.  The closed-loop simulation runs a step function
+compiled once per order n: it holds x in n local floats and writes out
+every product and sum, left to right from 0.0.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -28,6 +31,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -148,6 +152,67 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
     return solve
 
 
+# The closed-loop simulation of an order-n companion form, as source.
+# Each step writes out the products and sums of the module docstring in
+# a fixed order: y = 0.0 + c0*x0 + ... (then y = solve(y) when D != 0),
+# w = 0.0 + a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one
+# assignment each (for n >= 4 faster than one tuple assignment).  The
+# state lives in the local floats x0..x{n-1}.
+_KERNEL = """\
+def simulate(c, a, x, value, solve, steps):
+    [{c}] = c
+    [{a}] = a
+    [{x}] = x
+    ys = []
+    us = []
+    y_out = ys.append
+    u_out = us.append
+    for _ in range(steps):
+{body}        u = -value(y)
+        y_out(y)
+        u_out(u)
+{update}    return ys, us
+"""
+# A sum continues on a new line after this many terms: the compiler
+# recurses once per term of a chained sum, and fails near 3000.
+_TERMS_PER_LINE = 100
+
+
+def _sum_lines(target: str, terms: list[str]) -> str:
+    """Loop-body lines that set target = 0.0 + terms[0] + ..., summed
+    left to right."""
+    lines, head = [], "0.0"
+    for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+        chunk = " + ".join([head, *terms[i:i + _TERMS_PER_LINE]])
+        lines.append(f"        {target} = {chunk}\n")
+        head = target
+    return "".join(lines)
+
+
+@lru_cache(maxsize=16)
+def _closed_loop_kernel(n: int, feedthrough: bool):
+    """_KERNEL for order n, compiled on first use.  The source holds only
+    n: coefficients, phi and the loop solver are arguments."""
+    def names(prefix):
+        return [f"{prefix}{i}" for i in range(n)]
+
+    def products(prefix):
+        return [f"{prefix}{i}*x{i}" for i in range(n)]
+
+    body = _sum_lines("y", products("c"))
+    if feedthrough:
+        body += "        y = solve(y)\n"
+    update = "".join(
+        [_sum_lines("w", products("a") + ["u"])]
+        + [f"        x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
+        + ["        x0 = w\n"]) if n else ""
+    source = _KERNEL.format(c=", ".join(names("c")), a=", ".join(names("a")),
+                            x=", ".join(names("x")), body=body, update=update)
+    namespace = {}
+    exec(compile(source, f"<closed loop, order {n}>", "exec"), namespace)
+    return namespace["simulate"]
+
+
 def simulate_closed_loop(plant: TransferFunction,
                          phi: PiecewiseNonlinearity, x0,
                          steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,18 +230,11 @@ def simulate_closed_loop(plant: TransferFunction,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise ValueError(f"initial state must have length {n}")
-    x = deque(x.tolist(), maxlen=n)
     a0, c, d = _companion_rows(plant)
-    value = phi.bounds[0]  # phi itself, phi being single-valued
     solve = _loop_solver(phi, d) if d != 0.0 else None
-    ys, us = [], []
-    for _ in range(steps):
-        lin = sum(map(mul, c, x), 0.0)
-        y = lin if solve is None else solve(lin)
-        u = -value(y)
-        ys.append(y)
-        us.append(u)
-        x.appendleft(sum(map(mul, a0, x)) + u)
+    # phi.bounds[0] is phi itself, phi being single-valued
+    ys, us = _closed_loop_kernel(n, solve is not None)(
+        c, a0, x.tolist(), phi.bounds[0], solve, steps)
     return np.array(ys, dtype=float), np.array(us, dtype=float)
 
 
@@ -270,9 +328,16 @@ def nyquist_gain(plant: TransferFunction) -> float:
     num[den.size - len(plant.num):] = plant.num
     real_g = np.polysub(np.polymul(num, den[::-1]),
                         np.polymul(den, num[::-1]))
+    if not np.all(np.isfinite(real_g)):
+        raise DomainError("the plant coefficients overflow the polynomial "
+                          "of the real-axis crossings")
     omegas = [0.0, math.pi] + [float(np.angle(z)) for z in np.roots(real_g)
                                if abs(abs(z) - 1.0) <= MARGIN_TOL]
     responses = [freq_response(plant, omega) for omega in omegas]
+    for omega, g in zip(omegas, responses):
+        if not np.isfinite(g):
+            raise DomainError(
+                f"response {g!r} at omega = {omega:.9g} is not finite")
     gains = [-1.0 / g.real for g in responses
              if g.real < 0.0 and abs(g.imag) <= MARGIN_TOL * abs(g)]
     if num[0] < 0.0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -148,14 +147,22 @@ def simulate_closed_loop_reference(
     ys = np.empty(steps)
     us = np.empty(steps)
     for k in range(steps):
-        lin = sum(map(operator.mul, c, x), 0.0)
+        lin = _dot(c, x)
         y = lin if solve is None else solve(lin)
         u = -phi.evaluate(y)[0]
         ys[k] = y
         us[k] = u
-        x = [sum(map(operator.mul, row, x)) + bi * u
-             for row, bi in zip(a, b)]
+        x = [_dot(row, x) + bi * u for row, bi in zip(a, b)]
     return ys, us
+
+
+def _dot(row, x) -> float:
+    """Left-to-right sum of products from 0.0.  Unlike sum(), whose float
+    sums are compensated from Python 3.12 on, the order is fixed."""
+    total = 0.0
+    for r, xi in zip(row, x):
+        total += r * xi
+    return total
 
 
 def evaluate_reference(phi, y: float) -> tuple[float, float]:

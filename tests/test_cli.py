@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,10 @@ from helpers import (
     sweep_rows_reference,
     sweep_stdout_reference,
 )
+
+
+# G(z) = -1.7e308 z / (z + 0.5): G(e^{jw}) overflows near w = pi.
+NEAR_OVERFLOW = {"num": [-1.7e308, 0], "den": [1, 0.5]}
 
 
 @pytest.fixture
@@ -86,8 +94,8 @@ def test_every_typed_error_has_a_documented_code():
                  "re": -math.cos(math.pi / 7 * (1 - 1e-10)),
                  "im": -math.sin(math.pi / 7 * (1 - 1e-10))}, "dc": 1},
      ["2", "7", "--slope", "1e12"], 6),
-    # The response overflows to -inf and still passes the phase check.
-    ({"num": [-1.7e308, 0], "den": [1, 0.5]}, ["1", "3"], 2),
+    # The response overflows to -inf.
+    (NEAR_OVERFLOW, ["1", "3"], 2),
 ], ids=["zero-response", "slope-violation", "overflow"])
 def test_typed_construction_failures_exit_with_their_code(
         runner, tmp_path, plant, args, code):
@@ -97,6 +105,29 @@ def test_typed_construction_failures_exit_with_their_code(
                                  "--beta", args[1], *args[2:]])
     assert result.exit_code == code, result.output
     assert "error: " in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    # G(-1) overflows; the true margin, 0.5/1.7e308, is subnormal.
+    (["nyquist"], r"response \(-inf.*\) at omega = 3.14159265 "),
+    # G(e^{j*pi/3}) overflows.
+    (["phase-sweep", "--beta-max", "5", "--format", "json"],
+     r"response \(-inf.*\) at omega = 1\*pi/3 "),
+    (["construct", "--alpha", "1", "--beta", "3"],
+     r"response \(-inf.*\) at omega = 1\*pi/3 "),
+], ids=["nyquist", "phase-sweep", "construct"])
+def test_near_overflow_plant_is_a_domain_error(runner, tmp_path, args,
+                                               message):
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd, \
+            warnings.catch_warnings():
+        Path("plant.json").write_text(json.dumps(NEAR_OVERFLOW))
+        warnings.simplefilter("error")  # a numpy warning fails the command
+        result = runner.invoke(cli, [args[0], "plant.json", *args[1:],
+                                     "--report", "report.json"])
+        assert os.listdir(cwd) == ["plant.json"]
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert re.fullmatch(f"error: {message}is not finite\n", result.stderr)
 
 
 def test_version(runner):
@@ -229,21 +260,6 @@ class TestPhaseSweep:
         rows = json.loads(report.read_text())["results"]["rows"]
         assert rows == sweep_rows_reference(
             sweep_reference(example_plant, 15, odd))
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_overflowing_response_writes_json_constants(self, runner,
-                                                        tmp_path):
-        # |G| overflows near z = -1, so rows hold inf and NaN responses
-        huge = tmp_path / "huge.json"
-        huge.write_text(json.dumps({"num": [1e308, 1e308, 1e308],
-                                    "den": [1.0, 0.0, 0.0]}))
-        g = load_plant(huge)
-        rows = sweep_rows_reference(sweep_reference(g, 6, False))
-        result = runner.invoke(cli, ["phase-sweep", str(huge), "--beta-max",
-                                     "6", "--format", "json"])
-        assert result.stdout == sweep_stdout_reference(rows, "json")
-        assert "Infinity" in result.stdout or "NaN" in result.stdout
 
 
 class TestConstruct:

@@ -244,6 +244,15 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_entries(example_plant, 1)
 
+    def test_overflowing_denominator_is_a_domain_error(self):
+        # Every response is finite, but R*t = -1.5e308*tan(pi/3) overflows
+        # at (2, 3), which would then read "inf"; the closed form gives
+        # kbar = -1/R, about 6.7e-309.
+        g = TransferFunction((-1.5e308,), (1.0,))
+        with pytest.raises(DomainError, match=r"R\*t \+ \|I\| = -inf"):
+            sweep_entries(g, 3)
+        assert len(sweep_entries(g, 2)) == 1
+
     def test_static_plant_has_no_feasible_pair(self):
         g = TransferFunction((0.5,), (1.0,))
         entries = sweep_entries(g, 6)

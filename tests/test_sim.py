@@ -102,6 +102,27 @@ class TestClosedLoopSimulation:
             assert us[k] == pytest.approx(-0.2 * ys[k], abs=1e-12)
             x = 0.5 * x + us[k]
 
+    def test_output_is_positive_zero(self):
+        # C = (0,) and x = (-1,): C x is 0.0 * -1.0 = -0.0, and the sum
+        # from 0.0 makes y = +0.0, as a sum() from 0.0 did; u = -phi(0.0)
+        # is -0.0.  np.array_equal cannot tell the signs of zero apart.
+        g = TransferFunction((0.0,), (1.0, -0.5))
+        phi = interpolate(((-1.0, -2.0), (1.0, 2.0)))
+        ys, us = simulate_closed_loop(g, phi, [-1.0], 4)
+        assert ys.tolist() == [0.0] * 4 and us.tolist() == [0.0] * 4
+        assert not np.signbit(ys).any()
+        assert np.signbit(us).all()
+
+    def test_long_delay_compiles(self):
+        # A step of the delay z^-3000 sums 3000 products, more terms than
+        # one chained expression compiles.  The output reads the initial
+        # state back to front.
+        g = TransferFunction((1.0,), (1.0,) + (0.0,) * 3000)
+        x0 = np.arange(3000.0)
+        ys, us = simulate_closed_loop(g, line(0.2, 1e4), x0, 5)
+        assert ys.tolist() == x0[:-6:-1].tolist()
+        assert us == pytest.approx(-0.2 * x0[:-6:-1], rel=1e-15)
+
     def test_steep_feedthrough_loop_solved_exactly(self):
         # Same plant, steep 4.0 line: a damped iteration ends in a
         # 2-cycle, but the loop y = lin - 4*y has the unique root lin/5.
@@ -195,6 +216,12 @@ class TestVerifyCycle:
 
 
 class TestNyquistGain:
+    def test_overflowing_crossing_polynomial_is_a_domain_error(self):
+        # num(z) z^2 den(1/z) has the coefficient -1.7e308 * -1.5.
+        g = TransferFunction((-1.7e308, 0.0, 0.0), (1.0, -1.5, 0.56))
+        with pytest.raises(DomainError, match="real-axis crossings"):
+            nyquist_gain(g)
+
     def test_delay_margin_is_one(self):
         assert nyquist_gain(DELAY) == pytest.approx(1.0, rel=1e-12)
 

@@ -17,7 +17,11 @@ feedthrough simulation.  Measurements:
   (keys "T=<T>"), and with slope 1.0001*kbar in the even and the odd
   window (keys "T=<T> even k" and "T=<T> odd k");
 - sim.simulate_closed_loop for 20 periods, driven by the phi of the
-  T = 1001 monotone certificate, with D = 0 and D = 0.3;
+  T = 1001 monotone certificate, with D = 0 and D = 0.3; at the
+  benchmark's cycle_long sizes, T = 101 and 301 with the phi of the
+  slope-k certificates above in both windows (D = 0); and its first call
+  at a new plant order, which compiles the step for that order (a
+  one-step run after clearing the compiled steps, as set-up);
 - sim.periodic_steady_state at T = 1001.
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
@@ -41,6 +45,7 @@ SWEEP_BETA_MAX = (20, 100, 300, 1000)
 PERIODS = (7, 101, 301, 1001)
 SLOPE_MARGIN = 1.0001
 SIM_PERIODS = 20
+SIM_CYCLE_PERIODS = (101, 301)
 FEEDTHROUGH = 0.3
 
 
@@ -56,7 +61,7 @@ def _min_ms(fn, repeats: int) -> float:
 def measure(repeats: int) -> dict[str, float]:
     from click.testing import CliRunner
 
-    from luryecycle import RationalFrequency, TransferFunction
+    from luryecycle import RationalFrequency, TransferFunction, sim
     from luryecycle.cli import cli
     from luryecycle.construct import build_certificate
     from luryecycle.lti import freq_response
@@ -67,6 +72,7 @@ def measure(repeats: int) -> dict[str, float]:
     g_d = TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
                             0.81 * FEEDTHROUGH), g.den)
     out = {}
+    slope_certs = {}
     for beta_max in SWEEP_BETA_MAX:
         out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
             lambda: sweep_entries(g, beta_max), repeats)
@@ -81,12 +87,14 @@ def measure(repeats: int) -> dict[str, float]:
             resp = freq_response(g, freq.omega)
             t = math.tan(math.pi / (2 * T if odd else T))
             kbar = -t / (resp.real * t + abs(resp.imag))
-            key = f"construct.build_certificate T={T} " \
-                  f"{'odd' if odd else 'even'} k"
-            out[key] = _min_ms(
+            label = f"T={T} {'odd' if odd else 'even'} k"
+            out[f"construct.build_certificate {label}"] = _min_ms(
                 lambda: build_certificate(g, freq, odd=odd,
                                           slope=SLOPE_MARGIN * kbar),
                 repeats)
+            if T in SIM_CYCLE_PERIODS:
+                slope_certs[label] = build_certificate(
+                    g, freq, odd=odd, slope=SLOPE_MARGIN * kbar)
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
     for label, plant in (("0", g), (str(FEEDTHROUGH), g_d)):
@@ -94,6 +102,24 @@ def measure(repeats: int) -> dict[str, float]:
         out[f"sim.simulate_closed_loop D={label} steps={steps}"] = _min_ms(
             lambda: simulate_closed_loop(plant, cert.phi, x0, steps),
             repeats)
+    for label, k_cert in slope_certs.items():
+        x0 = periodic_steady_state(g, k_cert.u)
+        steps = SIM_PERIODS * k_cert.u.period
+        out[f"sim.simulate_closed_loop {label} steps={steps}"] = _min_ms(
+            lambda: simulate_closed_loop(g, k_cert.phi, x0, steps), repeats)
+
+    x0 = periodic_steady_state(g, cert.u)
+    # Clearing the compiled steps makes each call a first call; a
+    # checkout that compiles nothing has no set-up to clear.
+    kernel = getattr(sim, "_closed_loop_kernel", None)
+
+    def first_call():
+        if kernel is not None:
+            kernel.cache_clear()
+        simulate_closed_loop(g, cert.phi, x0, 1)
+
+    out[f"sim.simulate_closed_loop first call order={g.order}"] = _min_ms(
+        first_call, repeats)
     out[f"sim.periodic_steady_state T={cert.u.period}"] = _min_ms(
         lambda: periodic_steady_state(g, cert.u), repeats)
     # Last: resident memory grows by about the output size with each
