@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .construct import AnchorPlant, Plant
 from .errors import FileFormatError, PlantValidationError
-from .interp import Breakpoint, PiecewiseNonlinearity
+from .interp import PiecewiseNonlinearity
 from .lti import PeriodicSignal, TransferFunction
 
 __all__ = [
@@ -91,8 +91,8 @@ def phi_to_dict(phi: PiecewiseNonlinearity) -> dict:
         "odd": phi.odd,
         "slope_bound": (phi.slope_bound if math.isfinite(phi.slope_bound)
                         else "inf"),
-        "breakpoints": [{"y": b.y, "v_lo": b.v_lo, "v_hi": b.v_hi}
-                        for b in phi.breakpoints],
+        "breakpoints": [{"y": y, "v_lo": lo, "v_hi": hi}
+                        for y, lo, hi in zip(phi.ys, phi.los, phi.his)],
     }
 
 
@@ -100,11 +100,9 @@ def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
     try:
         sb = doc["slope_bound"]
         slope = math.inf if sb == "inf" else float(sb)
-        bps = tuple(Breakpoint(float(b["y"]), float(b["v_lo"]),
-                               float(b["v_hi"]))
-                    for b in doc["breakpoints"])
-        return PiecewiseNonlinearity(bps, odd=bool(doc["odd"]),
-                                     slope_bound=slope)
+        return PiecewiseNonlinearity(*([b[k] for b in doc["breakpoints"]]
+                                       for k in ("y", "v_lo", "v_hi")),
+                                     odd=bool(doc["odd"]), slope_bound=slope)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad nonlinearity document: {exc}") from exc
 

@@ -1,24 +1,26 @@
 """Monotone interpolation of feedback data and the input-shift machinery.
 
-Data is a sequence of float pairs (y, v) that sample a candidate
-nonlinearity v = phi(y) with the feedback sign convention v = -u.  A set
-is interpolable by a monotone (possibly multivalued) nonlinearity iff
-every chord is non-decreasing: (y_i - y_l)(v_i - v_l) >= 0.  Outputs
-within the clustering width are one breakpoint, so the test reduces to
-one sorted sweep: the values of each cluster must lie above those of the
-cluster before.  The interpolant is piecewise linear between
-breakpoints, takes the whole interval [v_lo, v_hi] at a multivalued
-breakpoint, and extrapolates by its nearest value outside the data span.
-The input shift only locates xi; the caller shifts and interpolates.
+Data is an (N, 2) float array of pairs (y, v = -u) sampling a candidate
+nonlinearity v = phi(y); any sequence of pairs is read as one.  A set is
+interpolable by a monotone (possibly multivalued) nonlinearity iff every
+chord is non-decreasing: (y_i - y_l)(v_i - v_l) >= 0.  Outputs within
+the clustering width are one breakpoint, so the test reduces to one
+sort: the values of each cluster must lie above those of the one before.
+The interpolant is piecewise linear between breakpoints, takes the whole
+interval [v_lo, v_hi] at a multivalued breakpoint, and extrapolates by
+its nearest value outside the data span.  The input shift only locates
+xi; the caller shifts and interpolates.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import NoIntersectionError, NotMonotoneError, SlopeViolationError
 
@@ -46,13 +48,6 @@ __all__ = [
     "loop_transform_data",
 ]
 
-_Pairs = Sequence[tuple[float, float]]  # (y, v) samples, at least one
-
-
-def _width(values: Iterable[float]) -> float:
-    """Clustering width: relative to the largest magnitude."""
-    return Y_TOL_FACTOR * max(1.0, max(abs(x) for x in values))
-
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -64,100 +59,96 @@ class Breakpoint:
     v_hi: float
 
 
+class _Flaw(ValueError):
+    """A failed order check, or slope-class check with chord slope peak."""
+
+    def __init__(self, message: str, peak: float | None = None):
+        super().__init__(message)
+        self.peak = peak
+
+
 @dataclass(frozen=True)
 class PiecewiseNonlinearity:
     """Monotone piecewise-linear nonlinearity, possibly multivalued.
 
-    Between breakpoints the graph is the segment from (y_i, v_hi of i) to
-    (y_{i+1}, v_lo of i+1); outside the span it continues constant.  A
+    Breakpoint i sits at ys[i] and holds the values [los[i], his[i]].
+    Between breakpoints the graph is the segment from (ys[i], his[i]) to
+    (ys[i+1], los[i+1]); outside the span it continues constant.  A
     finite slope_bound asserts membership of the class with chord slopes
     in [0, slope_bound], which forces every breakpoint single-valued.
     """
 
-    breakpoints: tuple[Breakpoint, ...]
+    ys: tuple[float, ...]
+    los: tuple[float, ...]
+    his: tuple[float, ...]
     odd: bool = False
     slope_bound: float = math.inf
 
     def __post_init__(self):
-        bps = []
-        for b in self.breakpoints:
-            if not (type(b) is Breakpoint
-                    and type(b.y) is type(b.v_lo) is type(b.v_hi) is float):
-                b = Breakpoint(float(b.y), float(b.v_lo), float(b.v_hi))
-            if not (math.isfinite(b.y) and math.isfinite(b.v_lo)
-                    and math.isfinite(b.v_hi)):
-                raise ValueError(f"breakpoint {b} is not finite")
-            bps.append(b)
-        bps = tuple(bps)
-        if not bps:
-            raise ValueError("a nonlinearity needs at least one breakpoint")
-        object.__setattr__(self, "breakpoints", bps)
+        # One comparison of the (3, N) columns per check.
+        cols = np.array((self.ys, self.los, self.his), dtype=float)
+        mags = np.maximum.reduce(np.abs(cols), axis=1, initial=0.0).tolist()
+        if not all(map(math.isfinite, mags)):
+            i = np.logical_and.reduce(np.isfinite(cols)).argmin()
+            raise ValueError(f"breakpoint {Breakpoint(*cols[:, i].tolist())}"
+                             " is not finite")
+        for name, col in zip(("ys", "los", "his"), cols.tolist()):
+            object.__setattr__(self, name, tuple(col))
         object.__setattr__(self, "slope_bound", float(self.slope_bound))
+        if not self.ys:
+            raise ValueError("a nonlinearity needs at least one breakpoint")
         if not self.slope_bound > 0:
             raise ValueError("slope_bound must be positive")
-        vscale = max(1.0, max(abs(b.v_lo) for b in bps),
-                     max(abs(b.v_hi) for b in bps))
-        slack = INTERPOLABLE_TOL * vscale
-        prev = None
-        for b in bps:
-            if b.v_lo > b.v_hi + slack:
-                raise ValueError(f"breakpoint at y={b.y!r} has v_lo > v_hi")
-            if prev is not None:
-                if b.y <= prev.y:
-                    raise ValueError("breakpoint positions must be strictly "
-                                     "increasing in y")
-                if prev.v_hi > b.v_lo + slack:
-                    raise ValueError(
-                        f"values decrease between y={prev.y!r} and y={b.y!r}")
-            prev = b
-        if math.isfinite(self.slope_bound):
-            if not self.is_single_valued:
-                raise ValueError(
-                    "a finite slope class cannot hold a multivalued graph")
-            peak = self.max_chord_slope()
-            if peak > self.slope_bound * (1.0 + SLOPE_SLACK):
-                raise ValueError(
-                    f"chord slope {peak:.9g} exceeds the declared bound "
-                    f"{self.slope_bound:.9g}")
-        if self.odd:
-            flaw = _odd_flaw(self, self.y_tol, _width(b.v_hi for b in bps))
-            if flaw:
+        y, lo, hi = cols
+        slack = INTERPOLABLE_TOL * max(1.0, *mags[1:])
+        bad = np.zeros((len(y), 3), dtype=bool)
+        with np.errstate(all="ignore"):
+            np.greater(lo, hi + slack, out=bad[:, 0])
+            np.less_equal(y[1:], y[:-1], out=bad[1:, 1])
+            np.greater(hi[:-1], lo[1:] + slack, out=bad[1:, 2])
+            if np.count_nonzero(bad):
+                (i, kind), ys = divmod(int(bad.argmax()), 3), self.ys
+                raise _Flaw((f"breakpoint at y={ys[i]!r} has v_lo > v_hi",
+                             "breakpoint positions must be strictly "
+                             "increasing in y",
+                             f"values decrease between y={ys[i - 1]!r} "
+                             f"and y={ys[i]!r}")[kind])
+            if math.isfinite(self.slope_bound):
+                if not self.is_single_valued:
+                    raise _Flaw("a finite slope class cannot hold a "
+                                "multivalued graph", math.inf)
+                # A NaN slope (an overflowing chord) is skipped.
+                slopes = (lo[1:] - hi[:-1]) / (y[1:] - y[:-1])
+                peak = max(0.0, float(np.fmax.reduce(slopes, initial=0.0)))
+                if peak > self.slope_bound * (1.0 + SLOPE_SLACK):
+                    raise _Flaw(f"chord slope {peak:.9g} exceeds the "
+                                f"declared bound {self.slope_bound:.9g}",
+                                peak)
+            if self.odd and (flaw := _odd_flaw(self, cols, self.y_tol, hi)):
                 raise ValueError(f"odd flag set but {flaw}")
+
+    @cached_property
+    def breakpoints(self) -> tuple[Breakpoint, ...]:
+        """The breakpoints one by one, built when first read."""
+        return tuple(map(Breakpoint, self.ys, self.los, self.his))
 
     @cached_property
     def y_tol(self) -> float:
         """Snap width for evaluation at (nearly) a breakpoint; derived from
         the breakpoints so stored and reloaded graphs agree."""
-        return _width(b.y for b in self.breakpoints)
-
-    @cached_property
-    def columns(self) -> tuple[list[float], list[float], list[float]]:
-        """Breakpoint positions, lower values and upper values."""
-        bps = self.breakpoints
-        return ([b.y for b in bps], [b.v_lo for b in bps],
-                [b.v_hi for b in bps])
+        return Y_TOL_FACTOR * max(1.0, -self.ys[0], self.ys[-1])
 
     @cached_property
     def bounds(self) -> tuple[Callable[[float], float],
                               Callable[[float], float]]:
         """Functions (lower, upper) with evaluate(y) = (lower(y), upper(y));
         a single-valued phi is lower itself."""
-        ys, los, his = self.columns
-        return (_graph_end(ys, los, los, his, self.y_tol),
-                _graph_end(ys, his, los, his, self.y_tol))
+        return (_graph_end(self.ys, self.los, self.los, self.his, self.y_tol),
+                _graph_end(self.ys, self.his, self.los, self.his, self.y_tol))
 
     @cached_property
     def is_single_valued(self) -> bool:
-        return all(b.v_lo == b.v_hi for b in self.breakpoints)
-
-    def max_chord_slope(self) -> float:
-        """Largest chord slope, math.inf if any breakpoint is multivalued."""
-        if not self.is_single_valued:
-            return math.inf
-        peak = 0.0
-        for p, q in zip(self.breakpoints, self.breakpoints[1:]):
-            peak = max(peak, (q.v_lo - p.v_hi) / (q.y - p.y))
-        return peak
+        return self.los == self.his
 
     def evaluate(self, y: float) -> tuple[float, float]:
         """Value set at y as an interval (lo, hi); single points collapse."""
@@ -165,8 +156,9 @@ class PiecewiseNonlinearity:
         return (lower(y), upper(y))
 
 
-def _graph_end(ys: list[float], snap: list[float], los: list[float],
-               his: list[float], tol: float) -> Callable[[float], float]:
+def _graph_end(ys: tuple[float, ...], snap: tuple[float, ...],
+               los: tuple[float, ...], his: tuple[float, ...],
+               tol: float) -> Callable[[float], float]:
     """One end of the value set of the graph with breakpoints ys and values
     [los, his], as a function of y: snap[j] within tol of breakpoint j (the
     nearer one, the left one on a tie), constant outside the span, linear
@@ -196,24 +188,38 @@ def interval_distance(interval: tuple[float, float], v: float) -> float:
     return max(0.0, lo - v, v - hi)
 
 
-def _cluster_breakpoints(data: _Pairs) -> list[Breakpoint]:
-    """Sorts once and chains outputs whose consecutive gaps are within
-    the output width into clusters; each becomes one breakpoint at the
-    mean of its outputs, holding its lowest and highest value."""
-    pts = sorted(data)
-    eps = _width(y for y, _ in data)
-    bps = []
-    start = 0
-    for i in range(1, len(pts) + 1):
-        if i == len(pts) or pts[i][0] - pts[i - 1][0] > eps:
-            ys, vs = zip(*pts[start:i])
-            bps.append(Breakpoint(math.fsum(ys) / len(ys), min(vs), max(vs)))
-            start = i
-    return bps
+def _sorted(data) -> np.ndarray:
+    """The pairs as an (N, 2) float array in the order that sorted() gives
+    (y, v) tuples: a stable sort of the pairs read as complex numbers."""
+    pts = np.ascontiguousarray(data, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError("data must be a non-empty sequence of (y, v) pairs")
+    return pts[pts.view(complex).ravel().argsort(kind="stable")]
 
 
-def interpolate(data: _Pairs,
-                slope_bound: float = math.inf) -> PiecewiseNonlinearity:
+def _clusters(data) -> tuple[np.ndarray, float]:
+    """(3, N) breakpoint columns and width of the pairs: outputs chained by
+    gaps within the width form a breakpoint at their math.fsum mean (for
+    two, one sum plus 0.0 equals it), holding their min and max value."""
+    s = _sorted(data)
+    ys, vs = s[:, 0], s[:, 1]
+    eps = Y_TOL_FACTOR * float(max(1.0, -ys[0], ys[-1]))
+    cut = ys[1:] - ys[:-1] > eps
+    if np.count_nonzero(cut) == len(cut):
+        return np.array((ys + 0.0, vs, vs)), eps
+    first = np.flatnonzero(np.concatenate(([True], cut)))
+    last = np.flatnonzero(np.concatenate((cut, [True])))
+    a, b = vs[first], vs[last]
+    cols = np.array((ys[first] + np.where(last > first, ys[last], 0.0) + 0.0,
+                     np.where(b < a, b, a), np.where(b > a, b, a)))
+    cols[0] /= last - first + 1
+    for c in np.flatnonzero((last - first > 1) | ~np.isfinite(cols[0])):
+        y, v = s[first[c]:last[c] + 1].T.tolist()
+        cols[:, c] = math.fsum(y) / len(y), min(v), max(v)
+    return cols, eps
+
+
+def interpolate(data, slope_bound: float = math.inf) -> PiecewiseNonlinearity:
     """Monotone piecewise-linear interpolant through the data pairs.
 
     Outputs within the clustering width collapse into one (possibly
@@ -223,121 +229,116 @@ def interpolate(data: _Pairs,
     slope_bound's class.  The odd flag is detected from the data: a
     symmetric breakpoint set whose graph contains the origin.
     """
-    bps = _cluster_breakpoints(data)
-    slack = INTERPOLABLE_TOL * max(1.0, max(abs(v) for _, v in data))
-    if any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:])):
-        raise NotMonotoneError(
-            "data pairs admit no monotone interpolant (a chord decreases)")
-    try:
-        phi = PiecewiseNonlinearity(tuple(bps), slope_bound=slope_bound)
-    except ValueError as exc:
-        # Monotone, so only slope_bound or its class can fail.
-        peak = PiecewiseNonlinearity(tuple(bps)).max_chord_slope()
-        if slope_bound > 0 and peak > slope_bound * (1.0 + SLOPE_SLACK):
+    with np.errstate(all="ignore"):
+        cols, eps = _clusters(data)
+        try:
+            phi = PiecewiseNonlinearity(*cols, slope_bound=slope_bound)
+        except _Flaw as exc:
+            if exc.peak is None:
+                raise NotMonotoneError(
+                    "data pairs admit no monotone interpolant (a chord "
+                    "decreases)") from exc
             raise SlopeViolationError(
-                f"transformed data needs chord slope {peak:.9g}, outside "
-                f"the class limit {slope_bound:.9g}") from exc
-        raise NotMonotoneError(str(exc)) from exc
-    if _odd_flaw(phi, _width(y for y, _ in data),
-                 _width(v for _, v in data)) is None:
+                f"transformed data needs chord slope {exc.peak:.9g}, "
+                f"outside the class limit {slope_bound:.9g}") from exc
         # The odd=True check of construction, with the data's widths.
-        object.__setattr__(phi, "odd", True)
+        if _odd_flaw(phi, cols, eps, cols[1:]) is None:
+            object.__setattr__(phi, "odd", True)
     return phi
 
 
-def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
-              tol_v: float) -> str | None:
-    """Why phi is not odd within (tol_y, tol_v), or None when it is.
-
-    Odd means every breakpoint has a mirror at -y with the negated value
-    interval, and phi(0) contains 0.  Mirror candidates are found by
-    bisection on the sorted breakpoint positions within 2*tol_y of -y,
-    so rounding in the window ends cannot drop a candidate that the
-    test |m.y + b.y| <= tol_y accepts.
-    """
-    bps = phi.breakpoints
-    ys = phi.columns[0]
-    for b in bps:
-        j = bisect_left(ys, -b.y - 2.0 * tol_y)
-        reach = -b.y + 2.0 * tol_y
-        while j < len(ys) and ys[j] <= reach:
-            m = bps[j]
-            if (abs(m.y + b.y) <= tol_y and abs(m.v_lo + b.v_hi) <= tol_v
-                    and abs(m.v_hi + b.v_lo) <= tol_v):
-                break
-            j += 1
-        else:
-            return f"no mirror of the breakpoint at y={b.y!r} exists"
+def _odd_flaw(phi: PiecewiseNonlinearity, cols: np.ndarray, tol_y: float,
+              values: np.ndarray) -> str | None:
+    """Why phi, with (3, N) columns cols, is not odd within tol_y and the
+    clustering width of values, or None when it is: every breakpoint
+    needs a mirror at -y with the negated value interval (the candidates
+    lie within 2*tol_y, so rounding drops none), and phi(0) must hold 0."""
+    ys = cols[0]
+    first = ys.searchsorted(-ys - 2.0 * tol_y)
+    stop = ys.searchsorted(-ys + 2.0 * tol_y, side="right")
+    mirrored = np.zeros(len(ys), dtype=bool)
+    if first[0] < stop[0]:  # else the first has none, as for most data
+        tol_v = Y_TOL_FACTOR * max(1.0, float(np.abs(values).max()))
+        tols = np.array(((tol_y,), (tol_v,), (tol_v,)))
+        for k in range(int(np.maximum.reduce(stop - first))):
+            m = np.minimum(first + k, len(ys) - 1)
+            # y, v_lo, v_hi of candidate m plus y, v_hi, v_lo of each
+            mirrored |= (first + k < stop) & np.logical_and.reduce(
+                np.abs(cols[:, m] + cols[[0, 2, 1]]) <= tols)
+    if np.count_nonzero(mirrored) < len(ys):
+        b = phi.ys[mirrored.argmin()]
+        return f"no mirror of the breakpoint at y={b!r} exists"
     lo, hi = phi.evaluate(0.0)
     if lo > ORIGIN_TOL or hi < -ORIGIN_TOL:
         return "0 is not in phi(0)"
     return None
 
 
-def odd_append(data: _Pairs) -> tuple[tuple[float, float], ...]:
+def odd_append(data) -> np.ndarray:
     """Union of the data with its point reflection through the origin.
 
-    Reflected pairs that duplicate an existing pair within the clustering
-    width (in both coordinates) are dropped.  One sweep in (y, v) order:
-    only kept pairs within eps_y behind the current one can duplicate it.
+    Reflected pairs that duplicate a kept pair within the clustering
+    width (in both coordinates) are dropped in one sweep in (y, v) order,
+    which takes the p-th pair of every run chained by gaps of at most
+    eps_y at once: only a pair of its run can duplicate a pair.
     """
-    eps_y = _width(y for y, _ in data)
-    eps_v = _width(v for _, v in data)
-    kept: list[tuple[float, float]] = []
-    for y, v in sorted([*data, *((-y, -v) for y, v in data)]):
-        i = len(kept) - 1
-        while i >= 0 and y - kept[i][0] <= eps_y:
-            if abs(v - kept[i][1]) <= eps_v:
-                break
-            i -= 1
-        else:
-            kept.append((y, v))
-    return tuple(kept)
+    s = _sorted(np.concatenate((data, -np.asarray(data, dtype=float))))
+    ys, vs = s[:, 0], s[:, 1]
+    eps_y = Y_TOL_FACTOR * float(max(1.0, -ys[0], ys[-1]))
+    with np.errstate(all="ignore"):
+        chained = ys[1:] - ys[:-1] <= eps_y
+        if not np.count_nonzero(chained):
+            return s
+        eps_v = Y_TOL_FACTOR * max(1.0, np.maximum.reduce(np.abs(vs)))
+        starts = np.flatnonzero(np.concatenate(([True], ~chained)))
+        sizes = np.flatnonzero(np.concatenate((~chained, [True]))) - starts + 1
+        kept = np.ones(len(ys), dtype=bool)
+        for p in range(1, int(np.maximum.reduce(sizes))):
+            at = starts[sizes > p] + p
+            dup = np.zeros(len(at), dtype=bool)
+            for j in (at - back for back in range(1, p + 1)):
+                dup |= (kept[j] & (ys[at] - ys[j] <= eps_y)
+                        & (np.abs(vs[at] - vs[j]) <= eps_v))
+            kept[at] = ~dup
+    return s[kept]
 
 
-def compute_shift(data: _Pairs, dc: float) -> float:
+def compute_shift(data, dc: float) -> float:
     """Input shift xi that drags the data curve through the origin: the
     shifted pairs (y + xi*dc, v - xi) meet (0, 0).
 
-    Walks the monotone staircase through the data (vertical risers over
-    clustered y values, chords between clusters; same clustering as
-    :func:`interpolate`) and intersects each segment with the ray
-    {s * (dc, -1)}; a point s*(dc, -1) on the curve means shifting the
-    input by xi = -s moves it to (0, 0).  With several crossings the one
-    with smallest |s| wins.  Raises :class:`NoIntersectionError` when
-    the curve misses the ray over the data span.
+    Intersects each segment of the monotone staircase through the data
+    (risers over clustered y values, chords between clusters, as in
+    :func:`interpolate`) with the ray {s * (dc, -1)}: shifting the input
+    by xi = -s moves a crossing s*(dc, -1) to (0, 0).  The crossing with
+    smallest |s| wins, the first along the staircase on a tie.  Raises
+    :class:`NoIntersectionError` when the curve misses the ray.
     """
     if len(data) < 2:
         raise NoIntersectionError(
             "need at least two data pairs to locate a crossing")
-    # Raw sort order inside an equal-y group is decided by rounding
-    # noise, so segments must come from the clustered staircase instead.
-    verts: list[tuple[float, float]] = []
-    for b in _cluster_breakpoints(data):
-        verts.append((b.y, b.v_lo))
-        if b.v_hi > b.v_lo:
-            verts.append((b.y, b.v_hi))
-    best_s = None
-    for (y0, v0), (y1, v1) in zip(verts, verts[1:]):
-        dy = y1 - y0
-        dv = v1 - v0
-        det = dy + dc * dv
-        if det == 0.0:
-            continue  # segment parallel to the ray
+    with np.errstate(all="ignore"):
+        # Rounding decides the order inside an equal-y group, so the
+        # vertices are (y, v_lo) of each breakpoint, (y, v_hi) of a riser.
+        (ys, los, his), _ = _clusters(data)
+        keep = np.repeat(his > los, 2)
+        keep[::2] = True
+        vy, vv = np.array((ys, los, ys, his)).T.reshape(-1, 2)[keep].T
+        y0, v0 = vy[:-1], vv[:-1]
+        dv = vv[1:] - v0
+        det = (vy[1:] - y0) + dc * dv
+        # det = 0 (a segment parallel to the ray) makes tau inf or NaN.
         tau = -(y0 + dc * v0) / det
-        if -1e-12 <= tau <= 1.0 + 1e-12:
-            s = -v0 - dv * tau
-            if best_s is None or abs(s) < abs(best_s):
-                best_s = s
-    if best_s is None:
+        s = (-v0 - dv * tau)[(-1e-12 <= tau) & (tau <= 1.0 + 1e-12)]
+    if not s.size:
         raise NoIntersectionError(
-            f"curve over y in [{verts[0][0]:.6g}, {verts[-1][0]:.6g}] never "
-            f"meets the ray through (0, 0) and ({dc:.6g}, -1)")
-    return -best_s
+            f"curve over y in [{float(ys[0]):.6g}, {float(ys[-1]):.6g}] "
+            f"never meets the ray through (0, 0) and ({dc:.6g}, -1)")
+    size = np.where(s == s, np.abs(s), np.inf)  # NaN wins only when first
+    return -float(s[0] if s[0] != s[0] else s[size.argmin()])
 
 
-def loop_transform_data(data: _Pairs,
-                        k: float) -> tuple[tuple[float, float], ...]:
+def loop_transform_data(data, k: float) -> np.ndarray:
     """Map samples of a monotone nonlinearity back to the slope-k class.
 
     Each pair (y, v) becomes (y + v/k, v).  ``interpolate(out,
@@ -346,4 +347,7 @@ def loop_transform_data(data: _Pairs,
     """
     if not (math.isfinite(k) and k > 0):
         raise ValueError("loop transform needs a finite positive slope")
-    return tuple((y + v / k, v) for y, v in data)
+    out = np.array(data, dtype=float).reshape(len(data), 2)
+    with np.errstate(all="ignore"):
+        out[:, 0] += out[:, 1] / k
+    return out

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import DomainError, EmptyResultError, ZeroResponseError
 from .lti import RationalFrequency, TransferFunction
 
-# Classification tolerances.  PHASE_TOL decides satisfied/boundary for the
-# window test; RESPONSE_MAG_TOL guards the undefined phase of a zero
-# response; KBAR_TIE_TOL groups near-equal bounds before tie-breaking.
+# Classification tolerances.  PHASE_TOL is the slack of the window test;
+# RESPONSE_MAG_TOL guards the undefined phase of a zero response;
+# KBAR_TIE_TOL groups near-equal bounds before tie-breaking.
 PHASE_TOL = 1e-9
 RESPONSE_MAG_TOL = 1e-12
 KBAR_TIE_TOL = 1e-12
@@ -61,7 +61,6 @@ class PhaseCheck:
     delta: float
     bound: float
     satisfied: bool
-    boundary: bool
 
 
 def phase_check(response: complex, freq: RationalFrequency,
@@ -76,10 +75,9 @@ def phase_check(response: complex, freq: RationalFrequency,
     delta = math.atan2(minus.imag, minus.real)
     bound = _window_halfwidth(freq, odd_variant)
     satisfied = abs(delta) <= bound + PHASE_TOL
-    boundary = abs(abs(delta) - bound) <= PHASE_TOL
     return PhaseCheck(freq=freq, response=complex(response),
                       odd_variant=odd_variant, delta=delta, bound=bound,
-                      satisfied=satisfied, boundary=boundary)
+                      satisfied=satisfied)
 
 
 class BoundKind(Enum):

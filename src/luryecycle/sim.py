@@ -116,7 +116,7 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
     f(y) = y + d*phi(y) - lin.  It works on the exact graph, not on the
     snapped values of phi.evaluate, whose small steps could hide a root.
     """
-    ys, vs, _ = phi.columns
+    ys, vs = phi.ys, phi.los
     m = len(ys)
     slopes = ([0.0]
               + [(v1 - v0) / (y1 - y0)

@@ -18,13 +18,17 @@ from hypothesis import strategies as st
 
 from luryecycle import (
     DomainError,
+    NoIntersectionError,
     NotMonotoneError,
     RationalFrequency,
     SingularMatrixError,
+    SlopeViolationError,
     TransferFunction,
 )
 from luryecycle.interp import (
+    INTERPOLABLE_TOL,
     ORIGIN_TOL,
+    SLOPE_SLACK,
     Y_TOL_FACTOR,
     Breakpoint,
     PiecewiseNonlinearity,
@@ -34,7 +38,13 @@ from luryecycle.interp import (
     odd_append,
 )
 from luryecycle.lti import PeriodicSignal, freq_response, periodic_response
-from luryecycle.phase import KBAR_TIE_TOL, BoundKind, SlopeBound
+from luryecycle.phase import (
+    KBAR_TIE_TOL,
+    PHASE_TOL,
+    BoundKind,
+    PhaseCheck,
+    SlopeBound,
+)
 from luryecycle.sim import _loop_solver, periodic_steady_state
 
 
@@ -316,6 +326,12 @@ def phase_window_holds(delta: float, T: int) -> bool:
     return abs(delta) <= math.pi / T
 
 
+def on_window_edge(check: PhaseCheck) -> bool:
+    """Whether a phase check's offset lies within PHASE_TOL of the
+    window edge."""
+    return abs(abs(check.delta) - check.bound) <= PHASE_TOL
+
+
 def slope_bound(response: complex, freq: RationalFrequency,
                 odd_variant: bool = False) -> SlopeBound:
     """Closed-form slope bound for one plant response, one float at a
@@ -512,15 +528,125 @@ def shift_data(data, xi: float,
 
 def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
     """Odd symmetry by scanning every breakpoint for each mirror, plus
-    containment of 0 in phi(0)."""
+    containment of 0 in phi(0).  phi needs only breakpoints and y_tol."""
     bps = phi.breakpoints
     for b in bps:
         if not any(abs(m.y + b.y) <= tol_y
                    and abs(m.v_lo + b.v_hi) <= tol_v
                    and abs(m.v_hi + b.v_lo) <= tol_v for m in bps):
             return False
-    lo, hi = phi.evaluate(0.0)
+    lo, hi = evaluate_reference(phi, 0.0)
     return lo <= ORIGIN_TOL and hi >= -ORIGIN_TOL
+
+
+def phi_from_breakpoints(bps, **kwargs) -> PiecewiseNonlinearity:
+    """The nonlinearity with these Breakpoint objects, from their
+    columns."""
+    return PiecewiseNonlinearity(tuple(b.y for b in bps),
+                                 tuple(b.v_lo for b in bps),
+                                 tuple(b.v_hi for b in bps), **kwargs)
+
+
+def float_bits(values) -> list[str]:
+    """Exact text of floats, so that a zero's sign counts."""
+    return [float(x).hex() for x in values]
+
+
+def breakpoint_bits(bps) -> list[list[str]]:
+    """float_bits of each breakpoint's y, v_lo and v_hi."""
+    return [float_bits((b.y, b.v_lo, b.v_hi)) for b in bps]
+
+
+class _Graph(NamedTuple):
+    """Breakpoints and snap width: what evaluate_reference reads."""
+
+    breakpoints: tuple[Breakpoint, ...]
+    y_tol: float
+
+
+def _clusters_reference(data) -> list[Breakpoint]:
+    """Sorts the pairs once and chains outputs whose consecutive gaps
+    are within the output width into clusters; each becomes one
+    breakpoint at the math.fsum mean of its outputs, holding its lowest
+    and highest value (the first such in sorted order)."""
+    pts = sorted(data)
+    eps = data_widths(data)[0]
+    bps = []
+    start = 0
+    for i in range(1, len(pts) + 1):
+        if i == len(pts) or pts[i][0] - pts[i - 1][0] > eps:
+            ys, vs = zip(*pts[start:i])
+            bps.append(Breakpoint(math.fsum(ys) / len(ys), min(vs), max(vs)))
+            start = i
+    return bps
+
+
+def interpolate_reference(data, slope_bound: float = math.inf
+                          ) -> tuple[tuple[Breakpoint, ...], bool]:
+    """Breakpoints and odd flag of the interpolant, pair by pair, or the
+    error interpolate raises, for a positive slope_bound: the chord test
+    between consecutive clusters, finiteness, the slope class (chord
+    slope inf when a breakpoint is multivalued), then odd detection
+    with the data's widths."""
+    bps = _clusters_reference(data)
+    slack = INTERPOLABLE_TOL * max(1.0, max(abs(v) for _, v in data))
+    if any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:])):
+        raise NotMonotoneError(
+            "data pairs admit no monotone interpolant (a chord decreases)")
+    for b in bps:
+        if not all(map(math.isfinite, (b.y, b.v_lo, b.v_hi))):
+            raise ValueError(f"breakpoint {b} is not finite")
+    if math.isfinite(slope_bound):
+        peak = max_chord_slope(bps)
+        if peak > slope_bound * (1.0 + SLOPE_SLACK):
+            raise SlopeViolationError(
+                f"transformed data needs chord slope {peak:.9g}, outside "
+                f"the class limit {slope_bound:.9g}")
+    graph = _Graph(tuple(bps),
+                   Y_TOL_FACTOR * max(1.0, max(abs(b.y) for b in bps)))
+    return graph.breakpoints, odd_reference(graph, *data_widths(data))
+
+
+def max_chord_slope(bps) -> float:
+    """Largest chord slope from (y_i, v_hi_i) to (y_{i+1}, v_lo_{i+1}),
+    at least 0, breakpoint by breakpoint; inf when one is multivalued."""
+    if any(b.v_lo != b.v_hi for b in bps):
+        return math.inf
+    peak = 0.0
+    for p, q in zip(bps, bps[1:]):
+        peak = max(peak, (q.v_lo - p.v_hi) / (q.y - p.y))
+    return peak
+
+
+def compute_shift_reference(data, dc: float) -> float:
+    """xi of the crossing nearest the origin (the first on a tie) of
+    the clustered staircase with the ray s*(dc, -1), one segment at a
+    time."""
+    if len(data) < 2:
+        raise NoIntersectionError(
+            "need at least two data pairs to locate a crossing")
+    verts: list[tuple[float, float]] = []
+    for b in _clusters_reference(data):
+        verts.append((b.y, b.v_lo))
+        if b.v_hi > b.v_lo:
+            verts.append((b.y, b.v_hi))
+    best_s = None
+    for (y0, v0), (y1, v1) in zip(verts, verts[1:]):
+        dy = y1 - y0
+        dv = v1 - v0
+        det = dy + dc * dv
+        if det == 0.0:
+            continue
+        tau = -(y0 + dc * v0) / det
+        if -1e-12 <= tau <= 1.0 + 1e-12:
+            s = -v0 - dv * tau
+            if best_s is None or abs(s) < abs(best_s):
+                best_s = s
+    if best_s is None:
+        raise NoIntersectionError(
+            f"curve over y in [{verts[0][0]:.6g}, {verts[-1][0]:.6g}] never "
+            f"meets the ray through (0, 0) and ({dc:.6g}, -1)")
+    return -best_s
 
 
 @st.composite
@@ -545,7 +671,7 @@ def dyadic_phis(draw, multivalued: bool = False):
             hi = draw(st.sampled_from([0.0, -0.0]))
         bps.append(Breakpoint(base + k * step, lo, hi))
         v = hi
-    return PiecewiseNonlinearity(tuple(bps))
+    return phi_from_breakpoints(bps)
 
 
 def probe_points(phi) -> list[float]:
@@ -700,7 +826,7 @@ def check_interpolation_invariants(rng: np.random.Generator,
 
         k = float(rng.uniform(0.5, 20.0))
         phi_k = interpolate(loop_transform_data(data, k))
-        peak = phi_k.max_chord_slope()
+        peak = max_chord_slope(phi_k.breakpoints)
         assert peak <= k * (1.0 + 1e-9), (pairs, k)
         if any(b.v_hi - b.v_lo > 1e-9 for b in phi.breakpoints):
             # a riser maps to a chord of slope exactly k

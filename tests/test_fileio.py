@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from luryecycle import (
     AnchorPlant,
     FileFormatError,
     PlantValidationError,
+    RationalFrequency,
     TransferFunction,
     load_phi,
     load_plant,
@@ -16,8 +18,15 @@ from luryecycle import (
     save_signals,
 )
 from luryecycle.fileio import phi_from_dict, phi_to_dict
-from luryecycle.interp import Breakpoint, PiecewiseNonlinearity
+from luryecycle.interp import (
+    PiecewiseNonlinearity,
+    interpolate,
+    loop_transform_data,
+    odd_append,
+)
 from luryecycle.lti import PeriodicSignal
+
+from helpers import breakpoint_bits, carrier_data, interpolate_reference
 
 
 class TestLoadPlant:
@@ -94,9 +103,8 @@ class TestLoadPlant:
 
 class TestPhiRoundTrip:
     def test_multivalued_odd(self, tmp_path):
-        phi = PiecewiseNonlinearity((Breakpoint(-1.0, -2.0, -1.0),
-                                     Breakpoint(0.0, -0.5, 0.5),
-                                     Breakpoint(1.0, 1.0, 2.0)), odd=True)
+        phi = PiecewiseNonlinearity((-1.0, 0.0, 1.0), (-2.0, -0.5, 1.0),
+                                    (-1.0, 0.5, 2.0), odd=True)
         path = tmp_path / "phi.json"
         save_phi(path, phi)
         again = load_phi(path)
@@ -104,16 +112,34 @@ class TestPhiRoundTrip:
         assert again.odd
         assert math.isinf(again.slope_bound)
 
+    def test_interpolated_phi_round_trips(self, tmp_path):
+        """phi built by interpolate reloads equal and with an equal hash,
+        and its breakpoints, built when first read, are the pair-by-pair
+        reference's bit for bit: odd and multivalued, and slope class."""
+        data = carrier_data(RationalFrequency(1, 5), math.pi / 20)
+        path = tmp_path / "phi.json"
+        for pairs, slope in ((data, math.inf), (odd_append(data), math.inf),
+                             (loop_transform_data(data, 2.0), 2.0)):
+            pairs = tuple(map(tuple, np.asarray(pairs).tolist()))
+            phi = interpolate(pairs, slope_bound=slope)
+            save_phi(path, phi)
+            again = load_phi(path)
+            assert again == phi
+            assert hash(again) == hash(phi)
+            want, odd = interpolate_reference(pairs, slope)
+            assert breakpoint_bits(again.breakpoints) == \
+                breakpoint_bits(want)
+            assert again.odd == odd
+
     def test_finite_slope_bound_survives(self, tmp_path):
-        phi = PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 0.0),
-                                     Breakpoint(1.0, 1.5, 1.5)),
+        phi = PiecewiseNonlinearity((0.0, 1.0), (0.0, 1.5), (0.0, 1.5),
                                     slope_bound=2.0)
         path = tmp_path / "phi.json"
         save_phi(path, phi)
         assert load_phi(path).slope_bound == 2.0
 
     def test_dict_encoding_uses_inf_string(self):
-        phi = PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 0.0),))
+        phi = PiecewiseNonlinearity((0.0,), (0.0,), (0.0,))
         doc = phi_to_dict(phi)
         assert doc["slope_bound"] == "inf"
         assert phi_from_dict(doc) == phi

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from luryecycle.interp import (
     odd_append,
 )
 
-from helpers import interpolates, shift_data
+from helpers import (
+    compute_shift_reference,
+    interpolates,
+    max_chord_slope,
+    phi_from_breakpoints,
+    shift_data,
+)
 
 
 def stair_data(omega: float, T: int,
@@ -53,66 +60,71 @@ class TestMonotoneInterpolable:
 class TestPiecewiseNonlinearity:
     def test_requires_breakpoints(self):
         with pytest.raises(ValueError):
-            PiecewiseNonlinearity(())
+            PiecewiseNonlinearity((), (), ())
 
     def test_requires_increasing_y(self):
-        bps = (Breakpoint(1.0, 0.0, 0.0), Breakpoint(0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity(bps)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseNonlinearity((1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
 
     def test_requires_interval_order(self):
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity((Breakpoint(0.0, 1.0, 0.0),))
+        with pytest.raises(ValueError, match="v_lo > v_hi"):
+            PiecewiseNonlinearity((0.0,), (1.0,), (0.0,))
 
     def test_requires_monotone_across_breakpoints(self):
-        bps = (Breakpoint(0.0, 0.0, 2.0), Breakpoint(1.0, 1.0, 3.0))
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity(bps)
+        with pytest.raises(ValueError, match="values decrease"):
+            PiecewiseNonlinearity((0.0, 1.0), (0.0, 1.0), (2.0, 3.0))
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0),
                                      (math.inf, 0.0, 0.0),
                                      (0.0, -math.inf, 0.0),
                                      (0.0, 0.0, math.nan)])
     def test_rejects_non_finite_breakpoint(self, bad):
-        with pytest.raises(ValueError, match="not finite"):
-            PiecewiseNonlinearity((Breakpoint(-1.0, -1.0, -1.0),
-                                   Breakpoint(*bad)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"breakpoint {Breakpoint(*bad)} is not finite")):
+            phi_from_breakpoints((Breakpoint(-1.0, -1.0, -1.0),
+                                  Breakpoint(*bad)))
 
-    def test_keeps_float_breakpoints_and_converts_others(self):
-        kept = Breakpoint(0.0, 0.0, 1.0)
-        other = Breakpoint(1, np.float64(2.0), 2)
-        phi = PiecewiseNonlinearity((kept, other))
-        assert phi.breakpoints[0] is kept
-        assert phi.breakpoints[1] == Breakpoint(1.0, 2.0, 2.0)
-        assert all(type(v) is float for v in (phi.breakpoints[1].y,
-                                              phi.breakpoints[1].v_lo,
-                                              phi.breakpoints[1].v_hi))
+    def test_converts_columns_to_float_tuples(self):
+        phi = PiecewiseNonlinearity([0, 1], (0.0, np.float64(2.0)),
+                                    np.array([1, 2]))
+        assert phi.ys == (0.0, 1.0)
+        assert phi.los == (0.0, 2.0)
+        assert phi.his == (1.0, 2.0)
+        assert all(type(v) is tuple for v in (phi.ys, phi.los, phi.his))
+        assert all(type(v) is float for v in phi.ys + phi.los + phi.his)
+        assert phi.breakpoints == (Breakpoint(0.0, 0.0, 1.0),
+                                   Breakpoint(1.0, 2.0, 2.0))
+        assert type(phi.breakpoints[1].v_lo) is float
+
+    def test_rejects_ragged_or_nested_columns(self):
+        with pytest.raises(ValueError):
+            PiecewiseNonlinearity((0.0, 1.0), (0.0,), (0.0,))
+        with pytest.raises(TypeError):
+            PiecewiseNonlinearity([[0.0, 1.0]], [[0.0, 1.0]], [[0.0, 1.0]])
 
     def test_rejects_nonpositive_slope_bound(self):
         with pytest.raises(ValueError):
-            PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 0.0),),
-                                  slope_bound=0.0)
+            PiecewiseNonlinearity((0.0,), (0.0,), (0.0,), slope_bound=0.0)
 
     def test_finite_slope_class_must_be_single_valued(self):
-        bps = (Breakpoint(0.0, 0.0, 1.0), Breakpoint(1.0, 2.0, 2.0))
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity(bps, slope_bound=5.0)
+        with pytest.raises(ValueError, match="multivalued"):
+            PiecewiseNonlinearity((0.0, 1.0), (0.0, 2.0), (1.0, 2.0),
+                                  slope_bound=5.0)
 
     def test_finite_slope_class_limits_chords(self):
-        bps = (Breakpoint(0.0, 0.0, 0.0), Breakpoint(1.0, 2.0, 2.0))
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity(bps, slope_bound=1.0)
-        phi = PiecewiseNonlinearity(bps, slope_bound=2.5)
-        assert phi.max_chord_slope() == pytest.approx(2.0)
+        cols = ((0.0, 1.0), (0.0, 2.0), (0.0, 2.0))
+        with pytest.raises(ValueError, match="chord slope 2 exceeds"):
+            PiecewiseNonlinearity(*cols, slope_bound=1.0)
+        phi = PiecewiseNonlinearity(*cols, slope_bound=2.5)
+        assert max_chord_slope(phi.breakpoints) == pytest.approx(2.0)
 
     def test_odd_flag_requires_symmetry(self):
-        with pytest.raises(ValueError):
-            PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 0.0),
-                                   Breakpoint(1.0, 2.0, 2.0)), odd=True)
+        with pytest.raises(ValueError, match="no mirror"):
+            PiecewiseNonlinearity((0.0, 1.0), (0.0, 2.0), (0.0, 2.0),
+                                  odd=True)
 
     def test_evaluation_regions(self):
-        phi = PiecewiseNonlinearity((Breakpoint(0.0, 0.0, 1.0),
-                                     Breakpoint(2.0, 3.0, 3.0)))
+        phi = PiecewiseNonlinearity((0.0, 2.0), (0.0, 3.0), (1.0, 3.0))
         assert phi.evaluate(0.0) == (0.0, 1.0)       # at a breakpoint
         assert phi.evaluate(1.0) == (2.0, 2.0)       # chord midpoint
         assert phi.evaluate(-5.0) == (0.0, 0.0)      # constant left tail
@@ -145,6 +157,20 @@ class TestInterpolate:
             [0.19098301, 0.5, 0.61803399, 0.5, 0.19098301], abs=1e-7)
         assert phi.odd
 
+    def test_odd_check_looks_past_a_failing_candidate(self):
+        # Mirror candidates of y = 1 are -1 - 1.5e-8 (outside the width
+        # 1e-8) and -1 (the mirror); both lie within twice the width.
+        ys = (-1.0 - 1.5e-8, -1.0, 0.0, 1.0, 1.0 + 1.5e-8)
+        assert interpolate(tuple(zip(ys, ys))).odd
+        PiecewiseNonlinearity(ys, ys, ys, odd=True)
+
+    def test_breakpoint_at_a_mean_of_zeros_is_positive_zero(self):
+        # as math.fsum gives it, for one output and for two
+        phi = interpolate(((-0.0, 0.0), (1.0, 1.0)))
+        assert math.copysign(1.0, phi.ys[0]) == 1.0
+        phi = interpolate(((-0.0, 0.0), (-0.0, 0.5), (1.0, 1.0)))
+        assert math.copysign(1.0, phi.ys[0]) == 1.0
+
     def test_detects_odd_symmetry(self):
         data = ((-1.0, -2.0), (0.0, 0.0), (1.0, 2.0))
         assert interpolate(data).odd
@@ -164,11 +190,32 @@ class TestInterpolate:
                 assert interval_distance(phi.evaluate(y), v) <= 1e-9
 
 
+class TestDataPairs:
+    @pytest.mark.parametrize("fn", [interpolate, odd_append])
+    def test_rejects_empty_or_misshapen_data(self, fn):
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            fn(())
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            fn(((0.0, 1.0, 2.0),))
+
+    def test_loop_transform_keeps_the_pair_shape(self):
+        assert loop_transform_data((), 2.0).shape == (0, 2)
+        with pytest.raises(ValueError):
+            loop_transform_data(((0.0, 1.0, 2.0),), 2.0)
+
+    def test_arrays_and_pair_tuples_agree(self):
+        data = ((0.0, 0.0), (0.0, 1.0), (1.0, 1.5), (-1.0, -0.5))
+        assert interpolate(np.array(data)) == interpolate(data)
+        assert compute_shift(np.array(data), 2.0) == compute_shift(data, 2.0)
+        assert odd_append(np.array(data)).tolist() == \
+            odd_append(data).tolist()
+
+
 class TestOddAppend:
     def test_adds_reflection(self):
         data = ((1.0, 2.0),)
         out = odd_append(data)
-        assert sorted(out) == [(-1.0, -2.0), (1.0, 2.0)]
+        assert out.tolist() == [[-1.0, -2.0], [1.0, 2.0]]
 
     def test_deduplicates_existing_reflection(self):
         data = ((-1.0, -2.0), (1.0, 2.0), (0.0, 0.0))
@@ -199,6 +246,28 @@ class TestShift:
         xi = compute_shift(data, 10.0)
         assert xi == pytest.approx(0.0, abs=1e-12)
 
+    def test_tie_takes_the_first_crossing_along_the_staircase(self):
+        # Both segments at the origin cross there; the first gives -0.0.
+        data = ((-1.0, -1.0), (-0.0, 0.0), (0.0, 1.0))
+        assert math.copysign(1.0, compute_shift(data, -0.5)) == -1.0
+
+    @pytest.mark.parametrize("data, dc", [
+        (((-0.95, -1.0), (1.0, -1e308), (1e-8, -1e308), (-0.0, 1.7e308)),
+         -0.5),
+        (((0.0, -1.7e308), (-1.0, -1.0), (5e-324, 1e308), (-0.0, 1e308),
+          (1e-8, 0.0)), 1.0),
+    ])
+    def test_overflowing_crossings_match_the_reference(self, data, dc):
+        # Values near the float limit make some crossings NaN; the first
+        # crossing decides as the float loop did.
+        want = compute_shift_reference(data, dc)
+        assert compute_shift(data, dc).hex() == want.hex()
+
+    def test_segment_on_the_ray_line_is_parallel_not_a_crossing(self):
+        # (1, -1) to (2, -2) lies on the line y + v = 0 of the ray s*(1, -1)
+        with pytest.raises(NoIntersectionError):
+            compute_shift(((1.0, -1.0), (2.0, -2.0)), 1.0)
+
     def test_no_crossing_raises(self):
         data = ((1.0, 2.0), (2.0, 3.0))
         with pytest.raises(NoIntersectionError):
@@ -218,14 +287,14 @@ class TestLoopTransform:
     def test_transform_tilts_by_inverse_slope(self):
         data = ((0.0, 0.0), (1.0, 2.0))
         out = loop_transform_data(data, 4.0)
-        assert sorted(out) == [(0.0, 0.0), (1.5, 2.0)]
+        assert out.tolist() == [[0.0, 0.0], [1.5, 2.0]]
 
     def test_riser_becomes_exact_slope_k_chord(self):
         data = ((0.0, 0.0), (0.0, 1.0), (2.0, 2.0))
         out = loop_transform_data(data, 2.0)
         phi = interpolate(out, slope_bound=2.0)
         assert phi.is_single_valued
-        assert phi.max_chord_slope() == pytest.approx(2.0)
+        assert max_chord_slope(phi.breakpoints) == pytest.approx(2.0)
 
     def test_violation_detected_after_reclustering(self):
         # With a huge slope the transform barely separates the riser, the

@@ -1,34 +1,46 @@
-"""Property tests: the sorted sweeps of the interpolation layer against
-their all-pairs references in helpers.
+"""Property tests: the columnar interpolation layer against its
+pair-by-pair and all-pairs references in helpers.
 
 Grid data puts outputs and values on coarse grids and then moves every
 coordinate by a few units in the last place, so equal grid points form
 clusters whose y differ only at rounding level.  On such data the chord
 test and the cluster test must agree exactly: a real violation is a
 whole grid step, a rounding-level one is far inside both tolerances.
+
+Cluster data puts outputs within about one clustering width of a grid
+point, so neighbours fall just inside or just outside the width; there
+the columnar functions must give the pair-by-pair references' results
+bit for bit.
 """
 
 import math
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from luryecycle import LuryecycleError
 from luryecycle.interp import (
     Breakpoint,
     PiecewiseNonlinearity,
     Y_TOL_FACTOR,
+    compute_shift,
     interpolate,
     odd_append,
 )
 
 from helpers import (
+    compute_shift_reference,
     data_widths,
     dyadic_phis,
     evaluate_reference,
+    float_bits,
+    interpolate_reference,
     interpolates,
     monotone_interpolable_reference,
     odd_append_reference,
     odd_reference,
+    phi_from_breakpoints,
     probe_points,
 )
 
@@ -73,6 +85,82 @@ float_data = st.lists(st.tuples(finite, finite), min_size=1,
                       max_size=20).map(tuple)
 
 
+@st.composite
+def cluster_data(draw):
+    """1-60 pairs: outputs k*unit on a grid k = -4..4, each moved by j =
+    -2..2 steps of a fraction near 1 of the clustering width, values
+    k + j/10, which rise with y but spread over a cluster, each moved by
+    up to two steps of 0.6 value widths, and a zero of either sign
+    wherever a coordinate is 0 (k and j are 0 more often).  Optionally
+    one swap of values (a decreasing chord) and a reflection through the
+    origin."""
+    n = draw(st.integers(1, 60))
+    unit = draw(st.sampled_from([1.0, 0.25, 1e-9, 1e3]))
+    often_zero = st.one_of(st.just(0), st.integers(-4, 4))
+    ks = draw(st.lists(often_zero, min_size=n, max_size=n))
+    width = Y_TOL_FACTOR * max(1.0, max(abs(k) for k in ks) * unit)
+    step = draw(st.sampled_from([0.5, 0.999, 1.0, 1.001])) * width
+    v_step = 0.6 * Y_TOL_FACTOR * max(1.0, max(abs(k) for k in ks) + 0.2)
+    zero = st.sampled_from([0.0, -0.0])
+    pairs = []
+    for k in ks:
+        j = max(-2, min(2, draw(often_zero)))
+        y = k * unit + j * step
+        v = k + j / 10 + draw(st.sampled_from([0, 0, 0, 1, 2])) * v_step
+        pairs.append((draw(zero) if y == 0.0 else y,
+                      draw(zero) if v == 0.0 else v))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        (yi, vi), (yj, vj) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (yi, vj), (yj, vi)
+    if n <= 30 and draw(st.booleans()):
+        pairs += [(-y, -v) for y, v in pairs]
+    return tuple(draw(st.permutations(pairs)))
+
+
+slopes = st.sampled_from([math.inf, math.inf, 0.5, 1.0, 4.0, 1e9])
+
+
+def _raised(exc: Exception) -> tuple[str, str]:
+    return type(exc).__name__, str(exc)
+
+
+@given(cluster_data(), slopes, st.booleans())
+def test_interpolate_matches_pair_reference(data, slope, transform):
+    """Columns, odd flag, or error type and message, bit for bit; with
+    transform, the data is first moved into the slope class's frame."""
+    if transform and math.isfinite(slope):
+        data = tuple((y + v / slope, v) for y, v in data)
+    try:
+        bps, odd = interpolate_reference(data, slope)
+        want = ([float_bits(b.y for b in bps), float_bits(b.v_lo for b in bps),
+                 float_bits(b.v_hi for b in bps)], odd)
+    except (LuryecycleError, ValueError) as exc:
+        want = _raised(exc)
+    try:
+        phi = interpolate(np.array(data), slope_bound=slope)
+        got = ([float_bits(phi.ys), float_bits(phi.los), float_bits(phi.his)],
+               phi.odd)
+    except (LuryecycleError, ValueError) as exc:
+        got = _raised(exc)
+    assert got == want
+
+
+@given(cluster_data(), st.sampled_from([1.0, -0.5, 2.0, 0.0, 1e-3, -40.0]))
+def test_compute_shift_matches_pair_reference(data, dc):
+    """xi bit for bit, or the same error type and message."""
+    try:
+        want = float_bits([compute_shift_reference(data, dc)])
+    except LuryecycleError as exc:
+        want = _raised(exc)
+    try:
+        got = float_bits([compute_shift(np.array(data), dc)])
+    except LuryecycleError as exc:
+        got = _raised(exc)
+    assert got == want
+
+
 @given(grid_data())
 def test_chord_test_matches_all_pairs_reference(data):
     assert interpolates(data) == monotone_interpolable_reference(data)
@@ -84,11 +172,12 @@ def test_odd_appended_chord_test_matches_reference(data):
     assert interpolates(out) == monotone_interpolable_reference(out)
 
 
-@given(st.one_of(grid_data(), grid_data(first_quadrant=True), float_data))
+@given(st.one_of(grid_data(), grid_data(first_quadrant=True), float_data,
+                cluster_data()))
 def test_odd_append_matches_reference(data):
     out = odd_append(data)
     ref = odd_append_reference(data)
-    assert out == ref
+    assert list(map(float_bits, out.tolist())) == list(map(float_bits, ref))
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()))
@@ -105,7 +194,7 @@ def test_detected_odd_flag_passes_the_constructor_check(data):
     assume(interpolates(data))
     phi = interpolate(data)
     assume(phi.odd)
-    assert PiecewiseNonlinearity(phi.breakpoints, odd=True) == phi
+    assert PiecewiseNonlinearity(phi.ys, phi.los, phi.his, odd=True) == phi
 
 
 def _outcome(fn, y: float) -> str:
@@ -146,11 +235,11 @@ def test_odd_flag_check_matches_reference(data, which, shift):
         width = Y_TOL_FACTOR * max(1.0, max(abs(p.y) for p in bps))
         dy = math.copysign(shift * width, -1.0 if i == 0 else 1.0)
         bps[i] = Breakpoint(b.y + dy, b.v_lo, b.v_hi)
-    plain = PiecewiseNonlinearity(tuple(bps))
+    plain = phi_from_breakpoints(bps)
     tol_v = Y_TOL_FACTOR * max(1.0, max(abs(b.v_hi) for b in bps))
     want = odd_reference(plain, plain.y_tol, tol_v)
     try:
-        PiecewiseNonlinearity(tuple(bps), odd=True)
+        phi_from_breakpoints(bps, odd=True)
         got = True
     except ValueError:
         got = False

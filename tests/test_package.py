@@ -15,7 +15,8 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "interpolation_residual_reference", "evaluate_reference",
            "shift_data", "slope_bound", "_sorted_feasible", "_sweep_rows",
            "realize", "StateSpaceRealization", "monotone_interpolable",
-           "DataPairSet")
+           "DataPairSet", "interpolate_reference", "compute_shift_reference",
+           "max_chord_slope", "on_window_edge")
 
 
 def test_every_exported_name_resolves():
@@ -36,6 +37,8 @@ def test_oracles_are_not_exported():
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(lti.TransferFunction, "add_constant")
     assert not hasattr(interp.PiecewiseNonlinearity, "scalar")
+    assert not hasattr(interp.PiecewiseNonlinearity, "max_chord_slope")
+    assert "boundary" not in phase.PhaseCheck.__dataclass_fields__
 
 
 def test_cli_start_does_not_load_numpy_fft(plant_file):

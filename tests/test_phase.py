@@ -31,6 +31,7 @@ from luryecycle.phase import (
 from helpers import (
     coprime_pairs,
     kbar_or_inf,
+    on_window_edge,
     phase_window_holds,
     random_stable_tf,
     sorted_feasible,
@@ -77,14 +78,14 @@ class TestPhaseCheck:
         assert chk.response == pytest.approx(
             -1.4197572177829966 - 0.31408378933125235j, abs=1e-12)
         assert chk.satisfied
-        assert not chk.boundary
+        assert not on_window_edge(chk)
         assert abs(chk.delta) <= chk.bound == pytest.approx(math.pi / 7)
 
     def test_boundary_flag_on_exact_window_edge(self):
         resp = -complex(math.cos(math.pi / 7), math.sin(math.pi / 7))
         chk = phase_check(resp, F27)
         assert chk.satisfied
-        assert chk.boundary
+        assert on_window_edge(chk)
         assert chk.delta == pytest.approx(math.pi / 7)
 
     def test_outside_window_not_satisfied(self):

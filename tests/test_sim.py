@@ -15,7 +15,6 @@ from luryecycle import (
     verify_cycle,
 )
 from luryecycle.interp import (
-    Breakpoint,
     PiecewiseNonlinearity,
     interpolate,
 )
@@ -34,8 +33,7 @@ MARGIN_COUNTEREXAMPLE = TransferFunction((-0.36627, -0.11472),
 
 def line(slope: float, width: float = 100.0) -> PiecewiseNonlinearity:
     v = slope * width
-    return PiecewiseNonlinearity((Breakpoint(-width, -v, -v),
-                                  Breakpoint(width, v, v)),
+    return PiecewiseNonlinearity((-width, width), (-v, v), (-v, v),
                                  slope_bound=slope)
 
 
@@ -77,7 +75,7 @@ class TestPeriodicSteadyState:
 
 class TestClosedLoopSimulation:
     def test_multivalued_phi_rejected(self, example_plant):
-        phi = PiecewiseNonlinearity((Breakpoint(0.0, -1.0, 1.0),))
+        phi = PiecewiseNonlinearity((0.0,), (-1.0,), (1.0,))
         with pytest.raises(MultivaluedPhiError):
             simulate_closed_loop(example_plant, phi, np.zeros(2), 5)
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luryecycle import AlgebraicLoopError, TransferFunction
-from luryecycle.interp import Breakpoint, PiecewiseNonlinearity
+from luryecycle.interp import PiecewiseNonlinearity
 from luryecycle.sim import (
     _loop_solver,
     interpolation_residual,
@@ -46,11 +46,11 @@ def monotone_phis(draw):
     rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
                           min_size=len(ys), max_size=len(ys)))
     v = draw(coords)
-    bps = []
-    for y, rise in zip(ys, rises):
+    vs = []
+    for rise in rises:
         v += rise
-        bps.append(Breakpoint(y, v, v))
-    return PiecewiseNonlinearity(tuple(bps))
+        vs.append(v)
+    return PiecewiseNonlinearity(ys, vs, vs)
 
 
 gains = st.tuples(st.floats(1e-3, 20.0), st.sampled_from((-1.0, 1.0))).map(

@@ -15,7 +15,14 @@ feedthrough simulation.  Measurements:
 - construct.build_certificate at T = 7, 101, 301 and 1001, the
   frequencies (T - 1, T): in the monotone class with the even window
   (keys "T=<T>"), and with slope 1.0001*kbar in the even and the odd
-  window (keys "T=<T> even k" and "T=<T> odd k");
+  window (keys "T=<T> even k" and "T=<T> odd k"); and for the anchor
+  that pins the plant's response and dc gain at that frequency, in the
+  monotone class (keys "T=<T> anchor"), which is interpolation work
+  only;
+- interp.interpolate, interp.compute_shift and interp.odd_append at
+  the same T, each on the arguments that build_certificate passes it
+  (the monotone build for the first two, the odd slope-k build for
+  odd_append), in whatever form the checkout's construct uses;
 - sim.simulate_closed_loop for 20 periods, driven by the phi of the
   T = 1001 monotone certificate, with D = 0 and D = 0.3; at the
   benchmark's cycle_long sizes, T = 101 and 301 with the phi of the
@@ -58,13 +65,32 @@ def _min_ms(fn, repeats: int) -> float:
     return round(best * 1e3, 3)
 
 
+def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
+    """The arguments and keywords of the first call that
+    build_certificate makes to the interpolation function `name`, which
+    construct imports."""
+    fn = getattr(construct, name)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return fn(*args, **kw)
+
+    setattr(construct, name, spy)
+    try:
+        construct.build_certificate(plant, freq, **kwargs)
+    finally:
+        setattr(construct, name, fn)
+    return calls[0]
+
+
 def measure(repeats: int) -> dict[str, float]:
     from click.testing import CliRunner
 
-    from luryecycle import RationalFrequency, TransferFunction, sim
+    from luryecycle import RationalFrequency, TransferFunction, construct, sim
     from luryecycle.cli import cli
-    from luryecycle.construct import build_certificate
-    from luryecycle.lti import freq_response
+    from luryecycle.construct import AnchorPlant, build_certificate
+    from luryecycle.lti import dc_gain, freq_response
     from luryecycle.phase import grid_search, sweep_entries
     from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
@@ -80,11 +106,11 @@ def measure(repeats: int) -> dict[str, float]:
         lambda: grid_search(g, SWEEP_BETA_MAX[-1]), repeats)
     for T in PERIODS:
         freq = RationalFrequency(T - 1, T)
+        resp = freq_response(g, freq.omega)
         out[f"construct.build_certificate T={T}"] = _min_ms(
             lambda: build_certificate(g, freq), repeats)
         for odd in (False, True):
             # the closed-form bound; (T - 1, T) lies in its window
-            resp = freq_response(g, freq.omega)
             t = math.tan(math.pi / (2 * T if odd else T))
             kbar = -t / (resp.real * t + abs(resp.imag))
             label = f"T={T} {'odd' if odd else 'even'} k"
@@ -95,6 +121,16 @@ def measure(repeats: int) -> dict[str, float]:
             if T in SIM_CYCLE_PERIODS:
                 slope_certs[label] = build_certificate(
                     g, freq, odd=odd, slope=SLOPE_MARGIN * kbar)
+        anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
+        out[f"construct.build_certificate T={T} anchor"] = _min_ms(
+            lambda: build_certificate(anchor, freq), repeats)
+        for name, kwargs in (("interpolate", {}), ("compute_shift", {}),
+                             ("odd_append", {"odd": True,
+                                             "slope": SLOPE_MARGIN * kbar})):
+            args, kw = _arguments(construct, name, g, freq, kwargs)
+            fn = getattr(construct, name)
+            out[f"interp.{name} T={T}"] = _min_ms(lambda: fn(*args, **kw),
+                                                   repeats)
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
     for label, plant in (("0", g), (str(FEEDTHROUGH), g_d)):
