@@ -42,6 +42,9 @@ def _coeff_list(raw, key: str) -> tuple[float, ...]:
         raise PlantValidationError(f'"{key}" must be a non-empty list')
     try:
         return tuple(float(c) for c in raw)
+    except OverflowError as exc:
+        raise PlantValidationError(
+            f'"{key}" holds an entry beyond the float range') from exc
     except (TypeError, ValueError) as exc:
         raise PlantValidationError(f'"{key}" holds a non-numeric entry') from exc
 
@@ -68,7 +71,7 @@ def load_plant(path) -> Plant:
                 omega=float(anchor["omega"]),
                 value=complex(float(anchor["re"]), float(anchor["im"])),
                 dc=None if dc is None else float(dc))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise PlantValidationError(f"bad anchor values: {exc}") from exc
     if "num" in doc and "den" in doc:
         return TransferFunction(_coeff_list(doc["num"], "num"),
@@ -103,7 +106,7 @@ def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
         return PiecewiseNonlinearity(*([b[k] for b in doc["breakpoints"]]
                                        for k in ("y", "v_lo", "v_hi")),
                                      odd=bool(doc["odd"]), slope_bound=slope)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad nonlinearity document: {exc}") from exc
 
 

@@ -16,6 +16,15 @@ one O(n) appendleft.  The closed-loop simulation runs a step function
 compiled once per order n: it holds x in n local floats and writes out
 every product and sum, left to right from 0.0.
 
+The simulation steps in chunks of one period T.  At each chunk start it
+packs the n floats of x into bytes and looks them up among the earlier
+chunk starts; bit patterns, not ==, so -0.0 and 0.0 differ and a NaN
+matches itself.  A step is a pure function of those n floats (C, A[0],
+phi and the loop solver below are fixed for the run), so when the state
+at step k repeats the one at step j, the rest of the run repeats steps
+j..k-1: the stepping stops there and the trajectories are filled by
+tiling that stretch, bit for bit what stepping on would give.
+
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
 linear, so the simulation solves it exactly, piece by piece, on phi's
@@ -28,6 +37,7 @@ a damped iteration y <- y + (lin - D*phi(y) - y)/2 climbs to.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -157,9 +167,11 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
 # a fixed order: y = 0.0 + c0*x0 + ... (then y = solve(y) when D != 0),
 # w = 0.0 + a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one
 # assignment each (for n >= 4 faster than one tuple assignment).  The
-# state lives in the local floats x0..x{n-1}.
+# state lives in the local floats x0..x{n-1}.  The steps run in chunks
+# of one period with the repeat check of the module docstring; the third
+# result is the earlier chunk start whose state repeated, or None.
 _KERNEL = """\
-def simulate(c, a, x, value, solve, steps):
+def simulate(c, a, x, value, solve, steps, period, pack):
     [{c}] = c
     [{a}] = a
     [{x}] = x
@@ -167,11 +179,17 @@ def simulate(c, a, x, value, solve, steps):
     us = []
     y_out = ys.append
     u_out = us.append
-    for _ in range(steps):
-{body}        u = -value(y)
-        y_out(y)
-        u_out(u)
-{update}    return ys, us
+    starts = {{}}
+    for start in range(0, steps, period):
+        key = pack({x})
+        if key in starts:
+            return ys, us, starts[key]
+        starts[key] = start
+        for _ in range(min(period, steps - start)):
+{body}            u = -value(y)
+            y_out(y)
+            u_out(u)
+{update}    return ys, us, None
 """
 # A sum continues on a new line after this many terms: the compiler
 # recurses once per term of a chained sum, and fails near 3000.
@@ -184,7 +202,7 @@ def _sum_lines(target: str, terms: list[str]) -> str:
     lines, head = [], "0.0"
     for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
         chunk = " + ".join([head, *terms[i:i + _TERMS_PER_LINE]])
-        lines.append(f"        {target} = {chunk}\n")
+        lines.append(f"            {target} = {chunk}\n")
         head = target
     return "".join(lines)
 
@@ -201,11 +219,11 @@ def _closed_loop_kernel(n: int, feedthrough: bool):
 
     body = _sum_lines("y", products("c"))
     if feedthrough:
-        body += "        y = solve(y)\n"
+        body += "            y = solve(y)\n"
     update = "".join(
         [_sum_lines("w", products("a") + ["u"])]
-        + [f"        x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
-        + ["        x0 = w\n"]) if n else ""
+        + [f"            x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
+        + ["            x0 = w\n"]) if n else ""
     source = _KERNEL.format(c=", ".join(names("c")), a=", ".join(names("a")),
                             x=", ".join(names("x")), body=body, update=update)
     namespace = {}
@@ -214,14 +232,18 @@ def _closed_loop_kernel(n: int, feedthrough: bool):
 
 
 def simulate_closed_loop(plant: TransferFunction,
-                         phi: PiecewiseNonlinearity, x0,
-                         steps: int) -> tuple[np.ndarray, np.ndarray]:
+                         phi: PiecewiseNonlinearity, x0, steps: int,
+                         period: int | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the plant's companion form x+ = A x + B u, y = C x + D u
     in the loop u = -phi(y), from the initial state x0.
 
     phi must be single-valued.  Returns the (y, u) trajectories.  With
     D != 0 each output is the exact loop root described in the module
     docstring, and a non-finite C x raises :class:`AlgebraicLoopError`.
+    The state is compared bit for bit at every multiple of period (by
+    default only at step 0); from the first repeat on the rest of the
+    run is tiled, as described in the module docstring.
     """
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
@@ -230,12 +252,21 @@ def simulate_closed_loop(plant: TransferFunction,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise ValueError(f"initial state must have length {n}")
+    chunk = max(steps, 1) if period is None else period
+    if chunk < 1:
+        raise ValueError(f"period must be positive, got {period}")
     a0, c, d = _companion_rows(plant)
     solve = _loop_solver(phi, d) if d != 0.0 else None
     # phi.bounds[0] is phi itself, phi being single-valued
-    ys, us = _closed_loop_kernel(n, solve is not None)(
-        c, a0, x.tolist(), phi.bounds[0], solve, steps)
-    return np.array(ys, dtype=float), np.array(us, dtype=float)
+    ys, us, start = _closed_loop_kernel(n, solve is not None)(
+        c, a0, x.tolist(), phi.bounds[0], solve, steps, chunk,
+        struct.Struct(f"<{n}d").pack)
+    y, u = np.array(ys, dtype=float), np.array(us, dtype=float)
+    if start is not None:
+        # the state after ys repeats the one at step start
+        y = np.concatenate((y[:start], np.resize(y[start:], steps - start)))
+        u = np.concatenate((u[:start], np.resize(u[start:], steps - start)))
+    return y, u
 
 
 @dataclass(frozen=True)
@@ -265,15 +296,20 @@ class CycleVerdict:
 
 def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
                            u_values) -> float:
-    """Worst distance of -u_k from the value set phi(y_k), in one pass
-    with phi's cached bound functions.  As in a max over
-    interval_distance, a NaN distance counts as 0."""
+    """Worst distance of -u_k from the value set phi(y_k), with one pass
+    of each of phi's cached bound functions over the samples (of lower
+    only, when phi is single-valued).  As in a max over
+    interval_distance, a NaN distance counts as 0, and no distance gives
+    +0.0."""
     lower, upper = phi.bounds
-    worst = 0.0
-    for y, u in zip(y_values, u_values):
-        y, u = float(y), float(u)
-        worst = max(worst, lower(y) + u, -u - upper(y))
-    return worst
+    ys = np.asarray(y_values, dtype=float).tolist()
+    u = np.asarray(u_values, dtype=float)
+    lo = np.array(list(map(lower, ys)))
+    hi = lo if phi.is_single_valued else np.array(list(map(upper, ys)))
+    with np.errstate(all="ignore"):
+        worst = np.fmax(lo + u, -u - hi)
+    # + 0.0 turns a -0.0 that fmax may keep into +0.0
+    return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
 
 
 def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
@@ -299,7 +335,7 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     trajectory = None
     if phi.is_single_valued:
         x0 = periodic_steady_state(plant, u)
-        trajectory = simulate_closed_loop(plant, phi, x0, periods * T)
+        trajectory = simulate_closed_loop(plant, phi, x0, periods * T, T)
         ysim = trajectory[0]
         # np.max keeps a NaN that Python's max would drop
         res_per = float(np.max(np.abs(ysim[T:] - ysim[:-T]), initial=res_per))

@@ -39,6 +39,8 @@ from helpers import (
 
 # G(z) = -1.7e308 z / (z + 0.5): G(e^{jw}) overflows near w = pi.
 NEAR_OVERFLOW = {"num": [-1.7e308, 0], "den": [1, 0.5]}
+# A JSON integer beyond the float range: float() raises OverflowError.
+HUGE_INT = 10**400
 
 
 @pytest.fixture
@@ -187,6 +189,15 @@ class TestNyquist:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "finite" in result.output
 
+    def test_coefficient_beyond_float_range_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"num": [HUGE_INT, 0.0],
+                                   "den": [1.0, -1.8, 0.81]}))
+        result = runner.invoke(cli, ["nyquist", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert '"num" holds an entry beyond the float range' in result.output
+
 
 class TestPhaseSweep:
     def test_csv_lists_best_pair_first(self, runner, plant_file):
@@ -294,6 +305,22 @@ class TestConstruct:
             "--signals", str(tmp_path / "s.csv")])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("key", ["omega", "re", "dc"])
+    def test_anchor_value_beyond_float_range_exits_2(self, runner, tmp_path,
+                                                     key):
+        doc = {"anchor": {"omega": 0.6, "re": -0.9, "im": -0.3}, "dc": 1.0}
+        if key == "dc":
+            doc["dc"] = HUGE_INT
+        else:
+            doc["anchor"][key] = HUGE_INT
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["construct", str(bad), "--alpha", "1",
+                                     "--beta", "10"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "bad anchor values" in result.output
+
     def test_non_coprime_pair_is_usage_error(self, runner, plant_file):
         result = runner.invoke(cli, [
             "construct", str(plant_file), "--alpha", "2", "--beta", "4"])
@@ -400,6 +427,24 @@ class TestVerify:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "not finite" in result.output
+        assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("key", ["v_lo", "slope_bound"])
+    def test_phi_value_beyond_float_range_exits_2(self, runner, plant_file,
+                                                  artifacts, tmp_path, key):
+        out, sig = artifacts
+        doc = json.loads(out.read_text())
+        if key == "slope_bound":
+            doc[key] = HUGE_INT
+        else:
+            doc["breakpoints"][0][key] = HUGE_INT
+        bad = tmp_path / "huge_phi.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["verify", str(plant_file), str(bad),
+                                     str(sig)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "bad nonlinearity document" in result.output
         assert "PASS" not in result.output
 
     def test_nan_signal_sample_exits_2(self, runner, plant_file, tmp_path):

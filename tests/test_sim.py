@@ -20,9 +20,19 @@ from luryecycle.interp import (
 )
 from luryecycle import sim
 from luryecycle.lti import PeriodicSignal
-from luryecycle.sim import periodic_steady_state, simulate_closed_loop
+from luryecycle.sim import (
+    interpolation_residual,
+    periodic_steady_state,
+    simulate_closed_loop,
+)
 
-from helpers import closed_loop_radius, realize, simulate_linear
+from helpers import (
+    closed_loop_radius,
+    float_bits,
+    realize,
+    simulate_closed_loop_reference,
+    simulate_linear,
+)
 
 DELAY = TransferFunction((0.0, 1.0), (1.0, 0.0))  # G(z) = 1/z
 # A narrow instability window that a 1000-step gain scan up to 1e4
@@ -35,6 +45,15 @@ def line(slope: float, width: float = 100.0) -> PiecewiseNonlinearity:
     v = slope * width
     return PiecewiseNonlinearity((-width, width), (-v, v), (-v, v),
                                  slope_bound=slope)
+
+
+def phi_calls(phi: PiecewiseNonlinearity) -> list[float]:
+    """The outputs at which phi's lower bound is evaluated from now on,
+    appended as the calls happen."""
+    lower, upper = phi.bounds
+    calls = []
+    phi.__dict__["bounds"] = (lambda y: calls.append(y) or lower(y), upper)
+    return calls
 
 
 class TestLinearSimulation:
@@ -132,6 +151,47 @@ class TestClosedLoopSimulation:
             assert us[k] == pytest.approx(-4.0 * ys[k], rel=1e-15)
             x = 0.5 * x + us[k]
 
+    def test_non_positive_period_rejected(self, example_plant):
+        for period in (0, -7):
+            with pytest.raises(ValueError, match="period must be positive"):
+                simulate_closed_loop(example_plant, line(0.2), np.zeros(2),
+                                     5, period)
+
+    def test_state_repeat_ends_the_stepping(self, example_plant):
+        # The (2, 7) cycle's state at a period start repeats bit for bit
+        # within 20 periods: the simulation evaluates phi on fewer than
+        # 20*T outputs and tiles the rest, and the verdict's trajectory
+        # is the full per-step run.
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        steps = 20 * 7
+        x0 = periodic_steady_state(example_plant, cert.u)
+        want = simulate_closed_loop_reference(realize(example_plant),
+                                              cert.phi, x0, steps)
+        calls = phi_calls(cert.phi)
+        ys, us = simulate_closed_loop(example_plant, cert.phi, x0, steps, 7)
+        assert 0 < len(calls) < steps
+        assert float_bits(ys) == float_bits(want[0])
+        assert float_bits(us) == float_bits(want[1])
+        calls.clear()
+        verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y)
+        # the residual evaluates phi once per sample of the stored cycle
+        assert len(calls) < steps + 7
+        assert verdict.ok()
+        assert float_bits(verdict.trajectory[0]) == float_bits(want[0])
+        assert float_bits(verdict.trajectory[1]) == float_bits(want[1])
+
+    def test_repeat_spanning_two_periods_is_tiled_whole(self):
+        # Under u = -y the delay 1/z flips the sign of its state every
+        # step.  With period 1 the state at step 2 repeats that at step
+        # 0, not that at step 1: two steps run and [1, -1] is tiled.
+        phi = line(1.0)
+        calls = phi_calls(phi)
+        ys, us = simulate_closed_loop(DELAY, phi, [1.0], 7, 1)
+        assert calls == [1.0, -1.0]
+        assert ys.tolist() == [1.0, -1.0] * 3 + [1.0]
+        assert us.tolist() == [-1.0, 1.0] * 3 + [-1.0]
+
 
 class TestVerifyCycle:
     def test_delay_boundary_cycle(self):
@@ -211,6 +271,16 @@ class TestVerifyCycle:
         y = PeriodicSignal((-0.5, 1.0, -0.5))
         phi = interpolate(tuple(zip(y.values, [-v for v in u.values])))
         assert verify_cycle(DELAY, phi, u, y, periods=0).ok()
+
+
+class TestInterpolationResidual:
+    def test_no_distance_gives_positive_zero(self):
+        # -u = -0.0 sits at the top of the value set [-1, 0]: the
+        # distances are -1.0 and -0.0 - 0.0 = -0.0 at every sample.  A
+        # max from 0.0 keeps +0.0, whichever zero a vectorized max keeps.
+        phi = PiecewiseNonlinearity((0.0,), (-1.0,), (0.0,))
+        got = interpolation_residual(phi, [1.0] * 40, [0.0] * 40)
+        assert repr(got) == "0.0"
 
 
 class TestNyquistGain:

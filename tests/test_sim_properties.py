@@ -1,6 +1,7 @@
 """Property tests: the exact feedthrough-loop solve against the damped
 fixed-point iteration it replaced, and the compiled closed-loop simulation
-and one-pass interpolation residual against the per-step references.
+(with and without its stop at a repeated state) and the one-pass
+interpolation residual against the per-step references.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -26,6 +27,7 @@ from luryecycle.sim import (
 
 from helpers import (
     dyadic_phis,
+    float_bits,
     interpolation_residual_reference,
     pl_eval_reference,
     probe_points,
@@ -127,6 +129,46 @@ def test_simulation_matches_generic_step_reference(loop):
     want = simulate_closed_loop_reference(realize(g), phi, x0, 60)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+@st.composite
+def repeating_loops(draw):
+    """loops() with some initial-state entries set to -0.0 or NaN and
+    phi possibly swapped for a constant or a steep saturating one, so
+    that the state often repeats bit for bit within a few periods."""
+    g, phi, x0 = draw(loops())
+    x0 = np.array([draw(st.sampled_from((x, x, -0.0, math.nan)))
+                   for x in x0])
+    level = abs(draw(coords))
+    width = draw(st.sampled_from((1e-3, 1.0)))
+    phi = draw(st.sampled_from((
+        phi,
+        PiecewiseNonlinearity((0.0,), (level,), (level,)),
+        PiecewiseNonlinearity((-width, width), (-level, level),
+                              (-level, level)))))
+    return g, phi, x0
+
+
+def _run(simulate):
+    """Bits of the (y, u) trajectories, or the error raised: the loop
+    error of a NaN loop input, or the division by zero of a
+    one-breakpoint phi evaluated at NaN (see test_interp_properties)."""
+    try:
+        ys, us = simulate()
+    except (AlgebraicLoopError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return float_bits(ys), float_bits(us)
+
+
+@given(repeating_loops(), st.integers(1, 15), st.integers(0, 120))
+def test_tiled_simulation_matches_per_step_reference(loop, period, steps):
+    """Stopping at the first repeated chunk-start state and tiling the
+    rest changes no bit, for any period and any steps, a multiple of
+    the period or not."""
+    g, phi, x0 = loop
+    assert _run(lambda: simulate_closed_loop(g, phi, x0, steps, period)) \
+        == _run(lambda: simulate_closed_loop_reference(realize(g), phi, x0,
+                                                       steps))
 
 
 @given(dyadic_phis(multivalued=True), st.integers(0, 2**32 - 1))

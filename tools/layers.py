@@ -29,7 +29,12 @@ feedthrough simulation.  Measurements:
   slope-k certificates above in both windows (D = 0); and its first call
   at a new plant order, which compiles the step for that order (a
   one-step run after clearing the compiled steps, as set-up);
-- sim.periodic_steady_state at T = 1001.
+- sim.periodic_steady_state at T = 1001;
+- sim.verify_cycle of the even-window slope-k certificate above at
+  T = 101, 301 and 1001 (20 periods), and, as a count rather than a
+  time, the steps its simulation stepped before the state repeated
+  (keys "... stepped"; phi evaluations inside simulate_closed_loop, so
+  20*T in a checkout that steps every period).
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 """
@@ -43,6 +48,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -53,6 +59,7 @@ PERIODS = (7, 101, 301, 1001)
 SLOPE_MARGIN = 1.0001
 SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
+VERIFY_PERIODS = (101, 301, 1001)
 FEEDTHROUGH = 0.3
 
 
@@ -84,6 +91,36 @@ def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
     return calls[0]
 
 
+def _stepped(sim, plant, cert) -> int:
+    """Steps that verify_cycle's simulation stepped on cert: the calls of
+    phi (a fresh copy, with a counting lower bound) while
+    simulate_closed_loop runs."""
+    phi = replace(cert.phi)
+    lower, upper = phi.bounds
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return lower(y)
+
+    phi.__dict__["bounds"] = (counted, upper)
+    simulate = sim.simulate_closed_loop
+    stepped = []
+
+    def spy(*args):
+        before = calls[0]
+        out = simulate(*args)
+        stepped.append(calls[0] - before)
+        return out
+
+    sim.simulate_closed_loop = spy
+    try:
+        sim.verify_cycle(plant, phi, cert.u, cert.y, periods=SIM_PERIODS)
+    finally:
+        sim.simulate_closed_loop = simulate
+    return stepped[0]
+
+
 def measure(repeats: int) -> dict[str, float]:
     from click.testing import CliRunner
 
@@ -99,6 +136,7 @@ def measure(repeats: int) -> dict[str, float]:
                             0.81 * FEEDTHROUGH), g.den)
     out = {}
     slope_certs = {}
+    verify_certs = {}
     for beta_max in SWEEP_BETA_MAX:
         out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
             lambda: sweep_entries(g, beta_max), repeats)
@@ -118,9 +156,13 @@ def measure(repeats: int) -> dict[str, float]:
                 lambda: build_certificate(g, freq, odd=odd,
                                           slope=SLOPE_MARGIN * kbar),
                 repeats)
-            if T in SIM_CYCLE_PERIODS:
-                slope_certs[label] = build_certificate(
-                    g, freq, odd=odd, slope=SLOPE_MARGIN * kbar)
+            if T in VERIFY_PERIODS:
+                k_cert = build_certificate(g, freq, odd=odd,
+                                           slope=SLOPE_MARGIN * kbar)
+                if T in SIM_CYCLE_PERIODS:
+                    slope_certs[label] = k_cert
+                if not odd:
+                    verify_certs[T] = k_cert
         anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
         out[f"construct.build_certificate T={T} anchor"] = _min_ms(
             lambda: build_certificate(anchor, freq), repeats)
@@ -158,6 +200,12 @@ def measure(repeats: int) -> dict[str, float]:
         first_call, repeats)
     out[f"sim.periodic_steady_state T={cert.u.period}"] = _min_ms(
         lambda: periodic_steady_state(g, cert.u), repeats)
+    for T, k_cert in verify_certs.items():
+        out[f"sim.verify_cycle T={T} even k"] = _min_ms(
+            lambda: sim.verify_cycle(g, k_cert.phi, k_cert.u, k_cert.y,
+                                     periods=SIM_PERIODS), repeats)
+        out[f"sim.verify_cycle T={T} even k stepped"] = _stepped(sim, g,
+                                                                  k_cert)
     # Last: resident memory grows by about the output size with each
     # in-process run, which would disturb the timings above.
     runner = CliRunner()
