@@ -22,6 +22,7 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import click
 
@@ -52,7 +53,7 @@ from .fileio import (
     save_signals,
 )
 from .lti import RationalFrequency, TransferFunction
-from .phase import sweep_entries
+from .phase import coprime_grid, sweep_entries
 from .sim import nyquist_gain, trajectory_csv, verify_cycle
 
 EXIT_OK = 0
@@ -163,9 +164,16 @@ def nyquist(plant_file, report):
 
 _SWEEP_KEYS = ("alpha", "beta", "T", "omega", "re", "im", "phase", "kbar",
                "feasible")
-_JSON_ROW = "  {{\n" + ",\n".join(
-    f'    "{key}": {{}}' for key in _SWEEP_KEYS) + "\n  }}"
-_CSV_ROW = "{},{},{},{!r},{!r},{!r},{!r},{},{}"
+# The constant text around the nine tokens of a row, as
+# json.dumps(rows, indent=2) writes it; the first row's opening piece
+# lacks the separator from the row before.
+_JSON_PIECES = ["\n  },\n  {\n    \"alpha\": "] + [
+    f',\n    "{key}": ' for key in _SWEEP_KEYS[1:]]
+_JSON_FIRST = "  {\n    \"alpha\": "
+_CSV_PIECES = ["\n"] + [","] * (len(_SWEEP_KEYS) - 1)
+# Per coprime grid: the text of the integers up to its largest T and of
+# each omega, rendered once and dropped with the grid.
+_GRID_TEXT: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _sweep_columns(table) -> list[list]:
@@ -175,24 +183,44 @@ def _sweep_columns(table) -> list[list]:
             table.kbar_json(), table.feasible()]
 
 
-def _json_tokens(values: list) -> list[str]:
-    # The C encoder writes each value as json.dumps(rows, indent=2) would.
-    return json.dumps(values)[1:-1].split(", ")
+def _grid_text(beta_max: int) -> tuple[list[str], dict[float, str]]:
+    """Text of the integers up to the largest T and of each omega of the
+    grid that coprime_grid holds for beta_max.  Every omega lies in
+    (0, pi), so no two keys alias (as -0.0 and 0.0 would) and none is a
+    NaN."""
+    grid = coprime_grid(beta_max)
+    text = _GRID_TEXT.get(grid)
+    if text is None:
+        omega = grid.omega.tolist()
+        text = _GRID_TEXT[grid] = (
+            list(map(str, range(2 * grid.beta_max + 1))),
+            dict(zip(omega, map(repr, omega))))
+    return text
 
 
-def _sweep_text(columns: list[list], fmt: str) -> str:
+def _sweep_text(columns: list[list], fmt: str, beta_max: int) -> str:
     """The table as json.dumps(rows, indent=2) would write it, or as CSV
-    with shortest round-trip floats and an empty kbar when infeasible."""
+    with shortest round-trip floats and an empty kbar when infeasible,
+    joined once from the constant pieces and the tokens of each row.
+    Every float of the table is finite, so its JSON text is its repr."""
+    alpha, beta, T, omega, re, im, phase, kbar, feasible = columns
+    ints, omega_text = _grid_text(beta_max)
+    null, inf = ("null", '"inf"') if fmt == "json" else ("", "inf")
+    tokens = [*(list(map(ints.__getitem__, c)) for c in (alpha, beta, T)),
+              list(map(omega_text.__getitem__, omega)),
+              *(list(map(repr, c)) for c in (re, im, phase)),
+              [null if k is None else inf if isinstance(k, str) else repr(k)
+               for k in kbar],
+              ["true" if f else "false" for f in feasible]]
+    pieces = _JSON_PIECES if fmt == "json" else _CSV_PIECES
+    width = 2 * len(pieces)
+    flat = [text for piece in pieces for text in (piece, "")] * len(alpha)
+    for i, column in enumerate(tokens):
+        flat[2 * i + 1::width] = column
     if fmt == "json":
-        rows = ",\n".join(map(_JSON_ROW.format,
-                              *map(_json_tokens, columns)))
-        return f"[\n{rows}\n]"
-    *head, kbar, feasible = columns
-    kbar = ["" if k is None else k if isinstance(k, str) else repr(k)
-            for k in kbar]
-    feasible = ["true" if f else "false" for f in feasible]
-    return "\n".join([",".join(_SWEEP_KEYS),
-                      *map(_CSV_ROW.format, *head, kbar, feasible)])
+        flat[0] = _JSON_FIRST
+        return "[\n" + "".join(flat) + "\n  }\n]"
+    return ",".join(_SWEEP_KEYS) + "".join(flat)
 
 
 @cli.command("phase-sweep")
@@ -211,7 +239,7 @@ def phase_sweep(plant_file, beta_max, odd, fmt, report):
         plant = _rational_plant(load_plant(plant_file), "the sweep")
         columns = _sweep_columns(sweep_entries(plant, beta_max,
                                                odd_variant=odd))
-        click.echo(_sweep_text(columns, fmt))
+        click.echo(_sweep_text(columns, fmt, beta_max))
         if report:
             rows = [dict(zip(_SWEEP_KEYS, row)) for row in zip(*columns)]
             _write_report(report, "phase-sweep",

@@ -176,6 +176,8 @@ def _graph_end(ys: tuple[float, ...], snap: tuple[float, ...],
             return los[0]
         if y > ys[-1]:
             return his[-1]
+        if not i:  # only NaN fails every comparison above
+            return y
         t = (y - ys[i - 1]) / (ys[i] - ys[i - 1])
         return his[i - 1] + t * (los[i] - his[i - 1])
 

@@ -12,6 +12,13 @@ t = tan(pi/T) (resp. tan(pi/(2*beta))), R = Re G, I = Im G,
 R*t + |I| = 0 with R < 0 means the window only opens in the limit
 k -> inf (monotone class); anything else admits no destabilizing slope
 at this frequency.
+
+The sweep reads everything that does not depend on the plant from a
+coprime grid built once per process: the pairs (alpha, beta), T, omega,
+z = e^{j*omega} and the tangents of both windows.  The pairs are listed
+beta-major, so the grid of a smaller beta_max is a prefix of a larger
+one.  Only the grid of the largest beta_max asked for so far is kept,
+read-only, at about 64 bytes per pair (19 MB at beta_max 1000).
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ __all__ = [
     "SlopeBound",
     "phase_check",
     "SweepTable",
+    "CoprimeGrid",
+    "coprime_grid",
     "sweep_entries",
     "grid_search",
 ]
@@ -222,37 +231,87 @@ class SweepTable(Sequence):
                 for k, kb in zip(self.kind, self.kbar)]
 
 
+@dataclass(frozen=True, eq=False)
+class CoprimeGrid:
+    """Every coprime pair 0 < alpha < beta <= beta_max in (beta, alpha)
+    order, as read-only columns.  z comes from libm's cos and sin, as in
+    lti.freq_response, so responses on the grid match it bitwise;
+    tan_even and tan_odd are the tangents of each row's window
+    half-widths pi/T and pi/(2*beta)."""
+
+    beta_max: int
+    alpha: np.ndarray
+    beta: np.ndarray
+    T: np.ndarray
+    omega: np.ndarray
+    z: np.ndarray
+    tan_even: np.ndarray
+    tan_odd: np.ndarray
+
+    @classmethod
+    def build(cls, beta_max: int) -> CoprimeGrid:
+        beta, alpha = np.tril_indices(beta_max + 1, -1)
+        coprime = (alpha > 0) & (np.gcd(alpha, beta) == 1)
+        alpha, beta = alpha[coprime], beta[coprime]
+        T = np.where(alpha % 2 == 1, 2 * beta, beta)
+        omega = np.pi * alpha / beta  # as RationalFrequency.omega
+        w = omega.tolist()
+        z = np.empty(len(w), dtype=complex)
+        z.real = list(map(math.cos, w))
+        z.imag = list(map(math.sin, w))
+        # One tangent per window width pi/m, m = T or 2*beta.
+        tans = np.array([math.nan, math.nan] + [
+            math.tan(math.pi / m) for m in range(2, 2 * beta_max + 1)])
+        columns = (alpha, beta, T, omega, z, tans[T], tans[2 * beta])
+        for column in columns:
+            column.flags.writeable = False
+        return cls(beta_max, *columns)
+
+    def size(self, beta_max: int) -> int:
+        """Rows with beta <= beta_max: the grid of that beta_max."""
+        return int(np.searchsorted(self.beta, beta_max, side="right"))
+
+
+# The largest grid built so far in this process; read-only, so every
+# caller can share it.
+_grid: CoprimeGrid | None = None
+
+
+def coprime_grid(beta_max: int) -> CoprimeGrid:
+    """A grid holding every coprime pair with beta <= beta_max, possibly
+    more: the largest built so far, replaced by a new one only for a
+    larger beta_max."""
+    global _grid
+    if _grid is None or _grid.beta_max < beta_max:
+        _grid = CoprimeGrid.build(beta_max)
+    return _grid
+
+
 def sweep_entries(plant: TransferFunction, beta_max: int,
                   odd_variant: bool = False) -> SweepTable:
     """Slope bounds for every coprime pair 0 < alpha < beta <= beta_max.
 
     Feasible entries come first, ascending by kbar; infeasible entries
-    follow in (beta, alpha) order.
+    follow in (beta, alpha) order.  The plant-independent columns come
+    from coprime_grid.
     """
     if beta_max < 2:
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
-    beta, alpha = np.tril_indices(beta_max + 1, -1)
-    coprime = (alpha > 0) & (np.gcd(alpha, beta) == 1)
-    alpha, beta = alpha[coprime], beta[coprime]
-    T = np.where(alpha % 2 == 1, 2 * beta, beta)
-    omega = np.pi * alpha / beta  # as RationalFrequency.omega
-    # The same z and Horner steps as lti.freq_response, on all points at
-    # once; libm's cos/sin, not numpy's, so each value matches it bitwise.
-    w = omega.tolist()
-    z = np.empty(len(w), dtype=complex)
-    z.real = list(map(math.cos, w))
-    z.imag = list(map(math.sin, w))
+    grid = coprime_grid(beta_max)
+    n = grid.size(beta_max)
+    alpha, beta, T, omega = (grid.alpha[:n], grid.beta[:n], grid.T[:n],
+                             grid.omega[:n])
+    # The same Horner steps as lti.freq_response, on all points at once.
     with np.errstate(all="ignore"):
-        resp = np.polyval(plant.num, z) / np.polyval(plant.den, z)
+        resp = (np.polyval(plant.num, grid.z[:n])
+                / np.polyval(plant.den, grid.z[:n]))
     overflow = ~np.isfinite(resp)
     if overflow.any():
         i = int(np.argmax(overflow))
         raise DomainError(f"response {complex(resp[i])!r} at omega = "
                           f"{alpha[i]}*pi/{beta[i]} is not finite")
-    # One tangent per window width pi/m, m = T or 2*beta (odd window).
-    tans = np.array([math.nan, math.nan] + [
-        math.tan(math.pi / m) for m in range(2, 2 * beta_max + 1)])
-    kind, kbar = _slope_bounds(resp, tans[2 * beta if odd_variant else T])
+    kind, kbar = _slope_bounds(
+        resp, (grid.tan_odd if odd_variant else grid.tan_even)[:n])
     feasible = np.flatnonzero(kind < 2)
     order = np.concatenate([
         feasible[_feasible_order(np.where(kind == 0, kbar, np.inf)[feasible],

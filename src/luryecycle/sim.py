@@ -381,9 +381,37 @@ def nyquist_gain(plant: TransferFunction) -> float:
     return min(gains, default=math.inf)
 
 
+def _tiling(y: np.ndarray, u: np.ndarray) -> tuple[int, int]:
+    """(start, lag) such that row k of the trajectory equals row k - lag
+    bit for bit at every k >= start: lag is the shortest distance back
+    to a row equal to the last one, and start is n when there is none."""
+    n = len(y)
+    yb, ub = y.view(np.int64), u.view(np.int64)
+    hits = np.flatnonzero((yb[:-1] == yb[-1:]) & (ub[:-1] == ub[-1:]))
+    if not hits.size:
+        return n, 0
+    lag = n - 1 - int(hits[-1])
+    differ = np.flatnonzero((yb[lag:] != yb[:-lag]) | (ub[lag:] != ub[:-lag]))
+    return lag + (int(differ[-1]) + 1 if differ.size else 0), lag
+
+
 def trajectory_csv(y_values, u_values) -> str:
-    """Trajectory as CSV text: header k,y,u, 17 significant digits."""
-    lines = ["k,y,u"]
-    for k, (y, u) in enumerate(zip(y_values, u_values)):
-        lines.append(f"{k},{float(y):.17g},{float(u):.17g}")
-    return "\n".join(lines) + "\n"
+    """Trajectory as CSV text: header k,y,u, 17 significant digits.
+
+    From the row where the trajectory starts repeating itself bit for
+    bit, as a tiled simulation does, each row reuses the text of the row
+    one repeat back, so only the rows before that are formatted."""
+    y = np.asarray(y_values, dtype=float).reshape(-1)
+    u = np.asarray(u_values, dtype=float).reshape(-1)
+    n = min(len(y), len(u))
+    y, u = y[:n], u[:n]
+    start, lag = _tiling(y, u)
+    rows = list(map(",%.17g,%.17g\n".__mod__,
+                    zip(y[:start].tolist(), u[:start].tolist())))
+    if start < n:
+        stretch = rows[start - lag:]
+        rows += stretch * ((n - start) // lag) + stretch[:(n - start) % lag]
+    flat = [""] * (2 * n)
+    flat[::2] = map(str, range(n))
+    flat[1::2] = rows
+    return "k,y,u\n" + "".join(flat)

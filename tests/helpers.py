@@ -178,8 +178,10 @@ def _dot(row, x) -> float:
 def evaluate_reference(phi, y: float) -> tuple[float, float]:
     """Value set of phi at y, breakpoint by breakpoint: the nearest
     breakpoint within phi.y_tol (the left one on a tie) gives its
-    interval, outside the span the end value holds, and between
-    breakpoints the chord from (y_i, v_hi) to (y_{i+1}, v_lo)."""
+    interval, outside the span the end value holds, between breakpoints
+    the chord from (y_i, v_hi) to (y_{i+1}, v_lo), and NaN gives NaN."""
+    if math.isnan(y):
+        return (y, y)
     bps = phi.breakpoints
     ys = [b.y for b in bps]
     i = bisect.bisect_left(ys, y)
@@ -430,6 +432,15 @@ def sweep_stdout_reference(rows: list[dict], fmt: str) -> str:
                      f"{r['phase']!r},{kbar},"
                      f"{'true' if r['feasible'] else 'false'}")
     return "".join(line + "\n" for line in lines)
+
+
+def trajectory_csv_reference(y_values, u_values) -> str:
+    """Trajectory CSV one row at a time: header k,y,u, then k and the
+    two values with 17 significant digits."""
+    lines = ["k,y,u"]
+    for k, (y, u) in enumerate(zip(y_values, u_values)):
+        lines.append(f"{k},{float(y):.17g},{float(u):.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def tail_sum_series(plant: TransferFunction, T: int,

@@ -25,6 +25,7 @@ from luryecycle import (
     load_signals,
     trajectory_csv,
 )
+from luryecycle import phase
 from luryecycle.cli import cli, exit_code_for
 from luryecycle.lti import freq_response
 from luryecycle.sim import periodic_steady_state, simulate_closed_loop
@@ -259,6 +260,22 @@ class TestPhaseSweep:
         rows = sweep_rows_reference(sweep_reference(g, beta_max, odd))
         assert result.stdout == sweep_stdout_reference(rows, fmt)
         assert result.exit_code == (0 if rows[0]["feasible"] else 3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tables_in_any_call_order_match_reference(
+            self, runner, plant_file, example_plant, monkeypatch, fmt):
+        # the row text comes from the coprime grid of the process, built
+        # at 9, read as prefixes at 3 and 2, built again at 40
+        monkeypatch.setattr(phase, "_grid", None)
+        for beta_max in (9, 3, 40, 2, 17):
+            for odd in (False, True):
+                result = runner.invoke(cli, [
+                    "phase-sweep", str(plant_file), "--beta-max",
+                    str(beta_max), "--format", fmt]
+                    + (["--odd"] if odd else []))
+                rows = sweep_rows_reference(
+                    sweep_reference(example_plant, beta_max, odd))
+                assert result.stdout == sweep_stdout_reference(rows, fmt)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_report_rows_match_reference(self, runner, plant_file,

@@ -132,6 +132,11 @@ class TestPiecewiseNonlinearity:
         near = phi.evaluate(1e-12)                   # snaps to breakpoint
         assert near == (0.0, 1.0)
 
+    @pytest.mark.parametrize("ys", [(0.5,), (0.0, 2.0)])
+    def test_nan_evaluates_to_nan(self, ys):
+        phi = PiecewiseNonlinearity(ys, (1.0,) * len(ys), (1.0,) * len(ys))
+        assert all(map(math.isnan, phi.evaluate(math.nan)))
+
 
 class TestInterpolate:
     def test_non_monotone_data_rejected(self):

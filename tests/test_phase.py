@@ -1,7 +1,10 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from luryecycle import (
     grid_search,
     sweep_entries,
 )
+from luryecycle import phase
 from luryecycle.lti import freq_response
 from luryecycle.phase import (
     KBAR_TIE_TOL,
@@ -26,6 +30,7 @@ from luryecycle.phase import (
     SlopeBound,
     _feasible_order,
     _slope_bounds,
+    coprime_grid,
     phase_check,
 )
 from helpers import (
@@ -271,6 +276,49 @@ class TestSweep:
     def test_odd_grid_minimum(self, example_plant):
         found = grid_search(example_plant, 12, odd_variant=True)
         assert (found[0].freq.alpha, found[0].freq.beta) == (1, 3)
+
+
+class TestCoprimeGrid:
+    @pytest.fixture(autouse=True)
+    def fresh_grid(self, monkeypatch):
+        monkeypatch.setattr(phase, "_grid", None)
+
+    def test_smaller_then_larger_sweeps_match_reference(self, example_plant,
+                                                        rng):
+        # a smaller beta_max reads a prefix of the grid built before it,
+        # a larger one builds a new grid; each sweep is the reference's
+        plants = [example_plant] + [random_stable_tf(rng) for _ in range(4)]
+        for beta_max, held in ((17, 17), (6, 17), (29, 29), (2, 29)):
+            for g in plants:
+                for odd in (False, True):
+                    assert list(sweep_entries(g, beta_max, odd)) == \
+                        sweep_reference(g, beta_max, odd)
+            assert phase._grid.beta_max == held
+
+    def test_prefixes_are_the_coprime_pairs(self):
+        grid = coprime_grid(15)
+        assert coprime_grid(9) is grid
+        for beta_max in range(2, 16):
+            n = grid.size(beta_max)
+            assert list(zip(grid.alpha[:n].tolist(),
+                            grid.beta[:n].tolist())) == \
+                coprime_pairs(beta_max)
+
+    def test_grid_arrays_are_read_only(self):
+        grid = coprime_grid(10)
+        for f in fields(grid)[1:]:
+            column = getattr(grid, f.name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+            with pytest.raises(ValueError, match="read-only"):
+                column[:3] += column[:3]
+
+    def test_only_the_largest_grid_is_kept(self, example_plant):
+        small = weakref.ref(coprime_grid(8))
+        sweep_entries(example_plant, 12)
+        gc.collect()
+        assert small() is None
+        assert phase._grid.beta_max == 12
 
 
 PAIRS = coprime_pairs(12)

@@ -1,7 +1,8 @@
 """Property tests: the exact feedthrough-loop solve against the damped
 fixed-point iteration it replaced, and the compiled closed-loop simulation
-(with and without its stop at a repeated state) and the one-pass
-interpolation residual against the per-step references.
+(with and without its stop at a repeated state), the one-pass
+interpolation residual and the trajectory CSV that formats a repeated
+stretch once against the per-step references.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -23,6 +24,7 @@ from luryecycle.sim import (
     _loop_solver,
     interpolation_residual,
     simulate_closed_loop,
+    trajectory_csv,
 )
 
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     realize,
     simulate_closed_loop_reference,
     solve_output_reference,
+    trajectory_csv_reference,
 )
 
 coords = st.floats(-20.0, 20.0, allow_nan=False)
@@ -150,12 +153,11 @@ def repeating_loops(draw):
 
 
 def _run(simulate):
-    """Bits of the (y, u) trajectories, or the error raised: the loop
-    error of a NaN loop input, or the division by zero of a
-    one-breakpoint phi evaluated at NaN (see test_interp_properties)."""
+    """Bits of the (y, u) trajectories, or the loop error of a NaN loop
+    input."""
     try:
         ys, us = simulate()
-    except (AlgebraicLoopError, ZeroDivisionError) as exc:
+    except AlgebraicLoopError as exc:
         return type(exc).__name__, str(exc)
     return float_bits(ys), float_bits(us)
 
@@ -174,10 +176,8 @@ def test_tiled_simulation_matches_per_step_reference(loop, period, steps):
 @given(dyadic_phis(multivalued=True), st.integers(0, 2**32 - 1))
 def test_residual_matches_per_sample_reference(phi, seed):
     """Values of -u at, between and off the value sets, NaN included;
-    y covers the probe points (no NaN with one breakpoint, where the
-    per-sample reference divides by zero)."""
-    ys = [y for y in probe_points(phi)
-          if len(phi.breakpoints) > 1 or not math.isnan(y)]
+    y covers the probe points."""
+    ys = probe_points(phi)
     rng = np.random.default_rng(seed)
     us = []
     for y in ys:
@@ -186,3 +186,40 @@ def test_residual_matches_per_sample_reference(phi, seed):
                                     -hi - 0.25, -lo + 0.25, math.nan])))
     assert repr(interpolation_residual(phi, ys, us)) == \
         repr(interpolation_residual_reference(phi, ys, us))
+
+
+samples = st.one_of(st.sampled_from((0.0, -0.0, math.nan, -math.nan, 1.5)),
+                    st.floats())
+
+
+@st.composite
+def trajectories(draw):
+    """(y, u) rows: a head, then a stretch repeated whole or in part,
+    then perhaps rows that end the repeat; values include -0.0, NaNs of
+    both signs and infinities."""
+    rows = st.lists(st.tuples(samples, samples), max_size=8)
+    head, stretch, tail = draw(rows), draw(rows), draw(rows)
+    repeated = stretch * draw(st.integers(0, 6))
+    out = head + repeated[:draw(st.integers(0, len(repeated)))] + tail
+    return [y for y, _ in out], [u for _, u in out]
+
+
+def _trajectory(loop, period, steps):
+    """The simulated (y, u), or no rows when the loop input is NaN."""
+    g, phi, x0 = loop
+    try:
+        return simulate_closed_loop(g, phi, x0, steps, period)
+    except AlgebraicLoopError:
+        return [], []
+
+
+@given(st.one_of(trajectories(),
+                 st.tuples(repeating_loops(), st.integers(1, 15),
+                           st.integers(0, 120)).map(
+                     lambda args: _trajectory(*args))))
+def test_trajectory_csv_matches_row_reference(trajectory):
+    """The CSV text that reuses the rows of a repeated stretch equals
+    the one formatted row by row, on tiled simulations and on rows that
+    repeat in part or not at all."""
+    y, u = trajectory
+    assert trajectory_csv(y, u) == trajectory_csv_reference(y, u)

@@ -12,6 +12,10 @@ feedthrough simulation.  Measurements:
   phase.grid_search at 1000;
 - the phase-sweep command in-process (click's CliRunner, output
   captured) at the same beta_max, in both formats;
+- each of those sweeps cold, with the process's coprime grid cleared
+  before each repeat, as in a process's first sweep, and (keys ending
+  in "warm", except grid_search) warm, repeating a sweep that already
+  ran in the process;
 - construct.build_certificate at T = 7, 101, 301 and 1001, the
   frequencies (T - 1, T): in the monotone class with the even window
   (keys "T=<T>"), and with slope 1.0001*kbar in the even and the odd
@@ -63,9 +67,13 @@ VERIFY_PERIODS = (101, 301, 1001)
 FEEDTHROUGH = 0.3
 
 
-def _min_ms(fn, repeats: int) -> float:
+def _min_ms(fn, repeats: int, setup=None) -> float:
+    """Minimum wall time of fn over the repeats, in ms; setup, if given,
+    runs untimed before each repeat."""
     best = math.inf
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -124,12 +132,25 @@ def _stepped(sim, plant, cert) -> int:
 def measure(repeats: int) -> dict[str, float]:
     from click.testing import CliRunner
 
-    from luryecycle import RationalFrequency, TransferFunction, construct, sim
+    from luryecycle import (
+        RationalFrequency,
+        TransferFunction,
+        construct,
+        phase,
+        sim,
+    )
     from luryecycle.cli import cli
     from luryecycle.construct import AnchorPlant, build_certificate
     from luryecycle.lti import dc_gain, freq_response
     from luryecycle.phase import grid_search, sweep_entries
     from luryecycle.sim import periodic_steady_state, simulate_closed_loop
+
+    def _clear_grid():
+        # Each sweep then builds the coprime grid afresh, as the first
+        # sweep of a process does; a checkout that keeps no grid has
+        # nothing to clear.
+        if hasattr(phase, "_grid"):
+            phase._grid = None
 
     g = TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81))
     g_d = TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
@@ -139,9 +160,13 @@ def measure(repeats: int) -> dict[str, float]:
     verify_certs = {}
     for beta_max in SWEEP_BETA_MAX:
         out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
-            lambda: sweep_entries(g, beta_max), repeats)
+            lambda: sweep_entries(g, beta_max), repeats, _clear_grid)
     out[f"phase.grid_search beta_max={SWEEP_BETA_MAX[-1]}"] = _min_ms(
-        lambda: grid_search(g, SWEEP_BETA_MAX[-1]), repeats)
+        lambda: grid_search(g, SWEEP_BETA_MAX[-1]), repeats, _clear_grid)
+    for beta_max in SWEEP_BETA_MAX:
+        sweep_entries(g, beta_max)
+        out[f"phase.sweep_entries beta_max={beta_max} warm"] = _min_ms(
+            lambda: sweep_entries(g, beta_max), repeats)
     for T in PERIODS:
         freq = RationalFrequency(T - 1, T)
         resp = freq_response(g, freq.omega)
@@ -217,8 +242,12 @@ def measure(repeats: int) -> dict[str, float]:
             for fmt in ("csv", "json"):
                 args = ["phase-sweep", str(plant), "--beta-max",
                         str(beta_max), "--format", fmt]
-                out[f"cli.phase_sweep beta_max={beta_max} {fmt}"] = _min_ms(
-                    lambda: runner.invoke(cli, args), repeats)
+                key = f"cli.phase_sweep beta_max={beta_max} {fmt}"
+                out[key] = _min_ms(lambda: runner.invoke(cli, args), repeats,
+                                   _clear_grid)
+                runner.invoke(cli, args)
+                out[f"{key} warm"] = _min_ms(lambda: runner.invoke(cli, args),
+                                             repeats)
     return out
 
 
