@@ -32,7 +32,6 @@ from .errors import (
     PhaseConditionError,
     PlantValidationError,
     SelfVerifyError,
-    SingularMatrixError,
     SlopeViolationError,
     ZeroResponseError,
 )
@@ -57,7 +56,6 @@ __all__ = [
     # errors
     "LuryecycleError",
     "PlantValidationError",
-    "SingularMatrixError",
     "DomainError",
     "ZeroResponseError",
     "EmptyResultError",

@@ -40,7 +40,6 @@ from .errors import (
     PhaseConditionError,
     PlantValidationError,
     SelfVerifyError,
-    SingularMatrixError,
     SlopeViolationError,
     ZeroResponseError,
 )
@@ -68,7 +67,7 @@ _ERROR_CODES: tuple[tuple[type | tuple[type, ...], int], ...] = (
     (NoIntersectionError, EXIT_NO_INTERSECTION),
     (EmptyResultError, EXIT_NO_FEASIBLE),
     ((SelfVerifyError, NotMonotoneError, SlopeViolationError,
-      MultivaluedPhiError, AlgebraicLoopError, SingularMatrixError),
+      MultivaluedPhiError, AlgebraicLoopError),
      EXIT_VERIFY_FAILED),
     ((PlantValidationError, FileFormatError, DomainError),
      EXIT_INVALID_PLANT),

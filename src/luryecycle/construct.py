@@ -238,8 +238,8 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     if phi is None or finite:
         phi = interpolate(data, slope_bound=slope)
 
-    u_per = PeriodicSignal(tuple(u))
-    y_per = PeriodicSignal(tuple(y_sig))
+    u_per = PeriodicSignal(u)
+    y_per = PeriodicSignal(y_sig)
     if isinstance(plant, TransferFunction):
         verdict = verify_cycle(plant, phi, u_per, y_per, periods=periods)
     else:

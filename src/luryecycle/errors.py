@@ -14,10 +14,6 @@ class PlantValidationError(LuryecycleError):
     """Plant description is malformed, improper, or not strictly stable."""
 
 
-class SingularMatrixError(LuryecycleError):
-    """A resolvent needed in closed form does not exist."""
-
-
 class DomainError(LuryecycleError, ValueError):
     """Argument outside the mathematical domain of the operation.
 

@@ -165,4 +165,4 @@ def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
                 f"line {lineno}: index {idx} out of order")
     if not us:
         raise FileFormatError("signal CSV holds no samples")
-    return PeriodicSignal(tuple(us)), PeriodicSignal(tuple(ys))
+    return PeriodicSignal(us), PeriodicSignal(ys)

@@ -94,6 +94,7 @@ class PiecewiseNonlinearity:
                              " is not finite")
         for name, col in zip(("ys", "los", "his"), cols.tolist()):
             object.__setattr__(self, name, tuple(col))
+        object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "slope_bound", float(self.slope_bound))
         if not self.ys:
             raise ValueError("a nonlinearity needs at least one breakpoint")
@@ -154,6 +155,54 @@ class PiecewiseNonlinearity:
         """Value set at y as an interval (lo, hi); single points collapse."""
         lower, upper = self.bounds
         return (lower(y), upper(y))
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, float, bool]:
+        """evaluate_array's table, snap width, and whether los and his are
+        equal bit for bit."""
+        n = len(self.ys)
+        ys, lo, hi = self._cols
+        table = np.empty((7, n + 4))
+        table[:, :2] = _TABLE_ENDS[:, :2]
+        table[:, n + 1:] = _TABLE_ENDS[:, 2:]
+        table[5:, :2], table[5:, n + 2:] = lo[0], hi[-1]
+        table[0, 2:n + 2], table[1:3, 1:n + 1] = ys, ys
+        table[5:, 2:n + 2] = self._cols[1:]
+        np.subtract(ys[1:], ys[:-1], out=table[3, 2:n + 1])
+        np.subtract(lo[1:], hi[:-1], out=table[4, 2:n + 1])
+        return table, self.y_tol, lo.tobytes() == hi.tobytes()
+
+    def evaluate_array(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """The ends (lower, upper) of the value sets at an array of
+        outputs, equal bit for bit to bounds (upper is lower if los and his
+        are equal bit for bit).  Row 2 of the table, [-inf, ys, max, inf],
+        puts y in slot s: -inf, <= ys[0], (ys[s-2], ys[s-1]], > ys[-1],
+        +inf, NaN.  Column s holds the slot's neighbours, chord width and
+        rise, and los[s-2], his[s-2] (the chord's start); at the ends +-inf
+        snap to los[0] or his[-1], and t = 1 times a rise of -0.0 keeps
+        the chord at its start."""
+        table, tol, same = self._table
+        y = np.asarray(y, dtype=float)
+        s = table[2, :-1].searchsorted(y)
+        left, right, _, width, rise, _, start = table[:, s]
+        dl = y - left
+        dr = right - y
+        t = dl / width
+        chord = start + np.minimum(t, 1.0, out=t) * rise
+        # the nearer breakpoint within y_tol, the left one on a tie
+        snapped = np.minimum(dl, dr) <= tol
+        k = s + (dl > dr)
+        lower = np.where(snapped, table[5, k], chord)
+        if same:
+            return lower, lower
+        return lower, np.where(snapped, table[6, k], chord)
+
+
+# evaluate_array's table at the slots -inf, <= ys[0], > ys[-1], +inf, NaN.
+_TABLE_ENDS = np.array(
+    ((math.inf, -math.inf, 0, 0, 0), (math.inf, 0, math.inf, -math.inf, 0),
+     (-math.inf, 0, math.nextafter(math.inf, 0), math.inf, 0),
+     (-1, 1, 1, 1, 1), (-0.0,) * 5, (0,) * 5, (0,) * 5), dtype=float)
 
 
 def _graph_end(ys: tuple[float, ...], snap: tuple[float, ...],

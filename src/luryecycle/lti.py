@@ -32,6 +32,7 @@ __all__ = [
     "freq_response",
     "dc_gain",
     "periodic_response",
+    "dft_response",
 ]
 
 
@@ -122,22 +123,29 @@ class RationalFrequency:
 
 @dataclass(frozen=True)
 class PeriodicSignal:
-    """One period of a real T-periodic sequence."""
+    """One period of a real T-periodic sequence: values holds the samples
+    as floats, and as_array() the same samples as one read-only array."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("a periodic signal needs at least one sample")
-        object.__setattr__(self, "values", vals)
+        array = np.array(self.values, dtype=float)
+        if array.ndim != 1 or not array.size:
+            raise ValueError("a periodic signal needs a row of samples")
+        array.flags.writeable = False
+        object.__setattr__(self, "values", tuple(array.tolist()))
+        object.__setattr__(self, "_array", array)
 
     @property
     def period(self) -> int:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        return self._array
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self._array)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -162,8 +170,13 @@ def dc_gain(plant: TransferFunction) -> float:
 def periodic_response(plant: TransferFunction,
                       u: PeriodicSignal) -> PeriodicSignal:
     """Steady-state response to a T-periodic input, one period in and out."""
+    return PeriodicSignal(dft_response(plant.num, plant.den, u))
+
+
+def dft_response(num, den, u: PeriodicSignal) -> np.ndarray:
+    """Steady-state response of num(z)/den(z), whose poles the caller
+    keeps inside the unit circle, to the periodic input u, as an array."""
     T = u.period
     z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
-    gain = np.polyval(plant.num, z) / np.polyval(plant.den, z)
-    y = np.fft.irfft(gain * np.fft.rfft(u.as_array()), n=T)
-    return PeriodicSignal(tuple(y))
+    gain = np.polyval(num, z) / np.polyval(den, z)
+    return np.fft.irfft(gain * u._spectrum, n=T)

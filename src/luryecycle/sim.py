@@ -2,19 +2,20 @@
 
 The loop under study is y = G u with u_k = -phi(y_k).  A stored periodic
 cycle (u, y) is accepted when three things hold: y is the steady-state
-linear response to u, every -u_k lies in phi(y_k), and the cycle is not
-the trivial equilibrium.  When phi is single-valued the loop is also
-simulated from the periodic initial state and the trajectory must come
-back to itself every T steps; the linear gain margin is exact from
-G(e^{jw}).  The simulation runs on the controllable companion form of
-G = num/den of order n: x+ = A x + e_0 u, y = C x + D u, where row 0 of
-A is -den[1:], the rows below shift x down one place, D = num[0] and
-C = num[1:] - D*den[1:] (num padded to n + 1 coefficients).  A step puts
-A[0] . x + u first and shifts the rest of x down one place.  The
-periodic steady state holds x in a deque of length n, where a step is
-one O(n) appendleft.  The closed-loop simulation runs a step function
-compiled once per order n: it holds x in n local floats and writes out
-every product and sum, left to right from 0.0.
+linear response to u, every -u_k lies in phi(y_k) (one array pass), and
+the cycle is not the trivial equilibrium.  When phi is single-valued the
+loop is also simulated from the periodic initial state and the
+trajectory must come back to itself every T steps; the linear gain
+margin is exact from G(e^{jw}).  The simulation runs on the controllable
+companion form of G = num/den of order n: x+ = A x + e_0 u,
+y = C x + D u, where row 0 of A is -den[1:], the rows below shift x down
+one place, D = num[0] and C = num[1:] - D*den[1:] (num padded to n + 1
+coefficients).  A step puts w = A[0] . x + u first and shifts the rest
+of x down one place, so w is the response of z^n/den(z) to u, and the
+periodic initial state is x0_i = w_{(T-1-i) mod T} from the DFT.  The
+closed-loop simulation runs a step function compiled once per order n:
+it holds x in n local floats and writes out every product and sum, left
+to right from 0.0.
 
 The simulation steps in chunks of one period T.  At each chunk start it
 packs the n floats of x into bytes and looks them up among the earlier
@@ -22,8 +23,9 @@ chunk starts; bit patterns, not ==, so -0.0 and 0.0 differ and a NaN
 matches itself.  A step is a pure function of those n floats (C, A[0],
 phi and the loop solver below are fixed for the run), so when the state
 at step k repeats the one at step j, the rest of the run repeats steps
-j..k-1: the stepping stops there and the trajectories are filled by
-tiling that stretch, bit for bit what stepping on would give.
+j..k-1: the stepping stops there, and the trajectories are tiled from
+that stretch when first read, bit for bit what stepping on would give.
+The periodicity check reads only the stepped rows and one period more.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -39,23 +41,17 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    AlgebraicLoopError,
-    DomainError,
-    MultivaluedPhiError,
-    SingularMatrixError,
-)
+from .errors import AlgebraicLoopError, DomainError, MultivaluedPhiError
 from .interp import PiecewiseNonlinearity
 from .lti import (
     PeriodicSignal,
     TransferFunction,
+    dft_response,
     freq_response,
     periodic_response,
 )
@@ -75,6 +71,7 @@ __all__ = [
     "NONTRIVIAL_TOL",
     "MARGIN_TOL",
     "CycleVerdict",
+    "Trajectory",
     "periodic_steady_state",
     "simulate_closed_loop",
     "interpolation_residual",
@@ -84,34 +81,14 @@ __all__ = [
 ]
 
 
-def _companion_rows(plant: TransferFunction):
-    """Row 0 of A, C and D of the companion form in the module docstring."""
-    den = plant.den
-    num = (0.0,) * (len(den) - len(plant.num)) + plant.num
-    d = num[0]
-    return ([-c for c in den[1:]],
-            [b - d * a for b, a in zip(num[1:], den[1:])], d)
-
-
 def periodic_steady_state(plant: TransferFunction,
                           u: PeriodicSignal) -> np.ndarray:
-    """Initial state of the unique T-periodic trajectory driven by u.
-
-    Solves x0 = A^T x0 + sum_i A^{T-1-i} B u_i in closed form.
-    """
-    n = plant.order
-    T = u.period
-    a0, _, _ = _companion_rows(plant)
-    x = deque([0.0] * n, maxlen=n)
-    for ui in u.values:
-        x.appendleft(sum(map(mul, a0, x)) + ui)
-    a = np.eye(n, k=-1)
-    a[:1] = a0
-    a_pow = np.linalg.matrix_power(a, T)
-    try:
-        return np.linalg.solve(np.eye(n) - a_pow, np.array(x))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"I - A^{T} is singular") from exc
+    """Initial state of the unique T-periodic trajectory driven by u:
+    x0_i = w_{(T-1-i) mod T}, w the periodic response of z^n/den(z) to u
+    (see the module docstring)."""
+    n, T = plant.order, u.period
+    w = dft_response((1.0,) + (0.0,) * n, plant.den, u)
+    return w[(T - 1 - np.arange(n)) % T]
 
 
 def _loop_solver(phi: PiecewiseNonlinearity, d: float):
@@ -231,14 +208,52 @@ def _closed_loop_kernel(n: int, feedthrough: bool):
     return namespace["simulate"]
 
 
+def _tile(a: np.ndarray, start: int | None, rows: int) -> np.ndarray:
+    """The first rows entries of a, continued by repeats of a[start:]."""
+    if start is None or rows <= len(a):
+        return a[:rows]
+    copies = -((len(a) - rows) // (len(a) - start))
+    return np.concatenate((a, *(a[start:],) * copies))[:rows]
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The (y, u) trajectories of a closed-loop run of steps rows, a pair
+    of arrays tiled when first read from the stepped rows: from row start
+    on (if not None) the run repeats the stretch from start to their end.
+    Indexing, and unpacking, reads the pair."""
+
+    stepped_y: np.ndarray
+    stepped_u: np.ndarray
+    start: int | None
+    steps: int
+
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return (_tile(self.stepped_y, self.start, self.steps),
+                _tile(self.stepped_u, self.start, self.steps))
+
+    def __getitem__(self, k):
+        return self._pair[k]
+
+    def periodicity(self, T: int, initial: float = 0.0) -> float:
+        """The worst |y_{k+T} - y_k| over the run and initial, NaN if one
+        is NaN (where Python's max would drop it), from the stepped rows
+        and T more: the run repeats itself with the tiling lag, so every
+        later difference equals one of those."""
+        y = _tile(self.stepped_y, self.start,
+                  min(self.steps, len(self.stepped_y) + T))
+        return float(np.max(np.abs(y[T:] - y[:-T]), initial=initial))
+
+
 def simulate_closed_loop(plant: TransferFunction,
                          phi: PiecewiseNonlinearity, x0, steps: int,
-                         period: int | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         period: int | None = None) -> Trajectory:
     """Simulate the plant's companion form x+ = A x + B u, y = C x + D u
     in the loop u = -phi(y), from the initial state x0.
 
-    phi must be single-valued.  Returns the (y, u) trajectories.  With
+    phi must be single-valued.  Returns the (y, u) trajectories as a
+    :class:`Trajectory`, which tiles them when first read.  With
     D != 0 each output is the exact loop root described in the module
     docstring, and a non-finite C x raises :class:`AlgebraicLoopError`.
     The state is compared bit for bit at every multiple of period (by
@@ -255,18 +270,19 @@ def simulate_closed_loop(plant: TransferFunction,
     chunk = max(steps, 1) if period is None else period
     if chunk < 1:
         raise ValueError(f"period must be positive, got {period}")
-    a0, c, d = _companion_rows(plant)
+    # row 0 of A, C and D of the companion form in the module docstring
+    den = plant.den
+    num = (0.0,) * (len(den) - len(plant.num)) + plant.num
+    d = num[0]
+    a0 = [-c for c in den[1:]]
+    c = [b - d * a for b, a in zip(num[1:], den[1:])]
     solve = _loop_solver(phi, d) if d != 0.0 else None
     # phi.bounds[0] is phi itself, phi being single-valued
     ys, us, start = _closed_loop_kernel(n, solve is not None)(
         c, a0, x.tolist(), phi.bounds[0], solve, steps, chunk,
         struct.Struct(f"<{n}d").pack)
-    y, u = np.array(ys, dtype=float), np.array(us, dtype=float)
-    if start is not None:
-        # the state after ys repeats the one at step start
-        y = np.concatenate((y[:start], np.resize(y[start:], steps - start)))
-        u = np.concatenate((u[:start], np.resize(u[start:], steps - start)))
-    return y, u
+    return Trajectory(np.array(ys, dtype=float), np.array(us, dtype=float),
+                      start, steps)
 
 
 @dataclass(frozen=True)
@@ -285,8 +301,8 @@ class CycleVerdict:
     residual_periodicity: float
     residual_interpolation: float
     nontrivial: bool
-    trajectory: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
+    trajectory: Trajectory | None = field(default=None, compare=False,
+                                          repr=False)
 
     def ok(self, tol: float = VERDICT_TOL) -> bool:
         return (self.residual_periodicity < tol
@@ -296,18 +312,16 @@ class CycleVerdict:
 
 def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
                            u_values) -> float:
-    """Worst distance of -u_k from the value set phi(y_k), with one pass
-    of each of phi's cached bound functions over the samples (of lower
-    only, when phi is single-valued).  As in a max over
+    """Worst distance of -u_k from the value set phi(y_k), from one pass
+    of phi's array evaluator over the samples.  As in a max over
     interval_distance, a NaN distance counts as 0, and no distance gives
     +0.0."""
-    lower, upper = phi.bounds
-    ys = np.asarray(y_values, dtype=float).tolist()
     u = np.asarray(u_values, dtype=float)
-    lo = np.array(list(map(lower, ys)))
-    hi = lo if phi.is_single_valued else np.array(list(map(upper, ys)))
     with np.errstate(all="ignore"):
-        worst = np.fmax(lo + u, -u - hi)
+        lo, hi = phi.evaluate_array(y_values)
+        dist = lo + u
+        # -u - lo is -(lo + u), but for the sign of a zero
+        worst = np.abs(dist) if hi is lo else np.fmax(dist, -u - hi)
     # + 0.0 turns a -0.0 that fmax may keep into +0.0
     return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
 
@@ -336,9 +350,7 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     if phi.is_single_valued:
         x0 = periodic_steady_state(plant, u)
         trajectory = simulate_closed_loop(plant, phi, x0, periods * T, T)
-        ysim = trajectory[0]
-        # np.max keeps a NaN that Python's max would drop
-        res_per = float(np.max(np.abs(ysim[T:] - ysim[:-T]), initial=res_per))
+        res_per = trajectory.periodicity(T, initial=res_per)
     return CycleVerdict(period=T, residual_periodicity=res_per,
                         residual_interpolation=res_int,
                         nontrivial=nontrivial, trajectory=trajectory)

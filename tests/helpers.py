@@ -21,7 +21,6 @@ from luryecycle import (
     NoIntersectionError,
     NotMonotoneError,
     RationalFrequency,
-    SingularMatrixError,
     SlopeViolationError,
     TransferFunction,
 )
@@ -201,6 +200,21 @@ def evaluate_reference(phi, y: float) -> tuple[float, float]:
     return (v, v)
 
 
+def interpolation_residual_map(phi, y_values, u_values) -> float:
+    """Worst distance of -u_k from the value set phi(y_k), with one map of
+    each of phi's bound functions over the samples (of lower only, when
+    phi is single-valued), a NaN distance counting as 0 and no distance
+    giving +0.0: the scalar form of sim.interpolation_residual."""
+    lower, upper = phi.bounds
+    ys = np.asarray(y_values, dtype=float).tolist()
+    u = np.asarray(u_values, dtype=float)
+    lo = np.array(list(map(lower, ys)))
+    hi = lo if phi.is_single_valued else np.array(list(map(upper, ys)))
+    with np.errstate(all="ignore"):
+        worst = np.fmax(lo + u, -u - hi)
+    return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
+
+
 def interpolation_residual_reference(phi, y_values, u_values) -> float:
     """Worst distance of -u_k from the value set phi(y_k), one
     evaluate_reference call per sample."""
@@ -277,7 +291,7 @@ def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
     """Fold the impulse response into h_i = sum_{l>=0} g_{i+l*T}.
 
     Uses the closed form through (I - A^T)^{-1}; raises
-    SingularMatrixError if that resolvent does not exist.
+    np.linalg.LinAlgError if that resolvent does not exist.
     """
     if T < 1:
         raise ValueError("period must be a positive integer")
@@ -287,16 +301,27 @@ def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
     if n == 0:
         return h
     a_pow = np.linalg.matrix_power(ss.a, T)
-    try:
-        w = np.linalg.solve(np.eye(n) - a_pow, ss.b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"I - A^{T} is singular") from exc
+    w = np.linalg.solve(np.eye(n) - a_pow, ss.b)
     v = w
     for i in range(1, T):
         h[i] = ss.c @ v
         v = ss.a @ v
     h[0] += ss.c @ v  # v = A^{T-1} w after the loop
     return h
+
+
+def periodic_steady_state_solve(plant: TransferFunction,
+                                u: PeriodicSignal) -> np.ndarray:
+    """Initial state of the T-periodic trajectory driven by u, from
+    x0 = A^T x0 + sum_i A^{T-1-i} B u_i: one period from rest on the
+    companion form, then a solve with I - A^T, which raises
+    np.linalg.LinAlgError where that matrix is singular."""
+    ss = realize(plant)
+    x = np.zeros(ss.order)
+    for ui in u.values:
+        x = ss.a @ x + ss.b * ui
+    a_pow = np.linalg.matrix_power(ss.a, u.period)
+    return np.linalg.solve(np.eye(ss.order) - a_pow, x)
 
 
 def circulant(first_column) -> np.ndarray:
@@ -660,8 +685,26 @@ def compute_shift_reference(data, dc: float) -> float:
     return -best_s
 
 
+def _monotone_phi(draw, ys, rises, widths=None):
+    """phi with breakpoints at ys whose values climb by draws from
+    rises; a zero value gets a random sign in each of v_lo and v_hi, and
+    with widths, breakpoints hold intervals of those widths."""
+    v = float(draw(st.integers(-3, 0)))
+    bps = []
+    for y in ys:
+        lo = v + draw(rises)
+        hi = lo + (draw(widths) if widths is not None else 0.0)
+        if lo == 0.0:
+            lo = draw(st.sampled_from([0.0, -0.0]))
+        if hi == 0.0:
+            hi = draw(st.sampled_from([0.0, -0.0]))
+        bps.append(Breakpoint(y, lo, hi))
+        v = hi
+    return phi_from_breakpoints(bps)
+
+
 @st.composite
-def dyadic_phis(draw, multivalued: bool = False):
+def dyadic_phis(draw, multivalued: bool = False, max_size: int = 8):
     """phi with breakpoints on a dyadic grid, so ties between two
     breakpoints and offsets from them are exact, and gaps of a few grid
     steps fall within the snap width y_tol.  A zero value gets a random
@@ -669,20 +712,22 @@ def dyadic_phis(draw, multivalued: bool = False):
     hold intervals."""
     step = draw(st.sampled_from([2.0**-30, 2.0**-27, 2.0**-4, 1.0]))
     base = draw(st.sampled_from([0.0, 0.75, -3.5, 1024.0]))
-    ks = sorted(draw(st.sets(st.integers(-40, 40), min_size=1, max_size=8)))
-    v = float(draw(st.integers(-3, 0)))
-    bps = []
-    for k in ks:
-        lo = v + draw(st.sampled_from([0.0, 0.0, 0.5, 2.0]))
-        hi = lo + (draw(st.sampled_from([0.0, 0.0, 1.0]))
-                   if multivalued else 0.0)
-        if lo == 0.0:
-            lo = draw(st.sampled_from([0.0, -0.0]))
-        if hi == 0.0:
-            hi = draw(st.sampled_from([0.0, -0.0]))
-        bps.append(Breakpoint(base + k * step, lo, hi))
-        v = hi
-    return phi_from_breakpoints(bps)
+    ks = sorted(draw(st.sets(st.integers(-40, 40), min_size=1,
+                             max_size=max_size)))
+    return _monotone_phi(draw, [base + k * step for k in ks],
+                         st.sampled_from([0.0, 0.0, 0.5, 2.0]),
+                         st.sampled_from([0.0, 0.0, 1.0]) if multivalued
+                         else None)
+
+
+@st.composite
+def float_phis(draw, multivalued: bool = False):
+    """phi with 1-12 breakpoints anywhere in [-1e3, 1e3] and values
+    climbing by arbitrary floats, flat runs included."""
+    ys = sorted(draw(st.sets(st.floats(-1e3, 1e3), min_size=1,
+                             max_size=12)))
+    rises = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    return _monotone_phi(draw, ys, rises, rises if multivalued else None)
 
 
 def probe_points(phi) -> list[float]:

@@ -35,6 +35,7 @@ from helpers import (
     dyadic_phis,
     evaluate_reference,
     float_bits,
+    float_phis,
     interpolate_reference,
     interpolates,
     monotone_interpolable_reference,
@@ -209,6 +210,22 @@ def test_cached_evaluators_match_reference(phi):
         assert repr(phi.evaluate(y)) == repr(want), y
         if phi.is_single_valued:
             assert repr(phi.bounds[0](y)) == repr(want[0]), y
+
+
+@given(st.one_of(dyadic_phis(max_size=12),
+                 dyadic_phis(multivalued=True, max_size=12),
+                 float_phis(), float_phis(multivalued=True)))
+def test_array_evaluator_matches_bounds(phi):
+    """evaluate_array gives the values of the two bound functions bit
+    for bit: at each breakpoint and y_tol around it, on exact ties
+    between two breakpoints (the left one wins), at both zeros, outside
+    the span, at +-inf and at NaN."""
+    ys = probe_points(phi) + [0.0, -0.0, -math.nan]
+    lower, upper = phi.bounds
+    lo, hi = phi.evaluate_array(ys)
+    assert float_bits(lo) == float_bits(map(lower, ys))
+    assert float_bits(hi) == float_bits(map(upper, ys))
+    assert math.isnan(lo[0]) and math.isnan(hi[0])  # probe_points' NaN
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()),

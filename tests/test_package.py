@@ -16,7 +16,8 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "shift_data", "slope_bound", "_sorted_feasible", "_sweep_rows",
            "realize", "StateSpaceRealization", "monotone_interpolable",
            "DataPairSet", "interpolate_reference", "compute_shift_reference",
-           "max_chord_slope", "on_window_edge")
+           "max_chord_slope", "on_window_edge", "periodic_steady_state_solve",
+           "interpolation_residual_map")
 
 
 def test_every_exported_name_resolves():

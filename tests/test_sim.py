@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from luryecycle.sim import (
 from helpers import (
     closed_loop_radius,
     float_bits,
+    interpolation_residual_map,
+    periodic_steady_state_solve,
     realize,
     simulate_closed_loop_reference,
     simulate_linear,
@@ -90,6 +94,59 @@ class TestPeriodicSteadyState:
         g = TransferFunction((0.5,), (1.0,))
         x0 = periodic_steady_state(g, PeriodicSignal((1.0,)))
         assert x0.shape == (0,)
+
+    def test_one_sample_period_below_the_order(self):
+        # T = 1 < n = 2: both state entries hold the one sample of w,
+        # the constant response 1/den(1) * u of z^2/den(z).
+        g = TransferFunction((1.0,), (1.0, -0.5, 0.25))
+        x0 = periodic_steady_state(g, PeriodicSignal((3.0,)))
+        assert x0 == pytest.approx([4.0, 4.0], rel=1e-15)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_near_marginal_plants_against_exact_state(self, eps):
+        # Poles at radius r = 1 - eps beside one at 0.3: at +r, at -r, and
+        # a pair at +-2*pi/7, which T = 7 puts on a DFT bin.  Errors are
+        # relative to the exact state's largest entry.  Near +1 the solve
+        # loses digits to I - A^T and the DFT does not; at the resonant
+        # bin both lose about as many, the DFT up to 4 times the solve's.
+        r = 1.0 - eps
+        pair = np.poly([r * np.exp(2j * np.pi / 7),
+                        r * np.exp(-2j * np.pi / 7)]).real
+        dens = [np.poly([r, 0.3]), np.poly([-r, 0.3]),
+                np.polymul(pair, (1.0, -0.3))]
+        rng = np.random.default_rng(11)
+        for i, den in enumerate(dens):
+            g = TransferFunction((1.0,), tuple(den.tolist()))
+            for T in (1, 7, 101):
+                u = PeriodicSignal(rng.uniform(-1.0, 1.0, T))
+                want = _exact_initial_state(g, u)
+                scale = max(abs(v) for v in want)
+                dft, solve = (
+                    float(max(abs(mpmath.mpf(float(a)) - b)
+                              for a, b in zip(fn(g, u), want)) / scale)
+                    for fn in (periodic_steady_state,
+                               periodic_steady_state_solve))
+                assert dft <= 4.0 * solve + 1e-14, (i, T)
+                if i == 0:
+                    assert dft < 1e-15, T
+
+
+def _exact_initial_state(plant, u):
+    """x0 = (I - A^T)^{-1} sum_i A^{T-1-i} e_0 u_i in 50-digit arithmetic
+    on the plant's own float coefficients."""
+    with mpmath.workdps(50):
+        den = [mpmath.mpf(c) for c in plant.den]
+        n = len(den) - 1
+        a = mpmath.zeros(n, n)
+        for j in range(n):
+            a[0, j] = -den[j + 1]
+        for i in range(1, n):
+            a[i, i - 1] = 1
+        x = mpmath.zeros(n, 1)
+        for ui in u.values:
+            x = a * x
+            x[0] += mpmath.mpf(ui)
+        return list(mpmath.lu_solve(mpmath.eye(n) - a**u.period, x))
 
 
 class TestClosedLoopSimulation:
@@ -258,13 +315,35 @@ class TestVerifyCycle:
         cert = build_certificate(example_plant, RationalFrequency(2, 7),
                                  slope=1.31)
         steps = 3 * 7
-        monkeypatch.setattr(sim, "simulate_closed_loop",
-                            lambda *args: (np.full(steps, np.nan),
-                                           np.full(steps, np.nan)))
+        monkeypatch.setattr(sim, "_closed_loop_kernel",
+                            lambda n, feedthrough: lambda *args: (
+                                [math.nan] * steps, [math.nan] * steps,
+                                None))
         verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
                                periods=3)
         assert math.isnan(verdict.residual_periodicity)
         assert not verdict.ok()
+
+    def test_long_check_needs_no_trajectory_memory(self, example_plant):
+        # 10**6 periods of the (2, 7) cycle: the state repeats early, the
+        # check reads the stepped rows plus one period, and the verdict
+        # tiles its trajectory only when read.
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        short = verify_cycle(example_plant, cert.phi, cert.u, cert.y)
+        tracemalloc.start()
+        try:
+            long = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
+                                periods=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert float_bits((long.residual_periodicity,
+                           long.residual_interpolation)) == \
+            float_bits((short.residual_periodicity,
+                        short.residual_interpolation))
+        assert long.ok() and long.nontrivial
 
     def test_multivalued_check_runs_without_periods(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))
@@ -281,6 +360,8 @@ class TestInterpolationResidual:
         phi = PiecewiseNonlinearity((0.0,), (-1.0,), (0.0,))
         got = interpolation_residual(phi, [1.0] * 40, [0.0] * 40)
         assert repr(got) == "0.0"
+        want = interpolation_residual_map(phi, [1.0] * 40, [0.0] * 40)
+        assert repr(want) == "0.0"
 
 
 class TestNyquistGain:

@@ -2,7 +2,8 @@
 fixed-point iteration it replaced, and the compiled closed-loop simulation
 (with and without its stop at a repeated state), the one-pass
 interpolation residual and the trajectory CSV that formats a repeated
-stretch once against the per-step references.
+stretch once against the per-step references, and the DFT periodic
+initial state against the solve with I - A^T.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -20,9 +21,11 @@ from hypothesis import strategies as st
 
 from luryecycle import AlgebraicLoopError, TransferFunction
 from luryecycle.interp import PiecewiseNonlinearity
+from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import (
     _loop_solver,
     interpolation_residual,
+    periodic_steady_state,
     simulate_closed_loop,
     trajectory_csv,
 )
@@ -30,7 +33,9 @@ from luryecycle.sim import (
 from helpers import (
     dyadic_phis,
     float_bits,
+    interpolation_residual_map,
     interpolation_residual_reference,
+    periodic_steady_state_solve,
     pl_eval_reference,
     probe_points,
     random_stable_tf,
@@ -186,6 +191,72 @@ def test_residual_matches_per_sample_reference(phi, seed):
                                     -hi - 0.25, -lo + 0.25, math.nan])))
     assert repr(interpolation_residual(phi, ys, us)) == \
         repr(interpolation_residual_reference(phi, ys, us))
+
+
+@given(st.one_of(dyadic_phis(max_size=12),
+                 dyadic_phis(multivalued=True, max_size=12)),
+       st.integers(0, 2**32 - 1))
+def test_residual_matches_map_version(phi, seed):
+    """The array pass equals the map of the bound functions it replaced,
+    by repr: -u on the ends of the value sets (zero distances of either
+    sign give +0.0), inside, off them and NaN, at the probe points and
+    both zeros."""
+    ys = probe_points(phi) + [0.0, -0.0]
+    rng = np.random.default_rng(seed)
+    us = []
+    for y in ys:
+        lo, hi = phi.evaluate(y)
+        us.append(float(rng.choice([-lo, -hi, -0.5 * (lo + hi), -hi - 0.25,
+                                    -lo + 0.25, math.nan, 0.0, -0.0])))
+    assert repr(interpolation_residual(phi, ys, us)) == \
+        repr(interpolation_residual_map(phi, ys, us))
+
+
+@st.composite
+def stable_plants(draw):
+    """Plant of order 0-10 with poles in |z| <= 0.95, with or without
+    direct feedthrough."""
+    order = draw(st.integers(0, 10))
+    pairs = draw(st.integers(0, order // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(0.0, 0.95, pairs) * np.exp(
+        1j * rng.uniform(0.0, np.pi, pairs))
+    real = rng.uniform(-0.95, 0.95, order - 2 * pairs)
+    den = np.atleast_1d(np.poly(np.concatenate((p, p.conj(), real))).real)
+    num = rng.normal(size=order + 1)
+    if not draw(st.booleans()):
+        num[0] = 0.0
+    return TransferFunction(tuple(num.tolist()), tuple(den.tolist()))
+
+
+@settings(max_examples=60)
+@given(stable_plants(), st.sampled_from((1, 2, 7, 101, 1001)),
+       st.integers(0, 2**32 - 1))
+def test_dft_initial_state_matches_solve(plant, T, seed):
+    """x0 from the DFT agrees with the solve oracle to 1e-9 relative,
+    T = 1 below the plant order included."""
+    u = PeriodicSignal(np.random.default_rng(seed).uniform(-1.0, 1.0, T))
+    got = periodic_steady_state(plant, u)
+    want = periodic_steady_state_solve(plant, u)
+    assert got.shape == want.shape == (plant.order,)
+    assert np.max(np.abs(got - want), initial=0.0) <= \
+        1e-9 * np.max(np.abs(want), initial=0.0)
+
+
+@given(repeating_loops(), st.integers(1, 15), st.integers(0, 120),
+       st.integers(1, 40))
+def test_periodicity_reads_the_tiled_run(loop, period, steps, T):
+    """The worst |y_{k+T} - y_k| from the stepped rows plus T equals the
+    one over the whole tiled run, for a tiling lag longer or shorter
+    than T, and NaN when the run holds one."""
+    g, phi, x0 = loop
+    try:
+        run = simulate_closed_loop(g, phi, x0, steps, period)
+    except AlgebraicLoopError:
+        return
+    y = run[0]
+    want = np.max(np.abs(y[T:] - y[:-T]), initial=0.0)
+    assert float_bits([run.periodicity(T)]) == float_bits([want])
 
 
 samples = st.one_of(st.sampled_from((0.0, -0.0, math.nan, -math.nan, 1.5)),

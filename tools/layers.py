@@ -1,10 +1,16 @@
 """In-process wall time of each pipeline layer on the example plant.
 
     python3 tools/layers.py [--src PATH] [--repeats N]
+    python3 tools/layers.py --src A --src B [--repeats N]
 
 Imports the package from --src (default: src/ of this checkout), so the
 same script times two checkouts alike, and prints one JSON object that
-maps each measurement to its minimum over N repeats, in ms.  The plant
+maps each measurement to its minimum over N repeats, in ms.  Given --src
+twice, it compares the two trees: each of COMPARE_ROUNDS rounds times
+both, each in a fresh child process, in alternating order (A then B,
+then B then A), and it prints each key's minimum over all rounds for A
+and for B and their ratio B/A, so that drift of the host between
+processes falls on both trees alike.  The plant
 is G = z/(z^2 - 1.8 z + 0.81) (D = 0), and G + 0.3 (D = 0.3) for the
 feedthrough simulation.  Measurements:
 
@@ -33,7 +39,14 @@ feedthrough simulation.  Measurements:
   slope-k certificates above in both windows (D = 0); and its first call
   at a new plant order, which compiles the step for that order (a
   one-step run after clearing the compiled steps, as set-up);
-- sim.periodic_steady_state at T = 1001;
+- sim.periodic_steady_state at T = 7, 101, 301 and 1001, on the input of
+  the monotone certificate;
+- sim.interpolation_residual at T = 101, 301 and 1001 on the cycle of
+  the even-window slope-k certificate (keys "T=<T> even k") and of an
+  anchor whose response lies on the edge of the odd window, whose odd
+  build gives a multivalued phi (keys "T=<T> odd edge anchor"), each on
+  a fresh copy of phi, so that every repeat also pays what the checkout
+  builds per nonlinearity;
 - sim.verify_cycle of the even-window slope-k certificate above at
   T = 101, 301 and 1001 (20 periods), and, as a count rather than a
   time, the steps its simulation stepped before the state repeated
@@ -46,9 +59,11 @@ Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -65,6 +80,7 @@ SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
 VERIFY_PERIODS = (101, 301, 1001)
 FEEDTHROUGH = 0.3
+COMPARE_ROUNDS = 3
 
 
 def _min_ms(fn, repeats: int, setup=None) -> float:
@@ -158,6 +174,7 @@ def measure(repeats: int) -> dict[str, float]:
     out = {}
     slope_certs = {}
     verify_certs = {}
+    mono_certs = {}
     for beta_max in SWEEP_BETA_MAX:
         out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
             lambda: sweep_entries(g, beta_max), repeats, _clear_grid)
@@ -172,6 +189,7 @@ def measure(repeats: int) -> dict[str, float]:
         resp = freq_response(g, freq.omega)
         out[f"construct.build_certificate T={T}"] = _min_ms(
             lambda: build_certificate(g, freq), repeats)
+        mono_certs[T] = build_certificate(g, freq)
         for odd in (False, True):
             # the closed-form bound; (T - 1, T) lies in its window
             t = math.tan(math.pi / (2 * T if odd else T))
@@ -223,8 +241,19 @@ def measure(repeats: int) -> dict[str, float]:
 
     out[f"sim.simulate_closed_loop first call order={g.order}"] = _min_ms(
         first_call, repeats)
-    out[f"sim.periodic_steady_state T={cert.u.period}"] = _min_ms(
-        lambda: periodic_steady_state(g, cert.u), repeats)
+    for T, m_cert in mono_certs.items():
+        out[f"sim.periodic_steady_state T={T}"] = _min_ms(
+            lambda: periodic_steady_state(g, m_cert.u), repeats)
+    for T, k_cert in verify_certs.items():
+        freq = RationalFrequency(T - 1, T)
+        edge = AnchorPlant(freq.omega, -cmath.exp(1j * math.pi / (2 * T)))
+        for label, r_cert in (("even k", k_cert), ("odd edge anchor",
+                              build_certificate(edge, freq, odd=True))):
+            ya, ua = r_cert.y.as_array(), r_cert.u.as_array()
+            fresh = [r_cert.phi]
+            out[f"sim.interpolation_residual T={T} {label}"] = _min_ms(
+                lambda: sim.interpolation_residual(fresh[0], ya, ua),
+                repeats, lambda: fresh.__setitem__(0, replace(r_cert.phi)))
     for T, k_cert in verify_certs.items():
         out[f"sim.verify_cycle T={T} even k"] = _min_ms(
             lambda: sim.verify_cycle(g, k_cert.phi, k_cert.u, k_cert.y,
@@ -251,14 +280,37 @@ def measure(repeats: int) -> dict[str, float]:
     return out
 
 
+def compare(srcs: list[Path], repeats: int) -> dict:
+    """Both trees' minima over the rounds and their ratio, per key."""
+    best = [{}, {}]
+    for r in range(COMPARE_ROUNDS):
+        for i in (0, 1) if r % 2 == 0 else (1, 0):
+            run = subprocess.run(
+                [sys.executable, __file__, "--src", str(srcs[i]),
+                 "--repeats", str(repeats)],
+                capture_output=True, text=True, check=True)
+            for key, ms in json.loads(run.stdout).items():
+                best[i][key] = min(ms, best[i].get(key, math.inf))
+    return {key: {"a": a, "b": best[1][key],
+                  "ratio": round(best[1][key] / a, 3) if a else None}
+            for key, a in best[0].items() if key in best[1]}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a checkout's src/; twice to compare two")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-    print(json.dumps(measure(args.repeats), indent=1))
+    srcs = args.src or [Path(__file__).resolve().parents[1] / "src"]
+    if len(srcs) > 2:
+        parser.error("--src is given at most twice")
+    if len(srcs) == 2:
+        result = compare(srcs, args.repeats)
+    else:
+        sys.path.insert(0, str(srcs[0].resolve()))
+        result = measure(args.repeats)
+    print(json.dumps(result, indent=1))
     return 0
 
 
