@@ -186,9 +186,14 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
 
     resp0 = plant_response(plant, freq)
     resp = resp0 + shift_c
-    if not np.isfinite(resp):
-        raise DomainError(f"response {resp!r} at omega = "
-                          f"{freq.alpha}*pi/{freq.beta} is not finite")
+    # The one magnitude check: a response whose modulus overflows, though
+    # both its parts are finite, would fail later in abs() or in the sums
+    # of the cycle data.
+    if not math.isfinite(math.hypot(resp.real, resp.imag)):
+        raise DomainError(
+            f"response {resp!r} at omega = {freq.alpha}*pi/{freq.beta} "
+            + ("has a magnitude beyond the float range" if np.isfinite(resp)
+               else "is not finite"))
     check = phase_check(resp, freq, odd_variant=odd)
     if not check.satisfied:
         raise PhaseConditionError(

@@ -170,13 +170,16 @@ def dc_gain(plant: TransferFunction) -> float:
 def periodic_response(plant: TransferFunction,
                       u: PeriodicSignal) -> PeriodicSignal:
     """Steady-state response to a T-periodic input, one period in and out."""
-    return PeriodicSignal(dft_response(plant.num, plant.den, u))
+    return PeriodicSignal(dft_response((plant.num,), plant.den, u)[0])
 
 
-def dft_response(num, den, u: PeriodicSignal) -> np.ndarray:
-    """Steady-state response of num(z)/den(z), whose poles the caller
-    keeps inside the unit circle, to the periodic input u, as an array."""
+def dft_response(nums, den, u: PeriodicSignal) -> list[np.ndarray]:
+    """Steady-state responses of num(z)/den(z), for each num in nums, to
+    the periodic input u, as arrays; the caller keeps the poles inside
+    the unit circle.  z = e^{j*2*pi*k/T} and den(z) are evaluated once
+    for all numerators."""
     T = u.period
     z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
-    gain = np.polyval(num, z) / np.polyval(den, z)
-    return np.fft.irfft(gain * u._spectrum, n=T)
+    dz = np.polyval(den, z)
+    return [np.fft.irfft(np.polyval(num, z) / dz * u._spectrum, n=T)
+            for num in nums]

@@ -17,14 +17,20 @@ closed-loop simulation runs a step function compiled once per order n:
 it holds x in n local floats and writes out every product and sum, left
 to right from 0.0.
 
-The simulation steps in chunks of one period T.  At each chunk start it
-packs the n floats of x into bytes and looks them up among the earlier
-chunk starts; bit patterns, not ==, so -0.0 and 0.0 differ and a NaN
-matches itself.  A step is a pure function of those n floats (C, A[0],
-phi and the loop solver below are fixed for the run), so when the state
-at step k repeats the one at step j, the rest of the run repeats steps
-j..k-1: the stepping stops there, and the trajectories are tiled from
-that stretch when first read, bit for bit what stepping on would give.
+A step is a pure function of the n floats of x (C, A[0], phi and the
+loop solver below are fixed for the run), so when the state at step k
+repeats the one at step j, the rest of the run repeats steps j..k-1:
+the stepping stops there, and the trajectories are tiled from that
+stretch when first read, bit for bit what stepping on would give.  Two
+checks find a repeat.  After each step, the new entry w is compared with
+the w one period T back, by value and the sign of a zero (a NaN never
+matches); after n matches in a row the state equals the one a period
+earlier, so a run that settles onto a T-periodic cycle stops n steps
+after it settles, not at the next chunk start.  And the simulation steps
+in chunks of one period: at each chunk start it packs x into bytes and
+looks them up among the earlier chunk starts, which also catches a state
+that repeats two or more periods back, and is the only check for an
+order-0 plant, which has no state.
 The periodicity check reads only the stepped rows and one period more.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
@@ -53,7 +59,6 @@ from .lti import (
     TransferFunction,
     dft_response,
     freq_response,
-    periodic_response,
 )
 
 # Verification constants: VERDICT_TOL is the pass threshold for
@@ -86,9 +91,16 @@ def periodic_steady_state(plant: TransferFunction,
     """Initial state of the unique T-periodic trajectory driven by u:
     x0_i = w_{(T-1-i) mod T}, w the periodic response of z^n/den(z) to u
     (see the module docstring)."""
+    return _with_steady_state(plant, u)[-1]
+
+
+def _with_steady_state(plant: TransferFunction, u: PeriodicSignal, *nums):
+    """The response of num(z)/den(z) to u for each of nums, then the
+    initial state of periodic_steady_state, from one evaluation of
+    den(z)."""
     n, T = plant.order, u.period
-    w = dft_response((1.0,) + (0.0,) * n, plant.den, u)
-    return w[(T - 1 - np.arange(n)) % T]
+    *responses, w = dft_response(nums + ((1.0,) + (0.0,) * n,), plant.den, u)
+    return *responses, w[(T - 1 - np.arange(n)) % T]
 
 
 def _loop_solver(phi: PiecewiseNonlinearity, d: float):
@@ -145,8 +157,11 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
 # w = 0.0 + a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one
 # assignment each (for n >= 4 faster than one tuple assignment).  The
 # state lives in the local floats x0..x{n-1}.  The steps run in chunks
-# of one period with the repeat check of the module docstring; the third
-# result is the earlier chunk start whose state repeated, or None.
+# of one period, with the two repeat checks of the module docstring:
+# before step i of a chunk, ring[i] holds the w one period back (an entry
+# of the initial state, or NaN where the run has no such w), and the
+# step swaps in its own w.  The third result is the step from which the
+# stepped run repeats itself, or None.
 _KERNEL = """\
 def simulate(c, a, x, value, solve, steps, period, pack):
     [{c}] = c
@@ -157,16 +172,28 @@ def simulate(c, a, x, value, solve, steps, period, pack):
     y_out = ys.append
     u_out = us.append
     starts = {{}}
+    ring = ([nan] * period + x[::-1])[-period:]
+    same = 0
     for start in range(0, steps, period):
         key = pack({x})
         if key in starts:
             return ys, us, starts[key]
         starts[key] = start
-        for _ in range(min(period, steps - start)):
+        for i in range(min(period, steps - start)):
 {body}            u = -value(y)
             y_out(y)
             u_out(u)
 {update}    return ys, us, None
+"""
+_COMPARE = """\
+            p = ring[i]
+            ring[i] = w
+            if w == p and (w or copysign(1.0, w) == copysign(1.0, p)):
+                same += 1
+                if same == {n}:
+                    return ys, us, len(ys) - period
+            else:
+                same = 0
 """
 # A sum continues on a new line after this many terms: the compiler
 # recurses once per term of a chained sum, and fails near 3000.
@@ -187,7 +214,8 @@ def _sum_lines(target: str, terms: list[str]) -> str:
 @lru_cache(maxsize=16)
 def _closed_loop_kernel(n: int, feedthrough: bool):
     """_KERNEL for order n, compiled on first use.  The source holds only
-    n: coefficients, phi and the loop solver are arguments."""
+    n: coefficients, phi and the loop solver are arguments.  Order 0 has
+    no state, so it keeps only the chunk-start check."""
     def names(prefix):
         return [f"{prefix}{i}" for i in range(n)]
 
@@ -200,10 +228,10 @@ def _closed_loop_kernel(n: int, feedthrough: bool):
     update = "".join(
         [_sum_lines("w", products("a") + ["u"])]
         + [f"            x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
-        + ["            x0 = w\n"]) if n else ""
+        + ["            x0 = w\n", _COMPARE.format(n=n)]) if n else ""
     source = _KERNEL.format(c=", ".join(names("c")), a=", ".join(names("a")),
                             x=", ".join(names("x")), body=body, update=update)
-    namespace = {}
+    namespace = {"copysign": math.copysign, "nan": math.nan}
     exec(compile(source, f"<closed loop, order {n}>", "exec"), namespace)
     return namespace["simulate"]
 
@@ -256,9 +284,11 @@ def simulate_closed_loop(plant: TransferFunction,
     :class:`Trajectory`, which tiles them when first read.  With
     D != 0 each output is the exact loop root described in the module
     docstring, and a non-finite C x raises :class:`AlgebraicLoopError`.
-    The state is compared bit for bit at every multiple of period (by
-    default only at step 0); from the first repeat on the rest of the
-    run is tiled, as described in the module docstring.
+    After every step the state is compared with the one a period back,
+    and at every multiple of period with the earlier multiples (by
+    default the period is the whole run, so no repeat is found); from
+    the first repeat on the rest of the run is tiled, as described in
+    the module docstring.
     """
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
@@ -343,12 +373,15 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     T = u.period
     ua = u.as_array()
     ya = y.as_array()
-    res_per = float(np.max(np.abs(ya - periodic_response(plant, u).as_array())))
+    if phi.is_single_valued:
+        linear, x0 = _with_steady_state(plant, u, plant.num)
+    else:
+        linear, = dft_response((plant.num,), plant.den, u)
+    res_per = float(np.max(np.abs(ya - linear)))
     res_int = interpolation_residual(phi, ya, ua)
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
     trajectory = None
     if phi.is_single_valued:
-        x0 = periodic_steady_state(plant, u)
         trajectory = simulate_closed_loop(plant, phi, x0, periods * T, T)
         res_per = trajectory.periodicity(T, initial=res_per)
     return CycleVerdict(period=T, residual_periodicity=res_per,

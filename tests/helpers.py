@@ -165,6 +165,42 @@ def simulate_closed_loop_reference(
     return ys, us
 
 
+def first_repeat_reference(plant: TransferFunction, phi, x0, steps: int,
+                           period: int) -> list[int]:
+    """The steps at which simulate_closed_loop may stop stepping, with
+    every state recorded.  Without a NaN that is one step: the first k
+    whose state equals bit for bit the state at k - period or, at a
+    multiple of period below steps, the state at an earlier multiple;
+    steps when no state repeats.  A NaN, once in the state, stays there,
+    and its sign can differ between runs of the same code (CPython's sum
+    of two NaNs keeps either one, depending on how the interpreter has
+    specialised the addition), so from the first state m that holds one
+    the stop can be any multiple of period from m on, or steps.  The
+    states are those of the companion form, shifted down one place per
+    step behind w = A[0] . x + u."""
+    ss = realize(plant)
+    a0 = ss.a[0].tolist() if ss.order else []
+    c = ss.c.tolist()
+    solve = _loop_solver(phi, ss.d) if ss.d != 0.0 else None
+    x = np.asarray(x0, dtype=float).tolist()
+    states = [np.array(x, dtype=float).tobytes()]
+    for k in range(steps + 1):
+        if any(map(math.isnan, x)):
+            if solve is not None and k < steps:
+                solve(_dot(c, x))  # a NaN loop input: the step raises
+            return [j for j in range(period, steps, period) if j >= k] \
+                + [steps]
+        if k and (k >= period and states[k] == states[k - period]
+                  or k % period == 0 and states[k] in states[:k:period]):
+            return [k]
+        if k == steps:
+            return [steps]
+        lin = _dot(c, x)
+        u = -phi.evaluate(lin if solve is None else solve(lin))[0]
+        x = ([_dot(a0, x) + u] + x[:-1]) if x else []
+        states.append(np.array(x, dtype=float).tobytes())
+
+
 def _dot(row, x) -> float:
     """Left-to-right sum of products from 0.0.  Unlike sum(), whose float
     sums are compensated from Python 3.12 on, the order is fixed."""

@@ -110,6 +110,29 @@ def test_typed_construction_failures_exit_with_their_code(
     assert "error: " in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["construct"],
+    ["construct", "--odd"],
+    ["construct", "--slope", "1e-300"],
+    ["construct", "--odd", "--slope", "1e-300"],
+    ["figure-data", "--which", "phi", "--out", "phi.csv"],
+], ids=["plain", "odd", "slope", "odd-slope", "figure-data"])
+def test_overflowing_response_magnitude_is_a_domain_error(runner, tmp_path,
+                                                          args):
+    # G(e^{j*2*pi/3}) = -1.7e308 - 9.8e307j: both parts are finite, but
+    # its modulus is not.
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        Path("plant.json").write_text(json.dumps(NEAR_OVERFLOW))
+        result = runner.invoke(cli, [args[0], "plant.json", "--alpha", "2",
+                                     "--beta", "3", *args[1:]])
+        assert os.listdir(cwd) == ["plant.json"]
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert re.fullmatch(r"error: response \(-1\.\d+e\+308-9\.\d+e\+307j\) at "
+                        r"omega = 2\*pi/3 has a magnitude beyond the float "
+                        r"range\n", result.stderr)
+
+
 @pytest.mark.parametrize("args, message", [
     # G(-1) overflows; the true margin, 0.5/1.7e308, is subnormal.
     (["nyquist"], r"response \(-inf.*\) at omega = 3.14159265 "),

@@ -1,9 +1,10 @@
 """Property tests: the exact feedthrough-loop solve against the damped
 fixed-point iteration it replaced, and the compiled closed-loop simulation
-(with and without its stop at a repeated state), the one-pass
-interpolation residual and the trajectory CSV that formats a repeated
-stretch once against the per-step references, and the DFT periodic
-initial state against the solve with I - A^T.
+(with and without its stop at a repeated state, and where it stops), the
+one-pass interpolation residual and the trajectory CSV that formats a
+repeated stretch once against the per-step references, the DFT periodic
+initial state against the solve with I - A^T, and verify_cycle's shared
+DFT against the public functions it replaces.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -13,25 +14,28 @@ one the damped iteration in helpers climbs to whenever it settles.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from luryecycle import AlgebraicLoopError, TransferFunction
+from luryecycle import AlgebraicLoopError, TransferFunction, sim
 from luryecycle.interp import PiecewiseNonlinearity
-from luryecycle.lti import PeriodicSignal
+from luryecycle.lti import PeriodicSignal, periodic_response
 from luryecycle.sim import (
     _loop_solver,
     interpolation_residual,
     periodic_steady_state,
     simulate_closed_loop,
     trajectory_csv,
+    verify_cycle,
 )
 
 from helpers import (
     dyadic_phis,
+    first_repeat_reference,
     float_bits,
     interpolation_residual_map,
     interpolation_residual_reference,
@@ -139,6 +143,9 @@ def test_simulation_matches_generic_step_reference(loop):
     assert np.array_equal(got[1], want[1])
 
 
+SATURATION = PiecewiseNonlinearity((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+
+
 @st.composite
 def repeating_loops(draw):
     """loops() with some initial-state entries set to -0.0 or NaN and
@@ -176,6 +183,29 @@ def test_tiled_simulation_matches_per_step_reference(loop, period, steps):
     assert _run(lambda: simulate_closed_loop(g, phi, x0, steps, period)) \
         == _run(lambda: simulate_closed_loop_reference(realize(g), phi, x0,
                                                        steps))
+
+
+@given(repeating_loops(), st.integers(1, 15), st.integers(0, 120))
+# The state settles to +0.0 after one step, and under a constant phi to
+# a fixed point after about 50: both repeat the state a period back
+# between period starts, where the chunk-start check alone stops later.
+@example((TransferFunction((1.0,), (1.0, -0.5)), SATURATION, [-0.0]), 4, 40)
+@example((TransferFunction((0.5, 0.0), (1.0, 0.1, 0.2)),
+          PiecewiseNonlinearity((0.0,), (3.0,), (3.0,)), [1.0, 2.0]), 7, 120)
+def test_simulation_stops_at_the_first_repeat(loop, period, steps):
+    """The stepping stops at the earliest step whose state repeats the
+    one a period back or an earlier period start, and not later; with a
+    NaN in the state, at a period start or the end."""
+    g, phi, x0 = loop
+    try:
+        want = first_repeat_reference(g, phi, x0, steps, period)
+    except AlgebraicLoopError:
+        with pytest.raises(AlgebraicLoopError):
+            simulate_closed_loop(g, phi, x0, steps, period)
+        return
+    run = simulate_closed_loop(g, phi, x0, steps, period)
+    assert len(run.stepped_y) == len(run.stepped_u)
+    assert len(run.stepped_y) in want
 
 
 @given(dyadic_phis(multivalued=True), st.integers(0, 2**32 - 1))
@@ -241,6 +271,45 @@ def test_dft_initial_state_matches_solve(plant, T, seed):
     assert got.shape == want.shape == (plant.order,)
     assert np.max(np.abs(got - want), initial=0.0) <= \
         1e-9 * np.max(np.abs(want), initial=0.0)
+
+
+class _Unstepped:
+    """Stands in for a simulated run: its periodicity is the residual
+    verify_cycle had before the simulation."""
+
+    def periodicity(self, T, initial):
+        return initial
+
+
+@settings(max_examples=60)
+@given(stable_plants(), st.sampled_from((1, 2, 7, 101, 1001)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_verify_cycle_dft_matches_public_functions(plant, T, seed,
+                                                   single_valued):
+    """verify_cycle's one evaluation of den(z) gives the initial state and
+    the linear residual that periodic_steady_state and periodic_response
+    give, bit for bit."""
+    rng = np.random.default_rng(seed)
+    u = PeriodicSignal(rng.uniform(-1.0, 1.0, T))
+    y = PeriodicSignal(rng.uniform(-1.0, 1.0, T))
+    phi = SATURATION if single_valued else \
+        PiecewiseNonlinearity((0.0,), (-1.0,), (1.0,))
+    starts = []
+
+    def spy(plant, phi, x0, steps, period):
+        starts.append(x0)
+        return _Unstepped()
+
+    with mock.patch.object(sim, "simulate_closed_loop", spy):
+        verdict = verify_cycle(plant, phi, u, y)
+    linear = periodic_response(plant, u).as_array()
+    assert float_bits([verdict.residual_periodicity]) == \
+        float_bits([np.max(np.abs(y.as_array() - linear))])
+    if single_valued:
+        [x0] = starts
+        assert x0.tobytes() == periodic_steady_state(plant, u).tobytes()
+    else:
+        assert not starts
 
 
 @given(repeating_loops(), st.integers(1, 15), st.integers(0, 120),

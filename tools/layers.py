@@ -36,7 +36,10 @@ feedthrough simulation.  Measurements:
 - sim.simulate_closed_loop for 20 periods, driven by the phi of the
   T = 1001 monotone certificate, with D = 0 and D = 0.3; at the
   benchmark's cycle_long sizes, T = 101 and 301 with the phi of the
-  slope-k certificates above in both windows (D = 0); and its first call
+  slope-k certificates above in both windows (D = 0); a run that never
+  repeats, where every repeat check is pure cost: G = 1/(z - 0.999) from
+  x0 = 1000 for 20 periods of T = 7 under the phi of the T = 7
+  monotone certificate (key "... never repeats"); and its first call
   at a new plant order, which compiles the step for that order (a
   one-step run after clearing the compiled steps, as set-up);
 - sim.periodic_steady_state at T = 7, 101, 301 and 1001, on the input of
@@ -47,11 +50,12 @@ feedthrough simulation.  Measurements:
   build gives a multivalued phi (keys "T=<T> odd edge anchor"), each on
   a fresh copy of phi, so that every repeat also pays what the checkout
   builds per nonlinearity;
-- sim.verify_cycle of the even-window slope-k certificate above at
-  T = 101, 301 and 1001 (20 periods), and, as a count rather than a
+- sim.verify_cycle of the slope-k certificates above in both windows
+  at T = 101, 301 and 1001 (20 periods), and, as a count rather than a
   time, the steps its simulation stepped before the state repeated
-  (keys "... stepped"; phi evaluations inside simulate_closed_loop, so
-  20*T in a checkout that steps every period).
+  (keys "... stepped"; phi evaluations inside simulate_closed_loop,
+  which reach 20*T only when the state never repeats or the checkout
+  has no repeat check).
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 """
@@ -79,6 +83,7 @@ SLOPE_MARGIN = 1.0001
 SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
 VERIFY_PERIODS = (101, 301, 1001)
+NEVER_REPEATS_T = 7
 FEEDTHROUGH = 0.3
 COMPARE_ROUNDS = 3
 
@@ -169,6 +174,7 @@ def measure(repeats: int) -> dict[str, float]:
             phase._grid = None
 
     g = TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81))
+    g_slow = TransferFunction((1.0,), (1.0, -0.999))
     g_d = TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
                             0.81 * FEEDTHROUGH), g.den)
     out = {}
@@ -204,8 +210,7 @@ def measure(repeats: int) -> dict[str, float]:
                                            slope=SLOPE_MARGIN * kbar)
                 if T in SIM_CYCLE_PERIODS:
                     slope_certs[label] = k_cert
-                if not odd:
-                    verify_certs[T] = k_cert
+                verify_certs[label] = k_cert
         anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
         out[f"construct.build_certificate T={T} anchor"] = _min_ms(
             lambda: build_certificate(anchor, freq), repeats)
@@ -228,6 +233,12 @@ def measure(repeats: int) -> dict[str, float]:
         steps = SIM_PERIODS * k_cert.u.period
         out[f"sim.simulate_closed_loop {label} steps={steps}"] = _min_ms(
             lambda: simulate_closed_loop(g, k_cert.phi, x0, steps), repeats)
+    steps = SIM_PERIODS * NEVER_REPEATS_T
+    out[f"sim.simulate_closed_loop never repeats T={NEVER_REPEATS_T} "
+        f"steps={steps}"] = _min_ms(
+        lambda: simulate_closed_loop(g_slow, mono_certs[NEVER_REPEATS_T].phi,
+                                     [1000.0], steps, NEVER_REPEATS_T),
+        repeats)
 
     x0 = periodic_steady_state(g, cert.u)
     # Clearing the compiled steps makes each call a first call; a
@@ -244,7 +255,8 @@ def measure(repeats: int) -> dict[str, float]:
     for T, m_cert in mono_certs.items():
         out[f"sim.periodic_steady_state T={T}"] = _min_ms(
             lambda: periodic_steady_state(g, m_cert.u), repeats)
-    for T, k_cert in verify_certs.items():
+    for T in VERIFY_PERIODS:
+        k_cert = verify_certs[f"T={T} even k"]
         freq = RationalFrequency(T - 1, T)
         edge = AnchorPlant(freq.omega, -cmath.exp(1j * math.pi / (2 * T)))
         for label, r_cert in (("even k", k_cert), ("odd edge anchor",
@@ -254,12 +266,11 @@ def measure(repeats: int) -> dict[str, float]:
             out[f"sim.interpolation_residual T={T} {label}"] = _min_ms(
                 lambda: sim.interpolation_residual(fresh[0], ya, ua),
                 repeats, lambda: fresh.__setitem__(0, replace(r_cert.phi)))
-    for T, k_cert in verify_certs.items():
-        out[f"sim.verify_cycle T={T} even k"] = _min_ms(
+    for label, k_cert in verify_certs.items():
+        out[f"sim.verify_cycle {label}"] = _min_ms(
             lambda: sim.verify_cycle(g, k_cert.phi, k_cert.u, k_cert.y,
                                      periods=SIM_PERIODS), repeats)
-        out[f"sim.verify_cycle T={T} even k stepped"] = _stepped(sim, g,
-                                                                  k_cert)
+        out[f"sim.verify_cycle {label} stepped"] = _stepped(sim, g, k_cert)
     # Last: resident memory grows by about the output size with each
     # in-process run, which would disturb the timings above.
     runner = CliRunner()
