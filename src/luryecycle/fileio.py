@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 
 from .construct import AnchorPlant, Plant
-from .errors import FileFormatError, PlantValidationError
+from .errors import FileFormatError, LuryecycleError, PlantValidationError
 from .interp import PiecewiseNonlinearity
 from .lti import PeriodicSignal, TransferFunction
 
@@ -35,6 +35,30 @@ __all__ = [
     "save_signals",
     "load_signals",
 ]
+
+
+def _read_text(path, error: type[LuryecycleError], what: str) -> str:
+    """The file's bytes decoded as UTF-8; error when they cannot be read
+    or decoded."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} file: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file is not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path, error: type[LuryecycleError], what: str):
+    """The JSON document in the file; error when it cannot be read,
+    decoded or parsed, nesting too deep for the parser included."""
+    try:
+        return json.loads(_read_text(path, error, what))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} file nests JSON too deeply") from exc
 
 
 def _coeff_list(raw, key: str) -> tuple[float, ...]:
@@ -51,12 +75,7 @@ def _coeff_list(raw, key: str) -> tuple[float, ...]:
 
 def load_plant(path) -> Plant:
     """Read a plant description; raises PlantValidationError when unusable."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise PlantValidationError(f"cannot read plant file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PlantValidationError(f"plant file is not valid JSON: {exc}") from exc
+    doc = _read_json(path, PlantValidationError, "plant")
     if not isinstance(doc, dict):
         raise PlantValidationError("plant JSON must be an object")
     if "anchor" in doc:
@@ -115,13 +134,7 @@ def save_phi(path, phi: PiecewiseNonlinearity) -> None:
 
 
 def load_phi(path) -> PiecewiseNonlinearity:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read nonlinearity file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"nonlinearity file is not valid JSON: {exc}") from exc
+    doc = _read_json(path, FileFormatError, "nonlinearity")
     if not isinstance(doc, dict):
         raise FileFormatError("nonlinearity JSON must be an object")
     return phi_from_dict(doc)
@@ -138,10 +151,7 @@ def save_signals(path, u: PeriodicSignal, y: PeriodicSignal) -> None:
 
 
 def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read signal file: {exc}") from exc
+    text = _read_text(path, FileFormatError, "signal")
     rows = list(csv.reader(text.splitlines()))
     if not rows or [h.strip() for h in rows[0]] != ["index", "u", "y"]:
         raise FileFormatError('signal CSV needs the header "index,u,y"')

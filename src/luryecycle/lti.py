@@ -31,7 +31,6 @@ __all__ = [
     "PeriodicSignal",
     "freq_response",
     "dc_gain",
-    "periodic_response",
     "dft_response",
 ]
 
@@ -165,12 +164,6 @@ def freq_response(plant: TransferFunction, omega: float) -> complex:
 def dc_gain(plant: TransferFunction) -> float:
     """G(1), the steady-state gain for a constant input."""
     return freq_response(plant, 0.0).real
-
-
-def periodic_response(plant: TransferFunction,
-                      u: PeriodicSignal) -> PeriodicSignal:
-    """Steady-state response to a T-periodic input, one period in and out."""
-    return PeriodicSignal(dft_response((plant.num,), plant.den, u)[0])
 
 
 def dft_response(nums, den, u: PeriodicSignal) -> list[np.ndarray]:

@@ -23,15 +23,26 @@ repeats the one at step j, the rest of the run repeats steps j..k-1:
 the stepping stops there, and the trajectories are tiled from that
 stretch when first read, bit for bit what stepping on would give.  Two
 checks find a repeat.  After each step, the new entry w is compared with
-the w one period T back, by value and the sign of a zero (a NaN never
-matches); after n matches in a row the state equals the one a period
-earlier, so a run that settles onto a T-periodic cycle stops n steps
-after it settles, not at the next chunk start.  And the simulation steps
-in chunks of one period: at each chunk start it packs x into bytes and
-looks them up among the earlier chunk starts, which also catches a state
-that repeats two or more periods back, and is the only check for an
-order-0 plant, which has no state.
-The periodicity check reads only the stepped rows and one period more.
+the w one period T back, by value and the sign of a zero; after n
+matches in a row the state equals the one a period earlier, so a run
+that settles onto a T-periodic cycle stops n steps after it settles, not
+at the next chunk start.  And the simulation steps in chunks of one
+period: at each chunk start it packs x into bytes and looks them up
+among the earlier chunk starts, which also catches a state that repeats
+two or more periods back, and is the only check for an order-0 plant,
+which has no state.  The periodicity check reads only the stepped rows
+and one period more.  The initial state must be finite.
+
+The cycle check steps the loop on the input the stored cycle predicts,
+u_k = -phi(y*_{k mod T}) at the stored outputs y*, instead of calling
+phi at every step, and then evaluates phi over every stepped output in
+one array pass (a run longer than CHECK_PERIODS periods also checks the
+rows so far at each doubling of that).  When that gives back exactly
+the inputs stepped, bit for bit with the sign of a zero, each step read
+-phi(y_k), so by induction over the steps the run is the closed-loop
+run, stopped at the same repeat.  On any mismatch, a NaN input or an
+AlgebraicLoopError in that run, the closed loop is stepped again from
+x0 and that run stands.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
@@ -71,36 +82,24 @@ NONTRIVIAL_TOL = 1e-6
 # |Im G| / |G| for a real response.
 MARGIN_TOL = 1e-6
 
+# A run on the predicted input checks its outputs so far at the chunk
+# start after this many periods and at each doubling of that, so that a
+# failed prediction steps and holds at most this many periods or twice
+# the rows of the closed-loop run, which may stop much earlier.
+CHECK_PERIODS = 8
+
 __all__ = [
     "VERDICT_TOL",
     "NONTRIVIAL_TOL",
     "MARGIN_TOL",
     "CycleVerdict",
     "Trajectory",
-    "periodic_steady_state",
     "simulate_closed_loop",
     "interpolation_residual",
     "verify_cycle",
     "nyquist_gain",
     "trajectory_csv",
 ]
-
-
-def periodic_steady_state(plant: TransferFunction,
-                          u: PeriodicSignal) -> np.ndarray:
-    """Initial state of the unique T-periodic trajectory driven by u:
-    x0_i = w_{(T-1-i) mod T}, w the periodic response of z^n/den(z) to u
-    (see the module docstring)."""
-    return _with_steady_state(plant, u)[-1]
-
-
-def _with_steady_state(plant: TransferFunction, u: PeriodicSignal, *nums):
-    """The response of num(z)/den(z) to u for each of nums, then the
-    initial state of periodic_steady_state, from one evaluation of
-    den(z)."""
-    n, T = plant.order, u.period
-    *responses, w = dft_response(nums + ((1.0,) + (0.0,) * n,), plant.den, u)
-    return *responses, w[(T - 1 - np.arange(n)) % T]
 
 
 def _loop_solver(phi: PiecewiseNonlinearity, d: float):
@@ -154,16 +153,19 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
 # The closed-loop simulation of an order-n companion form, as source.
 # Each step writes out the products and sums of the module docstring in
 # a fixed order: y = 0.0 + c0*x0 + ... (then y = solve(y) when D != 0),
-# w = 0.0 + a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one
-# assignment each (for n >= 4 faster than one tuple assignment).  The
-# state lives in the local floats x0..x{n-1}.  The steps run in chunks
-# of one period, with the two repeat checks of the module docstring:
-# before step i of a chunk, ring[i] holds the w one period back (an entry
-# of the initial state, or NaN where the run has no such w), and the
-# step swaps in its own w.  The third result is the step from which the
-# stepped run repeats itself, or None.
+# u = -source(y), or u = source[i] on the predicted input, w = 0.0 +
+# a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one assignment
+# each (for n >= 4 faster than one tuple assignment).  The state lives
+# in the local floats x0..x{n-1}.  The steps run in chunks of one
+# period, with the two repeat checks of the module docstring: before
+# step i of a chunk, ring[i] holds the w one period back (an entry of
+# the initial state, or a NaN, which equals no w, where the run has no
+# such w), and the step swaps in its own w.  On the predicted input,
+# check(ys, us) also runs at the chunk start CHECK_PERIODS periods in
+# and at each doubling of that.  The third result is the step from
+# which the stepped run repeats itself, or None.
 _KERNEL = """\
-def simulate(c, a, x, value, solve, steps, period, pack):
+def simulate(c, a, x, source, solve, steps, period, pack, check=None):
     [{c}] = c
     [{a}] = a
     [{x}] = x
@@ -174,13 +176,13 @@ def simulate(c, a, x, value, solve, steps, period, pack):
     starts = {{}}
     ring = ([nan] * period + x[::-1])[-period:]
     same = 0
-    for start in range(0, steps, period):
+{check}    for start in range(0, steps, period):
         key = pack({x})
         if key in starts:
             return ys, us, starts[key]
         starts[key] = start
-        for i in range(min(period, steps - start)):
-{body}            u = -value(y)
+{checkpoint}        for i in range(min(period, steps - start)):
+{body}            u = {u}
             y_out(y)
             u_out(u)
 {update}    return ys, us, None
@@ -194,6 +196,14 @@ _COMPARE = """\
                     return ys, us, len(ys) - period
             else:
                 same = 0
+"""
+# The predicted input's checks: the first chunk start to check, and the
+# check at a chunk start.
+_CHECK_INIT = f"    check_at = {CHECK_PERIODS} * period\n"
+_CHECK = """\
+        if start == check_at:
+            check(ys, us)
+            check_at += check_at
 """
 # A sum continues on a new line after this many terms: the compiler
 # recurses once per term of a chained sum, and fails near 3000.
@@ -212,10 +222,12 @@ def _sum_lines(target: str, terms: list[str]) -> str:
 
 
 @lru_cache(maxsize=16)
-def _closed_loop_kernel(n: int, feedthrough: bool):
-    """_KERNEL for order n, compiled on first use.  The source holds only
-    n: coefficients, phi and the loop solver are arguments.  Order 0 has
-    no state, so it keeps only the chunk-start check."""
+def _closed_loop_kernel(n: int, feedthrough: bool, predicted: bool):
+    """_KERNEL for order n, compiled on first use: the closed loop, whose
+    source is phi's lower bound, or with predicted the loop stepped on
+    source, one period of inputs.  The source holds only n:
+    coefficients, phi or the inputs, and the loop solver are arguments.
+    Order 0 has no state, so it keeps only the chunk-start check."""
     def names(prefix):
         return [f"{prefix}{i}" for i in range(n)]
 
@@ -229,10 +241,14 @@ def _closed_loop_kernel(n: int, feedthrough: bool):
         [_sum_lines("w", products("a") + ["u"])]
         + [f"            x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
         + ["            x0 = w\n", _COMPARE.format(n=n)]) if n else ""
+    check, checkpoint = (_CHECK_INIT, _CHECK) if predicted else ("", "")
     source = _KERNEL.format(c=", ".join(names("c")), a=", ".join(names("a")),
-                            x=", ".join(names("x")), body=body, update=update)
+                            x=", ".join(names("x")), body=body, update=update,
+                            u="source[i]" if predicted else "-source(y)",
+                            check=check, checkpoint=checkpoint)
     namespace = {"copysign": math.copysign, "nan": math.nan}
-    exec(compile(source, f"<closed loop, order {n}>", "exec"), namespace)
+    name = "predicted input" if predicted else "closed loop"
+    exec(compile(source, f"<{name}, order {n}>", "exec"), namespace)
     return namespace["simulate"]
 
 
@@ -276,9 +292,10 @@ class Trajectory:
 
 def simulate_closed_loop(plant: TransferFunction,
                          phi: PiecewiseNonlinearity, x0, steps: int,
-                         period: int | None = None) -> Trajectory:
+                         period: int | None = None, *,
+                         expected=None) -> Trajectory:
     """Simulate the plant's companion form x+ = A x + B u, y = C x + D u
-    in the loop u = -phi(y), from the initial state x0.
+    in the loop u = -phi(y), from the finite initial state x0.
 
     phi must be single-valued.  Returns the (y, u) trajectories as a
     :class:`Trajectory`, which tiles them when first read.  With
@@ -288,7 +305,10 @@ def simulate_closed_loop(plant: TransferFunction,
     and at every multiple of period with the earlier multiples (by
     default the period is the whole run, so no repeat is found); from
     the first repeat on the rest of the run is tiled, as described in
-    the module docstring.
+    the module docstring.  expected, one period of inputs, is the input
+    the loop is predicted to read at each step of a period: the run on
+    it is returned when it is the closed-loop run, as the module
+    docstring describes, so it changes only the speed.
     """
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
@@ -297,6 +317,9 @@ def simulate_closed_loop(plant: TransferFunction,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise ValueError(f"initial state must have length {n}")
+    x = x.tolist()
+    if not all(map(math.isfinite, x)):
+        raise DomainError(f"initial state {x} is not finite")
     chunk = max(steps, 1) if period is None else period
     if chunk < 1:
         raise ValueError(f"period must be positive, got {period}")
@@ -307,12 +330,61 @@ def simulate_closed_loop(plant: TransferFunction,
     a0 = [-c for c in den[1:]]
     c = [b - d * a for b, a in zip(num[1:], den[1:])]
     solve = _loop_solver(phi, d) if d != 0.0 else None
+    pack = struct.Struct(f"<{n}d").pack
+    if expected is not None:
+        if len(expected) != chunk:
+            raise ValueError("expected must hold one input per step of "
+                             "a period")
+        run = _predicted_run(
+            phi, _closed_loop_kernel(n, solve is not None, True),
+            (c, a0, x, np.asarray(expected, dtype=float).tolist(), solve),
+            steps, chunk, pack)
+        if run is not None:
+            return run
     # phi.bounds[0] is phi itself, phi being single-valued
-    ys, us, start = _closed_loop_kernel(n, solve is not None)(
-        c, a0, x.tolist(), phi.bounds[0], solve, steps, chunk,
-        struct.Struct(f"<{n}d").pack)
+    ys, us, start = _closed_loop_kernel(n, solve is not None, False)(
+        c, a0, x, phi.bounds[0], solve, steps, chunk, pack)
     return Trajectory(np.array(ys, dtype=float), np.array(us, dtype=float),
                       start, steps)
+
+
+class _Mispredicted(Exception):
+    """A run on the predicted input left the closed-loop run."""
+
+
+def _reads_phi(phi: PiecewiseNonlinearity, y: np.ndarray,
+               u: np.ndarray) -> bool:
+    """Whether each u_k is -phi(y_k) bit for bit, from one array pass,
+    with no NaN (whose bits an array pass need not keep)."""
+    with np.errstate(all="ignore"):
+        lower = phi.evaluate_array(y)[0]
+    return (np.negative(lower).tobytes() == u.tobytes()
+            and not np.isnan(u).any())
+
+
+def _predicted_run(phi: PiecewiseNonlinearity, kernel, args, steps: int,
+                   period: int, pack) -> Trajectory | None:
+    """The run of kernel, the loop stepped on a predicted input, when it
+    is the closed-loop run of steps rows, or None when phi over its
+    outputs does not give back its inputs or it raised."""
+    checked = 0
+
+    def check(ys, us):
+        nonlocal checked
+        if not _reads_phi(phi, np.array(ys[checked:], dtype=float),
+                          np.array(us[checked:], dtype=float)):
+            raise _Mispredicted
+        checked = len(ys)
+
+    try:
+        ys, us, start = kernel(*args, steps, period, pack, check)
+    except (AlgebraicLoopError, _Mispredicted):
+        return None
+    y = np.array(ys, dtype=float)
+    u = np.array(us, dtype=float)
+    if not _reads_phi(phi, y[checked:], u[checked:]):
+        return None
+    return Trajectory(y, u, start, steps)
 
 
 @dataclass(frozen=True)
@@ -346,12 +418,17 @@ def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
     of phi's array evaluator over the samples.  As in a max over
     interval_distance, a NaN distance counts as 0, and no distance gives
     +0.0."""
-    u = np.asarray(u_values, dtype=float)
     with np.errstate(all="ignore"):
-        lo, hi = phi.evaluate_array(y_values)
-        dist = lo + u
-        # -u - lo is -(lo + u), but for the sign of a zero
-        worst = np.abs(dist) if hi is lo else np.fmax(dist, -u - hi)
+        return _distance(*phi.evaluate_array(y_values), u_values)
+
+
+def _distance(lo: np.ndarray, hi: np.ndarray, u_values) -> float:
+    """interpolation_residual from the ends (lo, hi) of the value sets,
+    hi being lo for a single-valued phi, under the caller's errstate."""
+    u = np.asarray(u_values, dtype=float)
+    dist = lo + u
+    # -u - lo is -(lo + u), but for the sign of a zero
+    worst = np.abs(dist) if hi is lo else np.fmax(dist, -u - hi)
     # + 0.0 turns a -0.0 that fmax may keep into +0.0
     return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
 
@@ -363,26 +440,36 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
 
     A single-valued phi is also simulated for the given number of
     periods, at least 2; fewer raise :class:`DomainError`, because a
-    verdict must not pass on a simulation that never ran.
+    verdict must not pass on a simulation that never ran.  The
+    simulation starts from the periodic initial state, which must be
+    finite, and is stepped on the input the stored cycle predicts, as
+    the module docstring describes.
     """
     if u.period != y.period:
         raise ValueError("input and output must share one period")
     if phi.is_single_valued and periods < 2:
         raise DomainError(
             f"the closed-loop check needs at least 2 periods, got {periods}")
-    T = u.period
+    T, n = u.period, plant.order
     ua = u.as_array()
     ya = y.as_array()
+    # one evaluation of den(z): the response of num/den and, for the
+    # simulation, that of z^n/den, w, giving x0_i = w_{(T-1-i) mod T}
+    nums = (plant.num,)
     if phi.is_single_valued:
-        linear, x0 = _with_steady_state(plant, u, plant.num)
-    else:
-        linear, = dft_response((plant.num,), plant.den, u)
-    res_per = float(np.max(np.abs(ya - linear)))
-    res_int = interpolation_residual(phi, ya, ua)
+        nums += ((1.0,) + (0.0,) * n,)
+    # an overflowing response reads as a non-finite residual or x0
+    with np.errstate(all="ignore"):
+        linear, *steady = dft_response(nums, plant.den, u)
+        res_per = float(np.max(np.abs(ya - linear)))
+        lo, hi = phi.evaluate_array(ya)
+        res_int = _distance(lo, hi, ua)
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
     trajectory = None
-    if phi.is_single_valued:
-        trajectory = simulate_closed_loop(plant, phi, x0, periods * T, T)
+    if steady:
+        trajectory = simulate_closed_loop(
+            plant, phi, steady[0][(T - 1 - np.arange(n)) % T], periods * T,
+            T, expected=np.negative(lo))
         res_per = trajectory.periodicity(T, initial=res_per)
     return CycleVerdict(period=T, residual_periodicity=res_per,
                         residual_interpolation=res_int,

@@ -36,7 +36,7 @@ from luryecycle.interp import (
     loop_transform_data,
     odd_append,
 )
-from luryecycle.lti import PeriodicSignal, freq_response, periodic_response
+from luryecycle.lti import PeriodicSignal, dft_response, freq_response
 from luryecycle.phase import (
     KBAR_TIE_TOL,
     PHASE_TOL,
@@ -44,7 +44,11 @@ from luryecycle.phase import (
     PhaseCheck,
     SlopeBound,
 )
-from luryecycle.sim import _loop_solver, periodic_steady_state
+from luryecycle.sim import (
+    _loop_solver,
+    interpolation_residual,
+    simulate_closed_loop,
+)
 
 
 def coprime_pairs(beta_max: int) -> list[tuple[int, int]]:
@@ -166,18 +170,13 @@ def simulate_closed_loop_reference(
 
 
 def first_repeat_reference(plant: TransferFunction, phi, x0, steps: int,
-                           period: int) -> list[int]:
-    """The steps at which simulate_closed_loop may stop stepping, with
-    every state recorded.  Without a NaN that is one step: the first k
-    whose state equals bit for bit the state at k - period or, at a
-    multiple of period below steps, the state at an earlier multiple;
-    steps when no state repeats.  A NaN, once in the state, stays there,
-    and its sign can differ between runs of the same code (CPython's sum
-    of two NaNs keeps either one, depending on how the interpreter has
-    specialised the addition), so from the first state m that holds one
-    the stop can be any multiple of period from m on, or steps.  The
-    states are those of the companion form, shifted down one place per
-    step behind w = A[0] . x + u."""
+                           period: int) -> int:
+    """The step at which simulate_closed_loop stops stepping, with every
+    state recorded: the first k whose state equals bit for bit the state
+    at k - period or, at a multiple of period below steps, the state at
+    an earlier multiple; steps when no state repeats.  The states are
+    those of the companion form, shifted down one place per step behind
+    w = A[0] . x + u."""
     ss = realize(plant)
     a0 = ss.a[0].tolist() if ss.order else []
     c = ss.c.tolist()
@@ -185,16 +184,11 @@ def first_repeat_reference(plant: TransferFunction, phi, x0, steps: int,
     x = np.asarray(x0, dtype=float).tolist()
     states = [np.array(x, dtype=float).tobytes()]
     for k in range(steps + 1):
-        if any(map(math.isnan, x)):
-            if solve is not None and k < steps:
-                solve(_dot(c, x))  # a NaN loop input: the step raises
-            return [j for j in range(period, steps, period) if j >= k] \
-                + [steps]
         if k and (k >= period and states[k] == states[k - period]
                   or k % period == 0 and states[k] in states[:k:period]):
-            return [k]
+            return k
         if k == steps:
-            return [steps]
+            return steps
         lin = _dot(c, x)
         u = -phi.evaluate(lin if solve is None else solve(lin))[0]
         x = ([_dot(a0, x) + u] + x[:-1]) if x else []
@@ -344,6 +338,42 @@ def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
         v = ss.a @ v
     h[0] += ss.c @ v  # v = A^{T-1} w after the loop
     return h
+
+
+def periodic_response(plant: TransferFunction,
+                      u: PeriodicSignal) -> PeriodicSignal:
+    """Steady-state response to a T-periodic input, one period in and
+    out, from the library's DFT routine."""
+    return PeriodicSignal(dft_response((plant.num,), plant.den, u)[0])
+
+
+def periodic_steady_state(plant: TransferFunction,
+                          u: PeriodicSignal) -> np.ndarray:
+    """Initial state of the unique T-periodic trajectory driven by u, from
+    the library's DFT routine: x0_i = w_{(T-1-i) mod T}, w the periodic
+    response of z^n/den(z) to u (see the sim module docstring)."""
+    n, T = plant.order, u.period
+    w = dft_response(((1.0,) + (0.0,) * n,), plant.den, u)[0]
+    return w[(T - 1 - np.arange(n)) % T]
+
+
+def cycle_check_reference(plant: TransferFunction, phi, u: PeriodicSignal,
+                          y: PeriodicSignal, periods: int):
+    """What verify_cycle checks, with the closed loop stepped from the
+    periodic initial state and phi called at every step, never on a
+    predicted input: the periodicity and interpolation residuals and the
+    run (None for a multivalued phi)."""
+    T = u.period
+    ya = y.as_array()
+    linear = periodic_response(plant, u).as_array()
+    res_per = float(np.max(np.abs(ya - linear)))
+    res_int = interpolation_residual(phi, ya, u.as_array())
+    run = None
+    if phi.is_single_valued:
+        run = simulate_closed_loop(plant, phi, periodic_steady_state(plant, u),
+                                   periods * T, T)
+        res_per = run.periodicity(T, initial=res_per)
+    return res_per, res_int, run
 
 
 def periodic_steady_state_solve(plant: TransferFunction,

@@ -28,9 +28,10 @@ from luryecycle import (
 from luryecycle import phase
 from luryecycle.cli import cli, exit_code_for
 from luryecycle.lti import freq_response
-from luryecycle.sim import periodic_steady_state, simulate_closed_loop
+from luryecycle.sim import simulate_closed_loop
 
 from helpers import (
+    periodic_steady_state,
     random_stable_tf,
     sweep_reference,
     sweep_rows_reference,
@@ -154,6 +155,50 @@ def test_near_overflow_plant_is_a_domain_error(runner, tmp_path, args,
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert re.fullmatch(f"error: {message}is not finite\n", result.stderr)
+
+
+# A plant in UTF-16 with its byte-order mark ff fe, which UTF-8 cannot
+# decode, and a JSON array nested deeper than the parser recurses.
+NOT_UTF8 = b"\xff\xfe" + json.dumps(
+    {"num": [1.0, 0.0], "den": [1.0, -0.5]}).encode("utf-16-le")
+DEEP = ("[" * 100_000 + "]" * 100_000).encode()
+PHI_DOC = {"odd": False, "slope_bound": "inf",
+           "breakpoints": [{"y": -1.0, "v_lo": -1.0, "v_hi": -1.0},
+                           {"y": 1.0, "v_lo": 1.0, "v_hi": 1.0}]}
+SIGNALS = b"index,u,y\n0,1.0,1.0\n1,-1.0,-1.0\n"
+
+
+NOT_UTF8_MESSAGE = ("is not UTF-8 text: 'utf-8' codec can't decode byte "
+                    "0xff in position 0: invalid start byte")
+
+
+@pytest.mark.parametrize("command, role, content, message", [
+    pytest.param(command, role, content, message,
+                 id=f"{command}-{role}-{label}")
+    for label, content, message in (
+        ("not-utf8", NOT_UTF8, NOT_UTF8_MESSAGE),
+        ("deep", DEEP, "nests JSON too deeply"))
+    for command, role in (("nyquist", "plant"), ("phase-sweep", "plant"),
+                          ("verify", "plant"), ("verify", "nonlinearity"),
+                          ("verify", "signal"))
+    if not (role == "signal" and content is DEEP)  # CSV does not nest
+])
+def test_undecodable_input_file_exits_2(runner, plant_file, tmp_path,
+                                        command, role, content, message):
+    files = {"plant": plant_file.read_bytes(),
+             "nonlinearity": json.dumps(PHI_DOC).encode(),
+             "signal": SIGNALS}
+    files[role] = content
+    paths = []
+    for name, data in files.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(data)
+    args = [str(paths[0])] + ([str(q) for q in paths[1:]]
+                              if command == "verify" else [])
+    result = runner.invoke(cli, [command, *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"error: {role} file {message}\n"
 
 
 def test_version(runner):
@@ -499,6 +544,24 @@ class TestVerify:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "line 2" in result.output
+
+    @pytest.mark.parametrize("num", [[1.0], [1.0, 0.0]],
+                             ids=["strictly-proper", "feedthrough"])
+    def test_overflowing_initial_state_exits_2(self, runner, tmp_path, num):
+        # u = 1.7e308 overflows the DFT, so the periodic initial state is
+        # not finite: a domain error, where a FAIL (D = 0) or a loop error
+        # (D = 1) used to report a simulation of that state
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({"num": num, "den": [1.0, -0.9]}))
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(PHI_DOC))
+        sig = tmp_path / "sig.csv"
+        sig.write_text("index,u,y\n0,1.7e308,1.0\n1,1.7e308,-1.0\n")
+        result = runner.invoke(cli, ["verify", str(plant), str(phi),
+                                     str(sig)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: initial state [inf] is not finite\n"
 
     def test_negative_feedthrough_cycle_passes(self, runner, tmp_path):
         # D < 0 with |D|*s = 0.97 at (2, 3): the closed-loop check must

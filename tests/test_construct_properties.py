@@ -23,10 +23,15 @@ from luryecycle.lti import (
     PeriodicSignal,
     dc_gain,
     freq_response,
-    periodic_response,
 )
 
-from helpers import circulant, impulse_tail_sums, random_stable_tf, realize
+from helpers import (
+    circulant,
+    impulse_tail_sums,
+    periodic_response,
+    random_stable_tf,
+    realize,
+)
 
 BETA_MAX = 20
 SLOPE_MARGIN = 1.0001

@@ -12,12 +12,12 @@ from luryecycle.lti import (
     PeriodicSignal,
     dc_gain,
     freq_response,
-    periodic_response,
 )
 from helpers import (
     add_constant,
     circulant,
     impulse_tail_sums,
+    periodic_response,
     random_stable_tf,
     realize,
     state_space_response,

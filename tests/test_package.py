@@ -17,7 +17,8 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "realize", "StateSpaceRealization", "monotone_interpolable",
            "DataPairSet", "interpolate_reference", "compute_shift_reference",
            "max_chord_slope", "on_window_edge", "periodic_steady_state_solve",
-           "interpolation_residual_map", "first_repeat_reference")
+           "interpolation_residual_map", "first_repeat_reference",
+           "periodic_response", "periodic_steady_state")
 
 
 def test_every_exported_name_resolves():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from luryecycle import (
+    AlgebraicLoopError,
     DomainError,
     MultivaluedPhiError,
     RationalFrequency,
+    SelfVerifyError,
     TransferFunction,
     build_certificate,
     nyquist_gain,
@@ -20,18 +22,19 @@ from luryecycle.interp import (
     PiecewiseNonlinearity,
     interpolate,
 )
-from luryecycle import sim
+from luryecycle import construct, sim
 from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import (
     interpolation_residual,
-    periodic_steady_state,
     simulate_closed_loop,
 )
 
 from helpers import (
     closed_loop_radius,
+    cycle_check_reference,
     float_bits,
     interpolation_residual_map,
+    periodic_steady_state,
     periodic_steady_state_solve,
     realize,
     simulate_closed_loop_reference,
@@ -165,6 +168,21 @@ class TestClosedLoopSimulation:
         for length in (n + 1, n - 1 if n else n + 2):
             with pytest.raises(ValueError, match=f"length {n}"):
                 simulate_closed_loop(plant, line(0.2), np.zeros(length), 5)
+
+    @pytest.mark.parametrize("x0", [[math.nan, math.nan], [math.inf, 0.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_initial_state_rejected(self, example_plant, x0):
+        with pytest.raises(DomainError, match="initial state"):
+            simulate_closed_loop(example_plant, line(0.2), x0, 5)
+
+    def test_expected_input_is_refused_on_a_zero_of_the_other_sign(
+            self, example_plant):
+        # From rest under phi(0) = 0.0 the loop reads u = -0.0 at every
+        # step; a prediction of +0.0 steps the same states but is not the
+        # closed-loop run, so the closed loop is stepped instead.
+        run = simulate_closed_loop(example_plant, line(0.2), [0.0, 0.0], 14,
+                                   7, expected=[0.0] * 7)
+        assert float_bits(run[1]) == float_bits([-0.0] * 14)
 
     def test_feedthrough_loop_solved_consistently(self):
         # D = 1 with a mild 0.2 line: y = lin - 0.2*y on every step.
@@ -316,12 +334,96 @@ class TestVerifyCycle:
                                  slope=1.31)
         steps = 3 * 7
         monkeypatch.setattr(sim, "_closed_loop_kernel",
-                            lambda n, feedthrough: lambda *args: (
+                            lambda n, feedthrough, predicted: lambda *args: (
                                 [math.nan] * steps, [math.nan] * steps,
                                 None))
         verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
                                periods=3)
         assert math.isnan(verdict.residual_periodicity)
+        assert not verdict.ok()
+
+    @staticmethod
+    def _check_falls_back(monkeypatch, plant, phi, u, y):
+        """verify_cycle's run on the predicted input is refused, and the
+        verdict and trajectory are those of the closed loop."""
+        predicted = []
+
+        def spy(*args):
+            run = predicted_run(*args)
+            predicted.append(run)
+            return run
+
+        predicted_run = sim._predicted_run
+        monkeypatch.setattr(sim, "_predicted_run", spy)
+        verdict = verify_cycle(plant, phi, u, y)
+        assert predicted == [None]
+        res_per, res_int, run = cycle_check_reference(plant, phi, u, y, 20)
+        assert float_bits([verdict.residual_periodicity,
+                           verdict.residual_interpolation]) == \
+            float_bits([res_per, res_int])
+        assert verdict.trajectory.start == run.start
+        assert verdict.trajectory[0].tobytes() == run[0].tobytes()
+        assert verdict.trajectory[1].tobytes() == run[1].tobytes()
+        return verdict
+
+    def test_moved_breakpoint_falls_back(self, example_plant, monkeypatch):
+        # A breakpoint moved 10 y_tol off the stored output it came from:
+        # phi there is a chord value, which the simulated output, a few
+        # ulps off the stored one, reads with other last bits.
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        phi = cert.phi
+        i = len(phi.ys) // 2
+        ys = list(phi.ys)
+        ys[i] += 10 * phi.y_tol
+        moved = PiecewiseNonlinearity(ys, phi.los, phi.his)
+        # the first step whose closed-loop input differs from the
+        # predicted one
+        expected = [-moved.evaluate(v)[0] for v in cert.y.values]
+        run = cycle_check_reference(example_plant, moved, cert.u, cert.y,
+                                    20)[2]
+        m = next(k for k, u in enumerate(run.stepped_u.tolist())
+                 if float_bits([u]) != float_bits([expected[k % 7]]))
+        assert 0 <= m < len(run.stepped_u)
+        self._check_falls_back(monkeypatch, example_plant, moved, cert.u,
+                               cert.y)
+
+    def test_error_on_the_predicted_input_falls_back(self, example_plant,
+                                                     monkeypatch):
+        cert = build_certificate(example_plant, RationalFrequency(2, 7),
+                                 slope=1.31)
+        kernel = sim._closed_loop_kernel
+
+        def failing(n, feedthrough, predicted):
+            if not predicted:
+                return kernel(n, feedthrough, predicted)
+
+            def run(*args):
+                raise AlgebraicLoopError("loop input inf is not a finite "
+                                         "number")
+            return run
+
+        monkeypatch.setattr(sim, "_closed_loop_kernel", failing)
+        verdict = self._check_falls_back(monkeypatch, example_plant,
+                                         cert.phi, cert.u, cert.y)
+        assert verdict.ok()
+
+    def test_ill_posed_loop_falls_back(self, monkeypatch):
+        # D = -0.5 and phi with pieces of slope >= 2 = -1/D: the loop
+        # solve picks other roots than the stored cycle, the prediction
+        # fails, and so does the check, as in build_certificate.
+        g = TransferFunction((-0.5, 1.0), (1.0, 0.3))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return verify_cycle(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "verify_cycle", spy)
+        with pytest.raises(SelfVerifyError):
+            build_certificate(g, RationalFrequency(2, 3))
+        [(_, phi, u, y)] = calls
+        verdict = self._check_falls_back(monkeypatch, g, phi, u, y)
         assert not verdict.ok()
 
     def test_long_check_needs_no_trajectory_memory(self, example_plant):
@@ -344,6 +446,32 @@ class TestVerifyCycle:
             float_bits((short.residual_periodicity,
                         short.residual_interpolation))
         assert long.ok() and long.nontrivial
+
+    def test_failed_prediction_stops_at_a_checkpoint(self):
+        # G = 1/(z - 0.999) under phi(y) = 0.9 y + 45: the closed loop,
+        # x+ = 0.099 x - 45, settles on its fixed point and repeats
+        # within 140 steps, but the loop stepped on the input a wrong
+        # cycle predicts settles at the rate 0.999 and would step
+        # thousands of periods (about 6 MB of rows) before its state
+        # repeats.  Its check 8 periods in ends it.
+        g = TransferFunction((1.0,), (1.0, -0.999))
+        phi = PiecewiseNonlinearity((-1000.0, 1000.0), (-855.0, 945.0),
+                                    (-855.0, 945.0))
+        values = tuple(k / 10.0 for k in range(1, 8))
+        u, y = PeriodicSignal(values), PeriodicSignal(values)
+        verify_cycle(g, phi, u, y, periods=2)  # compiles both steps
+        tracemalloc.start()
+        try:
+            verdict = verify_cycle(g, phi, u, y, periods=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+        _, _, run = cycle_check_reference(g, phi, u, y, 10**5)
+        assert len(run.stepped_y) < 140
+        assert verdict.trajectory.stepped_y.tobytes() == \
+            run.stepped_y.tobytes()
+        assert not verdict.ok()
 
     def test_multivalued_check_runs_without_periods(self):
         u = PeriodicSignal((1.0, -0.5, -0.5))

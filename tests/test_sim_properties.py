@@ -3,8 +3,9 @@ fixed-point iteration it replaced, and the compiled closed-loop simulation
 (with and without its stop at a repeated state, and where it stops), the
 one-pass interpolation residual and the trajectory CSV that formats a
 repeated stretch once against the per-step references, the DFT periodic
-initial state against the solve with I - A^T, and verify_cycle's shared
-DFT against the public functions it replaces.
+initial state against the solve with I - A^T, verify_cycle's shared
+DFT against the functions it replaces, and verify_cycle's run on the
+predicted input against the closed loop stepped with phi.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -21,24 +22,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from luryecycle import AlgebraicLoopError, TransferFunction, sim
+from luryecycle import (
+    AlgebraicLoopError,
+    LuryecycleError,
+    TransferFunction,
+    construct,
+    grid_search,
+    sim,
+)
 from luryecycle.interp import PiecewiseNonlinearity
-from luryecycle.lti import PeriodicSignal, periodic_response
+from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import (
     _loop_solver,
     interpolation_residual,
-    periodic_steady_state,
     simulate_closed_loop,
     trajectory_csv,
     verify_cycle,
 )
 
 from helpers import (
+    cycle_check_reference,
     dyadic_phis,
     first_repeat_reference,
     float_bits,
     interpolation_residual_map,
     interpolation_residual_reference,
+    periodic_response,
+    periodic_steady_state,
     periodic_steady_state_solve,
     pl_eval_reference,
     probe_points,
@@ -50,6 +60,7 @@ from helpers import (
 )
 
 coords = st.floats(-20.0, 20.0, allow_nan=False)
+SLOPE_MARGIN = 1.0001
 
 
 @st.composite
@@ -148,11 +159,11 @@ SATURATION = PiecewiseNonlinearity((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
 
 @st.composite
 def repeating_loops(draw):
-    """loops() with some initial-state entries set to -0.0 or NaN and
-    phi possibly swapped for a constant or a steep saturating one, so
-    that the state often repeats bit for bit within a few periods."""
+    """loops() with some initial-state entries set to -0.0 and phi
+    possibly swapped for a constant or a steep saturating one, so that
+    the state often repeats bit for bit within a few periods."""
     g, phi, x0 = draw(loops())
-    x0 = np.array([draw(st.sampled_from((x, x, -0.0, math.nan)))
+    x0 = np.array([draw(st.sampled_from((x, x, -0.0)))
                    for x in x0])
     level = abs(draw(coords))
     width = draw(st.sampled_from((1e-3, 1.0)))
@@ -165,12 +176,8 @@ def repeating_loops(draw):
 
 
 def _run(simulate):
-    """Bits of the (y, u) trajectories, or the loop error of a NaN loop
-    input."""
-    try:
-        ys, us = simulate()
-    except AlgebraicLoopError as exc:
-        return type(exc).__name__, str(exc)
+    """Bits of the (y, u) trajectories."""
+    ys, us = simulate()
     return float_bits(ys), float_bits(us)
 
 
@@ -194,18 +201,11 @@ def test_tiled_simulation_matches_per_step_reference(loop, period, steps):
           PiecewiseNonlinearity((0.0,), (3.0,), (3.0,)), [1.0, 2.0]), 7, 120)
 def test_simulation_stops_at_the_first_repeat(loop, period, steps):
     """The stepping stops at the earliest step whose state repeats the
-    one a period back or an earlier period start, and not later; with a
-    NaN in the state, at a period start or the end."""
+    one a period back or an earlier period start, and not later."""
     g, phi, x0 = loop
-    try:
-        want = first_repeat_reference(g, phi, x0, steps, period)
-    except AlgebraicLoopError:
-        with pytest.raises(AlgebraicLoopError):
-            simulate_closed_loop(g, phi, x0, steps, period)
-        return
     run = simulate_closed_loop(g, phi, x0, steps, period)
-    assert len(run.stepped_y) == len(run.stepped_u)
-    assert len(run.stepped_y) in want
+    assert len(run.stepped_y) == len(run.stepped_u) == \
+        first_repeat_reference(g, phi, x0, steps, period)
 
 
 @given(dyadic_phis(multivalued=True), st.integers(0, 2**32 - 1))
@@ -243,10 +243,10 @@ def test_residual_matches_map_version(phi, seed):
 
 
 @st.composite
-def stable_plants(draw):
-    """Plant of order 0-10 with poles in |z| <= 0.95, with or without
-    direct feedthrough."""
-    order = draw(st.integers(0, 10))
+def stable_plants(draw, max_order: int = 10):
+    """Plant of order 0 to max_order with poles in |z| <= 0.95, with or
+    without direct feedthrough."""
+    order = draw(st.integers(0, max_order))
     pairs = draw(st.integers(0, order // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = rng.uniform(0.0, 0.95, pairs) * np.exp(
@@ -296,7 +296,7 @@ def test_verify_cycle_dft_matches_public_functions(plant, T, seed,
         PiecewiseNonlinearity((0.0,), (-1.0,), (1.0,))
     starts = []
 
-    def spy(plant, phi, x0, steps, period):
+    def spy(plant, phi, x0, steps, period, expected):
         starts.append(x0)
         return _Unstepped()
 
@@ -317,12 +317,9 @@ def test_verify_cycle_dft_matches_public_functions(plant, T, seed,
 def test_periodicity_reads_the_tiled_run(loop, period, steps, T):
     """The worst |y_{k+T} - y_k| from the stepped rows plus T equals the
     one over the whole tiled run, for a tiling lag longer or shorter
-    than T, and NaN when the run holds one."""
+    than T."""
     g, phi, x0 = loop
-    try:
-        run = simulate_closed_loop(g, phi, x0, steps, period)
-    except AlgebraicLoopError:
-        return
+    run = simulate_closed_loop(g, phi, x0, steps, period)
     y = run[0]
     want = np.max(np.abs(y[T:] - y[:-T]), initial=0.0)
     assert float_bits([run.periodicity(T)]) == float_bits([want])
@@ -345,12 +342,9 @@ def trajectories(draw):
 
 
 def _trajectory(loop, period, steps):
-    """The simulated (y, u), or no rows when the loop input is NaN."""
+    """The simulated (y, u)."""
     g, phi, x0 = loop
-    try:
-        return simulate_closed_loop(g, phi, x0, steps, period)
-    except AlgebraicLoopError:
-        return [], []
+    return simulate_closed_loop(g, phi, x0, steps, period)
 
 
 @given(st.one_of(trajectories(),
@@ -363,3 +357,60 @@ def test_trajectory_csv_matches_row_reference(trajectory):
     repeat in part or not at all."""
     y, u = trajectory
     assert trajectory_csv(y, u) == trajectory_csv_reference(y, u)
+
+
+def _outcome(check):
+    """The typed error a check raises, or its result."""
+    try:
+        return check()
+    except LuryecycleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(stable_plants(max_order=6), st.booleans(), st.integers(0, 2),
+       st.booleans())
+def test_predicted_check_equals_the_closed_loop_check(plant, odd, row,
+                                                      finite):
+    """verify_cycle, as build_certificate calls it (monotone class or
+    slope 1.0001*kbar, a top row of either window), steps the loop on the
+    input the stored cycle predicts; its stepped rows, repeat start,
+    tiled trajectories and residuals equal bit for bit those of the
+    closed loop stepped with phi at every step, whether the prediction
+    held or fell back, and a typed error is the same error."""
+    try:
+        rows = grid_search(plant, 12, odd_variant=odd)
+    except LuryecycleError:
+        return
+    entry = rows[min(row, len(rows) - 1)]
+    slope = SLOPE_MARGIN * entry.kbar if finite and entry.kbar else math.inf
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return verify_cycle(*args, **kwargs)
+
+    with mock.patch.object(construct, "verify_cycle", spy):
+        _outcome(lambda: construct.build_certificate(
+            plant, entry.freq, odd=odd, slope=slope))
+    if not calls:
+        return
+    (g, phi, u, y), kwargs = calls[0]
+    got = _outcome(lambda: verify_cycle(g, phi, u, y, **kwargs))
+    want = _outcome(lambda: cycle_check_reference(g, phi, u, y,
+                                                  kwargs["periods"]))
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+        return
+    res_per, res_int, run = want
+    assert float_bits([got.residual_periodicity, got.residual_interpolation]) \
+        == float_bits([res_per, res_int])
+    if run is None:
+        assert got.trajectory is None
+        return
+    traj = got.trajectory
+    assert traj.start == run.start
+    for a, b in ((traj.stepped_y, run.stepped_y), (traj.stepped_u,
+                                                   run.stepped_u),
+                 (traj[0], run[0]), (traj[1], run[1])):
+        assert a.tobytes() == b.tobytes()

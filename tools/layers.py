@@ -3,21 +3,22 @@
     python3 tools/layers.py [--src PATH] [--repeats N]
     python3 tools/layers.py --src A --src B [--repeats N]
 
-Imports the package from --src (default: src/ of this checkout), so the
+Loads the package from --src (default: src/ of this checkout), so the
 same script times two checkouts alike, and prints one JSON object that
 maps each measurement to its minimum over N repeats, in ms.  Given --src
-twice, it compares the two trees: each of COMPARE_ROUNDS rounds times
-both, each in a fresh child process, in alternating order (A then B,
-then B then A), and it prints each key's minimum over all rounds for A
-and for B and their ratio B/A, so that drift of the host between
-processes falls on both trees alike.  The plant
-is G = z/(z^2 - 1.8 z + 0.81) (D = 0), and G + 0.3 (D = 0.3) for the
-feedthrough simulation.  Measurements:
+twice, it compares the two trees: it loads both into this one
+interpreter, under the names luryecycle_a and luryecycle_b, and times
+each key COMPARE_ROUNDS times per tree, alternating which tree goes
+first (A then B, then B then A), so that drift of the host falls on
+both trees alike; it prints each key's minimum over the rounds for A and
+for B and their ratio B/A.  The plant is G = z/(z^2 - 1.8 z + 0.81)
+(D = 0), and G + 0.3 (D = 0.3) for the feedthrough simulation.
+Measurements:
 
 - phase.sweep_entries at beta_max 20, 100, 300 and 1000, and
   phase.grid_search at 1000;
-- the phase-sweep command in-process (click's CliRunner, output
-  captured) at the same beta_max, in both formats;
+- the phase-sweep command in-process (click's main, output written to
+  os.devnull) at the same beta_max, in both formats;
 - each of those sweeps cold, with the process's coprime grid cleared
   before each repeat, as in a process's first sweep, and (keys ending
   in "warm", except grid_search) warm, repeating a sweep that already
@@ -33,17 +34,17 @@ feedthrough simulation.  Measurements:
   the same T, each on the arguments that build_certificate passes it
   (the monotone build for the first two, the odd slope-k build for
   odd_append), in whatever form the checkout's construct uses;
-- sim.simulate_closed_loop for 20 periods, driven by the phi of the
-  T = 1001 monotone certificate, with D = 0 and D = 0.3; at the
-  benchmark's cycle_long sizes, T = 101 and 301 with the phi of the
-  slope-k certificates above in both windows (D = 0); a run that never
-  repeats, where every repeat check is pure cost: G = 1/(z - 0.999) from
-  x0 = 1000 for 20 periods of T = 7 under the phi of the T = 7
-  monotone certificate (key "... never repeats"); and its first call
-  at a new plant order, which compiles the step for that order (a
-  one-step run after clearing the compiled steps, as set-up);
-- sim.periodic_steady_state at T = 7, 101, 301 and 1001, on the input of
-  the monotone certificate;
+- sim.simulate_closed_loop for 20 periods, stepping the closed loop
+  (phi called at every step) from the initial state that verify_cycle
+  computes, driven by the phi of the T = 1001 monotone certificate,
+  with D = 0 and D = 0.3; at the benchmark's cycle_long sizes, T = 101
+  and 301 with the phi of the slope-k certificates above in both
+  windows (D = 0); a run that never repeats, where every repeat check
+  is pure cost: G = 1/(z - 0.999) from x0 = 1000 for 20 periods of
+  T = 7 under the phi of the T = 7 monotone certificate (key "...
+  never repeats"); and its first call at a new plant order, which
+  compiles the step for that order (a one-step run after clearing the
+  compiled steps, as set-up);
 - sim.interpolation_residual at T = 101, 301 and 1001 on the cycle of
   the even-window slope-k certificate (keys "T=<T> even k") and of an
   anchor whose response lies on the edge of the odd window, whose odd
@@ -51,11 +52,11 @@ feedthrough simulation.  Measurements:
   a fresh copy of phi, so that every repeat also pays what the checkout
   builds per nonlinearity;
 - sim.verify_cycle of the slope-k certificates above in both windows
-  at T = 101, 301 and 1001 (20 periods), and, as a count rather than a
-  time, the steps its simulation stepped before the state repeated
-  (keys "... stepped"; phi evaluations inside simulate_closed_loop,
-  which reach 20*T only when the state never repeats or the checkout
-  has no repeat check).
+  at T = 101, 301 and 1001 (20 periods), and two counts rather than
+  times: the rows its simulation stepped before the state repeated
+  (keys "... stepped"), and whether it fell back to stepping the closed
+  loop, calling phi at every step (keys "... fell back", 1 or 0; a
+  checkout that never steps the predicted input always reads 1).
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 """
@@ -64,10 +65,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import importlib
+import importlib.util
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -120,10 +123,10 @@ def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
     return calls[0]
 
 
-def _stepped(sim, plant, cert) -> int:
-    """Steps that verify_cycle's simulation stepped on cert: the calls of
-    phi (a fresh copy, with a counting lower bound) while
-    simulate_closed_loop runs."""
+def _check_counts(sim, plant, cert) -> tuple[int, int]:
+    """The rows verify_cycle's simulation stepped on cert, and 1 if it
+    stepped the closed loop, which calls phi (a fresh copy, with a
+    counting lower bound) at each step, else 0."""
     phi = replace(cert.phi)
     lower, upper = phi.bounds
     calls = [0]
@@ -133,174 +136,192 @@ def _stepped(sim, plant, cert) -> int:
         return lower(y)
 
     phi.__dict__["bounds"] = (counted, upper)
-    simulate = sim.simulate_closed_loop
-    stepped = []
+    verdict = sim.verify_cycle(plant, phi, cert.u, cert.y,
+                               periods=SIM_PERIODS)
+    return len(verdict.trajectory.stepped_y), int(calls[0] > 0)
 
-    def spy(*args):
-        before = calls[0]
-        out = simulate(*args)
-        stepped.append(calls[0] - before)
-        return out
+
+def _initial_state(sim, plant, cert):
+    """The periodic initial state from which verify_cycle simulates the
+    plant's loop on cert's cycle."""
+    simulate = sim.simulate_closed_loop
+    states = []
+
+    def spy(plant, phi, x0, *args, **kwargs):
+        states.append(x0)
+        return simulate(plant, phi, x0, *args, **kwargs)
 
     sim.simulate_closed_loop = spy
     try:
-        sim.verify_cycle(plant, phi, cert.u, cert.y, periods=SIM_PERIODS)
+        sim.verify_cycle(plant, cert.phi, cert.u, cert.y, periods=2)
     finally:
         sim.simulate_closed_loop = simulate
-    return stepped[0]
+    return states[0]
 
 
-def measure(repeats: int) -> dict[str, float]:
-    from click.testing import CliRunner
+def _invoke(cli, args: list[str]) -> None:
+    """Run a command of the click group cli in-process, its output sent
+    to os.devnull.  (click's CliRunner keeps each run's captured output
+    alive, which at beta_max 1000 grows the process by about 57 MB a
+    run.)"""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        cli.main(args, standalone_mode=False)
 
-    from luryecycle import (
-        RationalFrequency,
-        TransferFunction,
-        construct,
-        phase,
-        sim,
-    )
-    from luryecycle.cli import cli
-    from luryecycle.construct import AnchorPlant, build_certificate
-    from luryecycle.lti import dc_gain, freq_response
-    from luryecycle.phase import grid_search, sweep_entries
-    from luryecycle.sim import periodic_steady_state, simulate_closed_loop
 
-    def _clear_grid():
+def load(src: Path, name: str):
+    """The package in src/luryecycle, imported under the name name, with
+    its cli module."""
+    pkg_dir = src.resolve() / "luryecycle"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py",
+        submodule_search_locations=[str(pkg_dir)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    importlib.import_module(f"{name}.cli")
+    return pkg
+
+
+def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
+    """The timed measurements of the module docstring on the package pkg,
+    as (key, fn, setup) in order, and its counts by key."""
+    construct, phase, sim = pkg.construct, pkg.phase, pkg.sim
+    AnchorPlant, RationalFrequency = pkg.AnchorPlant, pkg.RationalFrequency
+    build_certificate = construct.build_certificate
+    dc_gain, freq_response = pkg.lti.dc_gain, pkg.lti.freq_response
+    grid_search, sweep_entries = phase.grid_search, phase.sweep_entries
+    simulate_closed_loop = sim.simulate_closed_loop
+
+    def clear_grid():
         # Each sweep then builds the coprime grid afresh, as the first
         # sweep of a process does; a checkout that keeps no grid has
         # nothing to clear.
         if hasattr(phase, "_grid"):
             phase._grid = None
 
-    g = TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81))
-    g_slow = TransferFunction((1.0,), (1.0, -0.999))
-    g_d = TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
-                            0.81 * FEEDTHROUGH), g.den)
-    out = {}
+    g = pkg.TransferFunction((1.0, 0.0), (1.0, -1.8, 0.81))
+    g_slow = pkg.TransferFunction((1.0,), (1.0, -0.999))
+    g_d = pkg.TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
+                                0.81 * FEEDTHROUGH), g.den)
+    timed = []
+    counts = {}
     slope_certs = {}
     verify_certs = {}
     mono_certs = {}
+
+    def add(key, fn, setup=None):
+        timed.append((key, fn, setup))
+
     for beta_max in SWEEP_BETA_MAX:
-        out[f"phase.sweep_entries beta_max={beta_max}"] = _min_ms(
-            lambda: sweep_entries(g, beta_max), repeats, _clear_grid)
-    out[f"phase.grid_search beta_max={SWEEP_BETA_MAX[-1]}"] = _min_ms(
-        lambda: grid_search(g, SWEEP_BETA_MAX[-1]), repeats, _clear_grid)
+        add(f"phase.sweep_entries beta_max={beta_max}",
+            lambda b=beta_max: sweep_entries(g, b), clear_grid)
+    add(f"phase.grid_search beta_max={SWEEP_BETA_MAX[-1]}",
+        lambda: grid_search(g, SWEEP_BETA_MAX[-1]), clear_grid)
     for beta_max in SWEEP_BETA_MAX:
-        sweep_entries(g, beta_max)
-        out[f"phase.sweep_entries beta_max={beta_max} warm"] = _min_ms(
-            lambda: sweep_entries(g, beta_max), repeats)
+        # the first repeat warms the grid, and the minimum skips it
+        add(f"phase.sweep_entries beta_max={beta_max} warm",
+            lambda b=beta_max: sweep_entries(g, b))
     for T in PERIODS:
         freq = RationalFrequency(T - 1, T)
         resp = freq_response(g, freq.omega)
-        out[f"construct.build_certificate T={T}"] = _min_ms(
-            lambda: build_certificate(g, freq), repeats)
+        add(f"construct.build_certificate T={T}",
+            lambda f=freq: build_certificate(g, f))
         mono_certs[T] = build_certificate(g, freq)
         for odd in (False, True):
             # the closed-form bound; (T - 1, T) lies in its window
             t = math.tan(math.pi / (2 * T if odd else T))
-            kbar = -t / (resp.real * t + abs(resp.imag))
+            slope = SLOPE_MARGIN * -t / (resp.real * t + abs(resp.imag))
             label = f"T={T} {'odd' if odd else 'even'} k"
-            out[f"construct.build_certificate {label}"] = _min_ms(
-                lambda: build_certificate(g, freq, odd=odd,
-                                          slope=SLOPE_MARGIN * kbar),
-                repeats)
+            add(f"construct.build_certificate {label}",
+                lambda f=freq, o=odd, k=slope: build_certificate(
+                    g, f, odd=o, slope=k))
             if T in VERIFY_PERIODS:
-                k_cert = build_certificate(g, freq, odd=odd,
-                                           slope=SLOPE_MARGIN * kbar)
+                k_cert = build_certificate(g, freq, odd=odd, slope=slope)
                 if T in SIM_CYCLE_PERIODS:
                     slope_certs[label] = k_cert
                 verify_certs[label] = k_cert
         anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
-        out[f"construct.build_certificate T={T} anchor"] = _min_ms(
-            lambda: build_certificate(anchor, freq), repeats)
+        add(f"construct.build_certificate T={T} anchor",
+            lambda a=anchor, f=freq: build_certificate(a, f))
         for name, kwargs in (("interpolate", {}), ("compute_shift", {}),
-                             ("odd_append", {"odd": True,
-                                             "slope": SLOPE_MARGIN * kbar})):
+                             ("odd_append", {"odd": True, "slope": slope})):
             args, kw = _arguments(construct, name, g, freq, kwargs)
-            fn = getattr(construct, name)
-            out[f"interp.{name} T={T}"] = _min_ms(lambda: fn(*args, **kw),
-                                                   repeats)
+            add(f"interp.{name} T={T}",
+                lambda fn=getattr(construct, name), a=args, k=kw: fn(*a, **k))
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
+    x0 = _initial_state(sim, g, cert)
     for label, plant in (("0", g), (str(FEEDTHROUGH), g_d)):
-        x0 = periodic_steady_state(plant, cert.u)
-        out[f"sim.simulate_closed_loop D={label} steps={steps}"] = _min_ms(
-            lambda: simulate_closed_loop(plant, cert.phi, x0, steps),
-            repeats)
+        add(f"sim.simulate_closed_loop D={label} steps={steps}",
+            lambda p=plant: simulate_closed_loop(p, cert.phi, x0, steps))
     for label, k_cert in slope_certs.items():
-        x0 = periodic_steady_state(g, k_cert.u)
-        steps = SIM_PERIODS * k_cert.u.period
-        out[f"sim.simulate_closed_loop {label} steps={steps}"] = _min_ms(
-            lambda: simulate_closed_loop(g, k_cert.phi, x0, steps), repeats)
-    steps = SIM_PERIODS * NEVER_REPEATS_T
-    out[f"sim.simulate_closed_loop never repeats T={NEVER_REPEATS_T} "
-        f"steps={steps}"] = _min_ms(
+        k_steps = SIM_PERIODS * k_cert.u.period
+        add(f"sim.simulate_closed_loop {label} steps={k_steps}",
+            lambda c=k_cert, x=_initial_state(sim, g, k_cert), n=k_steps:
+            simulate_closed_loop(g, c.phi, x, n))
+    n = SIM_PERIODS * NEVER_REPEATS_T
+    add(f"sim.simulate_closed_loop never repeats T={NEVER_REPEATS_T} "
+        f"steps={n}",
         lambda: simulate_closed_loop(g_slow, mono_certs[NEVER_REPEATS_T].phi,
-                                     [1000.0], steps, NEVER_REPEATS_T),
-        repeats)
-
-    x0 = periodic_steady_state(g, cert.u)
+                                     [1000.0], n, NEVER_REPEATS_T))
     # Clearing the compiled steps makes each call a first call; a
     # checkout that compiles nothing has no set-up to clear.
     kernel = getattr(sim, "_closed_loop_kernel", None)
-
-    def first_call():
-        if kernel is not None:
-            kernel.cache_clear()
-        simulate_closed_loop(g, cert.phi, x0, 1)
-
-    out[f"sim.simulate_closed_loop first call order={g.order}"] = _min_ms(
-        first_call, repeats)
-    for T, m_cert in mono_certs.items():
-        out[f"sim.periodic_steady_state T={T}"] = _min_ms(
-            lambda: periodic_steady_state(g, m_cert.u), repeats)
+    add(f"sim.simulate_closed_loop first call order={g.order}",
+        lambda: simulate_closed_loop(g, cert.phi, x0, 1),
+        kernel.cache_clear if kernel is not None else None)
     for T in VERIFY_PERIODS:
         k_cert = verify_certs[f"T={T} even k"]
         freq = RationalFrequency(T - 1, T)
         edge = AnchorPlant(freq.omega, -cmath.exp(1j * math.pi / (2 * T)))
         for label, r_cert in (("even k", k_cert), ("odd edge anchor",
                               build_certificate(edge, freq, odd=True))):
-            ya, ua = r_cert.y.as_array(), r_cert.u.as_array()
             fresh = [r_cert.phi]
-            out[f"sim.interpolation_residual T={T} {label}"] = _min_ms(
-                lambda: sim.interpolation_residual(fresh[0], ya, ua),
-                repeats, lambda: fresh.__setitem__(0, replace(r_cert.phi)))
+            add(f"sim.interpolation_residual T={T} {label}",
+                lambda f=fresh, c=r_cert: sim.interpolation_residual(
+                    f[0], c.y.as_array(), c.u.as_array()),
+                lambda f=fresh, c=r_cert: f.__setitem__(0, replace(c.phi)))
     for label, k_cert in verify_certs.items():
-        out[f"sim.verify_cycle {label}"] = _min_ms(
-            lambda: sim.verify_cycle(g, k_cert.phi, k_cert.u, k_cert.y,
-                                     periods=SIM_PERIODS), repeats)
-        out[f"sim.verify_cycle {label} stepped"] = _stepped(sim, g, k_cert)
-    # Last: resident memory grows by about the output size with each
-    # in-process run, which would disturb the timings above.
-    runner = CliRunner()
-    with tempfile.TemporaryDirectory() as tmp:
-        plant = Path(tmp) / "plant.json"
-        plant.write_text(json.dumps({"num": list(g.num),
-                                     "den": list(g.den)}))
-        for beta_max in SWEEP_BETA_MAX:
-            for fmt in ("csv", "json"):
-                args = ["phase-sweep", str(plant), "--beta-max",
-                        str(beta_max), "--format", fmt]
-                key = f"cli.phase_sweep beta_max={beta_max} {fmt}"
-                out[key] = _min_ms(lambda: runner.invoke(cli, args), repeats,
-                                   _clear_grid)
-                runner.invoke(cli, args)
-                out[f"{key} warm"] = _min_ms(lambda: runner.invoke(cli, args),
-                                             repeats)
-    return out
+        add(f"sim.verify_cycle {label}",
+            lambda c=k_cert: sim.verify_cycle(g, c.phi, c.u, c.y,
+                                              periods=SIM_PERIODS))
+        stepped, fell_back = _check_counts(sim, g, k_cert)
+        counts[f"sim.verify_cycle {label} stepped"] = stepped
+        counts[f"sim.verify_cycle {label} fell back"] = fell_back
+    plant_file = tmp / "plant.json"
+    plant_file.write_text(json.dumps({"num": list(g.num),
+                                      "den": list(g.den)}))
+    for beta_max in SWEEP_BETA_MAX:
+        for fmt in ("csv", "json"):
+            args = ["phase-sweep", str(plant_file), "--beta-max",
+                    str(beta_max), "--format", fmt]
+            key = f"cli.phase_sweep beta_max={beta_max} {fmt}"
+            add(key, lambda a=args: _invoke(pkg.cli.cli, a), clear_grid)
+            add(f"{key} warm", lambda a=args: _invoke(pkg.cli.cli, a))
+    return timed, counts
 
 
-def compare(srcs: list[Path], repeats: int) -> dict:
+def measure(pkg, repeats: int, tmp: Path) -> dict[str, float]:
+    timed, counts = cases(pkg, tmp)
+    out = {key: _min_ms(fn, repeats, setup) for key, fn, setup in timed}
+    return {**out, **counts}
+
+
+def compare(pkgs: list, repeats: int, tmp: Path) -> dict:
     """Both trees' minima over the rounds and their ratio, per key."""
-    best = [{}, {}]
-    for r in range(COMPARE_ROUNDS):
-        for i in (0, 1) if r % 2 == 0 else (1, 0):
-            run = subprocess.run(
-                [sys.executable, __file__, "--src", str(srcs[i]),
-                 "--repeats", str(repeats)],
-                capture_output=True, text=True, check=True)
-            for key, ms in json.loads(run.stdout).items():
+    runs = []
+    for i, pkg in enumerate(pkgs):
+        (tmp / str(i)).mkdir()
+        runs.append(cases(pkg, tmp / str(i)))
+    best = [dict(runs[0][1]), dict(runs[1][1])]
+    timed_b = {key: (fn, setup) for key, fn, setup in runs[1][0]}
+    for key, fn, setup in runs[0][0]:
+        if key not in timed_b:
+            continue
+        pair = ((fn, setup), timed_b[key])
+        for r in range(COMPARE_ROUNDS):
+            for i in (0, 1) if r % 2 == 0 else (1, 0):
+                ms = _min_ms(pair[i][0], repeats, pair[i][1])
                 best[i][key] = min(ms, best[i].get(key, math.inf))
     return {key: {"a": a, "b": best[1][key],
                   "ratio": round(best[1][key] / a, 3) if a else None}
@@ -316,11 +337,13 @@ def main() -> int:
     srcs = args.src or [Path(__file__).resolve().parents[1] / "src"]
     if len(srcs) > 2:
         parser.error("--src is given at most twice")
-    if len(srcs) == 2:
-        result = compare(srcs, args.repeats)
-    else:
-        sys.path.insert(0, str(srcs[0].resolve()))
-        result = measure(args.repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        if len(srcs) == 2:
+            pkgs = [load(src, f"luryecycle_{c}") for src, c in zip(srcs, "ab")]
+            result = compare(pkgs, args.repeats, Path(tmp))
+        else:
+            result = measure(load(srcs[0], "luryecycle"), args.repeats,
+                             Path(tmp))
     print(json.dumps(result, indent=1))
     return 0
 
