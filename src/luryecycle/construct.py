@@ -55,7 +55,7 @@ from .lti import (
     dc_gain,
     freq_response,
 )
-from .phase import phase_check
+from .phase import PHASE_TOL, phase_check
 from .sim import (
     NONTRIVIAL_TOL,
     CycleVerdict,
@@ -173,8 +173,10 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     slope selects the target class: a finite k for chord slopes in
     [0, k], math.inf for the monotone class.  Raises
     :class:`PhaseConditionError` when the (shifted) response leaves the
-    phase window, and :class:`SelfVerifyError` if the finished cycle does
-    not verify to within CERT_RESIDUAL_TOL.  Any other failure is the
+    phase window, :class:`AlgebraicLoopError` (before the check steps)
+    when the plant's feedthrough D and phi make an ill-posed loop, and
+    :class:`SelfVerifyError` if the finished cycle does not verify to
+    within CERT_RESIDUAL_TOL.  Any other failure is the
     :class:`LuryecycleError` of the stage that hit it, e.g.
     :class:`NoIntersectionError` from the input shift.
     """
@@ -194,13 +196,13 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             f"response {resp!r} at omega = {freq.alpha}*pi/{freq.beta} "
             + ("has a magnitude beyond the float range" if np.isfinite(resp)
                else "is not finite"))
-    check = phase_check(resp, freq, odd_variant=odd)
-    if not check.satisfied:
+    delta, bound = phase_check(resp, freq, odd_variant=odd)
+    if not abs(delta) <= bound + PHASE_TOL:
         raise PhaseConditionError(
-            f"phase offset {check.delta:.9g} exceeds the window "
-            f"{check.bound:.9g} at omega = {freq.alpha}*pi/{freq.beta}"
+            f"phase offset {delta:.9g} exceeds the window {bound:.9g} at "
+            f"omega = {freq.alpha}*pi/{freq.beta}"
             + (f" for the shifted plant G + 1/{slope:.9g}" if finite else ""),
-            delta=check.delta, bound=check.bound)
+            delta=delta, bound=bound)
 
     T = freq.T
     w = freq.omega

@@ -46,7 +46,7 @@ class MultivaluedPhiError(LuryecycleError):
 
 
 class AlgebraicLoopError(LuryecycleError):
-    """A direct-feedthrough loop's output equation got a non-finite input."""
+    """A direct-feedthrough loop is ill-posed or got a non-finite input."""
 
 
 class PhaseConditionError(LuryecycleError):

@@ -10,7 +10,9 @@ or an anchor form that pins the response at a single frequency
 
 Nonlinearity files store breakpoints with an odd flag and a slope bound
 ("inf" for the monotone class).  Signal files are CSV with header
-index,u,y and shortest round-trip float formatting.
+index,u,y and shortest round-trip float formatting.  Every number is a
+JSON number (true and false are not) or, in a CSV sample, plain decimal
+text; the odd flag is a JSON boolean.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 from .construct import AnchorPlant, Plant
@@ -61,15 +64,27 @@ def _read_json(path, error: type[LuryecycleError], what: str):
         raise error(f"{what} file nests JSON too deeply") from exc
 
 
+# A CSV sample: decimal digits with an optional sign, point and exponent.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _number(raw, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float; TypeError for
+    anything else, OverflowError beyond the float range."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _coeff_list(raw, key: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or not raw:
         raise PlantValidationError(f'"{key}" must be a non-empty list')
     try:
-        return tuple(float(c) for c in raw)
+        return tuple(_number(c, key) for c in raw)
     except OverflowError as exc:
         raise PlantValidationError(
             f'"{key}" holds an entry beyond the float range') from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise PlantValidationError(f'"{key}" holds a non-numeric entry') from exc
 
 
@@ -87,10 +102,11 @@ def load_plant(path) -> Plant:
         dc = doc.get("dc")
         try:
             return AnchorPlant(
-                omega=float(anchor["omega"]),
-                value=complex(float(anchor["re"]), float(anchor["im"])),
-                dc=None if dc is None else float(dc))
-        except (OverflowError, TypeError, ValueError) as exc:
+                omega=_number(anchor["omega"], "omega"),
+                value=complex(_number(anchor["re"], "re"),
+                              _number(anchor["im"], "im")),
+                dc=None if dc is None else _number(dc, "dc"))
+        except (OverflowError, TypeError) as exc:
             raise PlantValidationError(f"bad anchor values: {exc}") from exc
     if "num" in doc and "den" in doc:
         return TransferFunction(_coeff_list(doc["num"], "num"),
@@ -121,10 +137,14 @@ def phi_to_dict(phi: PiecewiseNonlinearity) -> dict:
 def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
     try:
         sb = doc["slope_bound"]
-        slope = math.inf if sb == "inf" else float(sb)
-        return PiecewiseNonlinearity(*([b[k] for b in doc["breakpoints"]]
+        slope = math.inf if sb == "inf" else _number(sb, "slope_bound")
+        odd = doc["odd"]
+        if not isinstance(odd, bool):
+            raise TypeError(f"odd must be true or false, got {odd!r}")
+        return PiecewiseNonlinearity(*([_number(b[k], k)
+                                        for b in doc["breakpoints"]]
                                        for k in ("y", "v_lo", "v_hi")),
-                                     odd=bool(doc["odd"]), slope_bound=slope)
+                                     odd=odd, slope_bound=slope)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad nonlinearity document: {exc}") from exc
 
@@ -162,6 +182,9 @@ def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
             continue
         if len(row) != 3:
             raise FileFormatError(f"line {lineno}: expected 3 columns")
+        if not all(_DECIMAL.fullmatch(text.strip()) for text in row[1:]):
+            raise FileFormatError(
+                f"line {lineno}: samples must be plain decimal numbers")
         try:
             idx = int(row[0])
             us.append(float(row[1]))

@@ -45,7 +45,6 @@ __all__ = [
     "RESPONSE_MAG_TOL",
     "KBAR_TIE_TOL",
     "BoundKind",
-    "PhaseCheck",
     "SlopeBound",
     "phase_check",
     "SweepTable",
@@ -56,37 +55,18 @@ __all__ = [
 ]
 
 
-def _window_halfwidth(freq: RationalFrequency, odd_variant: bool) -> float:
-    return math.pi / (2 * freq.beta) if odd_variant else math.pi / freq.T
-
-
-@dataclass(frozen=True)
-class PhaseCheck:
-    """Outcome of the phase-window test at one rational frequency."""
-
-    freq: RationalFrequency
-    response: complex
-    odd_variant: bool
-    delta: float
-    bound: float
-    satisfied: bool
-
-
 def phase_check(response: complex, freq: RationalFrequency,
-                odd_variant: bool = False) -> PhaseCheck:
-    """Window test for a plant response G(e^{j*omega}) at omega =
-    alpha*pi/beta."""
+                odd_variant: bool = False) -> tuple[float, float]:
+    """The phase offset delta of a plant response G(e^{j*omega}) at omega =
+    alpha*pi/beta and the half-width of its window: the window test is
+    |delta| <= bound + PHASE_TOL."""
     if abs(response) < RESPONSE_MAG_TOL:
         raise ZeroResponseError(
             f"response magnitude {abs(response):.3g} at omega = "
             f"{freq.alpha}*pi/{freq.beta} is too small to carry a phase")
     minus = -response
-    delta = math.atan2(minus.imag, minus.real)
-    bound = _window_halfwidth(freq, odd_variant)
-    satisfied = abs(delta) <= bound + PHASE_TOL
-    return PhaseCheck(freq=freq, response=complex(response),
-                      odd_variant=odd_variant, delta=delta, bound=bound,
-                      satisfied=satisfied)
+    return (math.atan2(minus.imag, minus.real),
+            math.pi / (2 * freq.beta) if odd_variant else math.pi / freq.T)
 
 
 class BoundKind(Enum):

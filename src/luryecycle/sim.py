@@ -40,17 +40,16 @@ one array pass (a run longer than CHECK_PERIODS periods also checks the
 rows so far at each doubling of that).  When that gives back exactly
 the inputs stepped, bit for bit with the sign of a zero, each step read
 -phi(y_k), so by induction over the steps the run is the closed-loop
-run, stopped at the same repeat.  On any mismatch, a NaN input or an
-AlgebraicLoopError in that run, the closed loop is stepped again from
-x0 and that run stands.
+run, stopped at the same repeat.  On any mismatch, a NaN input or a
+non-finite loop input (AlgebraicLoopError) in that run, the closed loop
+is stepped again from x0 and that run stands.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
-output solves y + D*phi(y) = lin, where lin = C x.  phi is piecewise
-linear, so the simulation solves it exactly, piece by piece, on phi's
-graph.  A root always exists, because y + D*phi(y) tends to +-inf with
-y.  For D > 0 it is unique; for D < 0 the simulation takes the first
-root reached from lin in the direction of -D*phi(lin), the fixed point
-a damped iteration y <- y + (lin - D*phi(y) - y)/2 climbs to.
+output solves y + D*phi(y) = lin, where lin = C x.  It has one root for
+every lin, so the loop is well-posed, exactly when f(y) = y + D*phi(y)
+is strictly increasing, 1 + D*s > 0 on every piece of phi of slope s.
+An ill-posed loop raises AlgebraicLoopError before any step; otherwise
+each output is solved exactly on phi's piecewise-linear graph.
 """
 
 from __future__ import annotations
@@ -104,48 +103,39 @@ __all__ = [
 
 def _loop_solver(phi: PiecewiseNonlinearity, d: float):
     """Exact solver of y + d*phi(y) = lin on the graph of a single-valued
-    phi, as a function of lin.
+    phi, as a function of lin, or AlgebraicLoopError for an ill-posed loop.
 
-    Piece i of the graph spans [ys[i-1], ys[i]] with slope slopes[i]; the
-    two outer pieces are constant.  The solver finds lin's piece, takes
-    the root on it if that root lies in the walk direction (slope
-    1 + d*s > 0) and inside the piece, and otherwise walks the
-    breakpoints in that direction to the first sign change of
-    f(y) = y + d*phi(y) - lin.  It works on the exact graph, not on the
-    snapped values of phi.evaluate, whose small steps could hide a root.
+    On a well-posed loop f(y) = y + d*phi(y) is strictly increasing: one
+    bisection over f at the breakpoints finds the piece whose ends bracket
+    lin, and f is linear on it (phi is constant on the outer pieces).  It
+    works on the exact graph, not on the snapped values of phi.evaluate.
     """
     ys, vs = phi.ys, phi.los
+    widths = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+    slopes = [(v1 - v0) / w for v0, v1, w in zip(vs, vs[1:], widths)]
+    steepest = (max if d < 0.0 else min)(slopes, default=0.0)
+    if 1.0 + d * steepest <= 0.0:
+        raise AlgebraicLoopError(
+            f"ill-posed algebraic loop: feedthrough D = {d:.9g} and a piece "
+            f"of phi with slope {steepest:.9g} give 1 + D*s <= 0 (-1/D = "
+            f"{-1.0 / d:.9g}), so y + D*phi(y) = C x has no unique root")
     m = len(ys)
-    slopes = ([0.0]
-              + [(v1 - v0) / (y1 - y0)
-                 for y0, y1, v0, v1 in zip(ys, ys[1:], vs, vs[1:])]
-              + [0.0])
+    fs = [y + d * v for y, v in zip(ys, vs)]
+    rises = [f1 - f0 for f0, f1 in zip(fs, fs[1:])]
 
     def solve(lin: float) -> float:
         if not math.isfinite(lin):
             raise AlgebraicLoopError(
                 f"loop input {lin!r} is not a finite number")
-        i = bisect_right(ys, lin)
-        s = slopes[i]
-        v = vs[0] if i == 0 else vs[i - 1] + s * (lin - ys[i - 1])
-        f = d * v  # f(lin); the root lies on the side of -f
-        if f == 0.0:
-            return lin
-        down = f > 0.0
-        if 1.0 + d * s > 0.0:
-            y = lin - f / (1.0 + d * s)
-            if (i == 0 or y >= ys[i - 1]) if down else (i == m or y <= ys[i]):
-                return y
-        # f is linear between consecutive points of the walk; the root is
-        # where it first reaches 0, between (prev_y, prev_f) and (yj, fj).
-        prev_y, prev_f = lin, f
-        for j in (range(i - 1, -1, -1) if down else range(i, m)):
-            yj = ys[j]
-            fj = yj + d * vs[j] - lin
-            if (fj <= 0.0) if down else (fj >= 0.0):
-                return prev_y + (yj - prev_y) * (prev_f / (prev_f - fj))
-            prev_y, prev_f = yj, fj
-        return lin - d * (vs[0] if down else vs[-1])
+        i = bisect_right(fs, lin)
+        if 0 < i < m:
+            # from the end nearer the root, whose rounding counts least
+            j = i if fs[i] - lin < lin - fs[i - 1] else i - 1
+            return ys[j] + widths[i - 1] * ((lin - fs[j]) / rises[i - 1])
+        # an outer piece, where rounding could put the root inside the span
+        if i == 0:
+            return min(lin - d * vs[0], ys[0])
+        return max(lin - d * vs[-1], ys[-1])
 
     return solve
 
@@ -300,7 +290,8 @@ def simulate_closed_loop(plant: TransferFunction,
     phi must be single-valued.  Returns the (y, u) trajectories as a
     :class:`Trajectory`, which tiles them when first read.  With
     D != 0 each output is the exact loop root described in the module
-    docstring, and a non-finite C x raises :class:`AlgebraicLoopError`.
+    docstring; an ill-posed loop raises :class:`AlgebraicLoopError`
+    before any step, and so does a non-finite C x at its step.
     After every step the state is compared with the one a period back,
     and at every multiple of period with the earlier multiples (by
     default the period is the whole run, so no repeat is found); from
@@ -443,7 +434,8 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     verdict must not pass on a simulation that never ran.  The
     simulation starts from the periodic initial state, which must be
     finite, and is stepped on the input the stored cycle predicts, as
-    the module docstring describes.
+    the module docstring describes; an ill-posed feedthrough loop raises
+    :class:`AlgebraicLoopError` before the first step.
     """
     if u.period != y.period:
         raise ValueError("input and output must share one period")

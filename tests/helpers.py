@@ -41,7 +41,6 @@ from luryecycle.phase import (
     KBAR_TIE_TOL,
     PHASE_TOL,
     BoundKind,
-    PhaseCheck,
     SlopeBound,
 )
 from luryecycle.sim import (
@@ -419,10 +418,15 @@ def phase_window_holds(delta: float, T: int) -> bool:
     return abs(delta) <= math.pi / T
 
 
-def on_window_edge(check: PhaseCheck) -> bool:
+def in_window(delta: float, bound: float) -> bool:
+    """The window test of a phase check's (delta, bound)."""
+    return abs(delta) <= bound + PHASE_TOL
+
+
+def on_window_edge(delta: float, bound: float) -> bool:
     """Whether a phase check's offset lies within PHASE_TOL of the
     window edge."""
-    return abs(abs(check.delta) - check.bound) <= PHASE_TOL
+    return abs(abs(delta) - bound) <= PHASE_TOL
 
 
 def slope_bound(response: complex, freq: RationalFrequency,

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from luryecycle import (
+    AlgebraicLoopError,
     DomainError,
     EmptyResultError,
     FileFormatError,
@@ -19,13 +20,18 @@ from luryecycle import (
     NoIntersectionError,
     PhaseConditionError,
     PlantValidationError,
+    RationalFrequency,
     SelfVerifyError,
+    build_certificate,
     load_phi,
     load_plant,
     load_signals,
+    save_phi,
+    save_signals,
     trajectory_csv,
+    verify_cycle,
 )
-from luryecycle import phase
+from luryecycle import construct, phase
 from luryecycle.cli import cli, exit_code_for
 from luryecycle.lti import freq_response
 from luryecycle.sim import simulate_closed_loop
@@ -172,6 +178,22 @@ NOT_UTF8_MESSAGE = ("is not UTF-8 text: 'utf-8' codec can't decode byte "
                     "0xff in position 0: invalid start byte")
 
 
+def _run_on(runner, plant_file, tmp_path, command, role, content):
+    """command on the example plant, PHI_DOC and SIGNALS, with the file
+    of the given role holding content instead."""
+    files = {"plant": plant_file.read_bytes(),
+             "nonlinearity": json.dumps(PHI_DOC).encode(),
+             "signal": SIGNALS}
+    files[role] = content
+    paths = []
+    for name, data in files.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(data)
+    args = [str(paths[0])] + ([str(q) for q in paths[1:]]
+                              if command == "verify" else [])
+    return runner.invoke(cli, [command, *args])
+
+
 @pytest.mark.parametrize("command, role, content, message", [
     pytest.param(command, role, content, message,
                  id=f"{command}-{role}-{label}")
@@ -185,20 +207,71 @@ NOT_UTF8_MESSAGE = ("is not UTF-8 text: 'utf-8' codec can't decode byte "
 ])
 def test_undecodable_input_file_exits_2(runner, plant_file, tmp_path,
                                         command, role, content, message):
-    files = {"plant": plant_file.read_bytes(),
-             "nonlinearity": json.dumps(PHI_DOC).encode(),
-             "signal": SIGNALS}
-    files[role] = content
-    paths = []
-    for name, data in files.items():
-        paths.append(tmp_path / name)
-        paths[-1].write_bytes(data)
-    args = [str(paths[0])] + ([str(q) for q in paths[1:]]
-                              if command == "verify" else [])
-    result = runner.invoke(cli, [command, *args])
+    result = _run_on(runner, plant_file, tmp_path, command, role, content)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr == f"error: {role} file {message}\n"
+
+
+def _with(doc: dict, path: tuple, value) -> bytes:
+    """doc as JSON with the entry at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc).encode()
+
+
+PLANT_DOC = {"num": [1.0, 0.0], "den": [1.0, -1.8, 0.81]}
+ANCHOR_DOC = {"anchor": {"omega": 0.6, "re": -0.9, "im": -0.3}, "dc": 1.0}
+# Inputs that float() or bool() would read, though they are not numbers
+# (or not a boolean): each file, its content and the error message.
+LAX_PLANTS = [
+    ("num-bool-string", json.dumps({"num": [True, "1e5"],
+                                    "den": [1.0, -0.5]}).encode(),
+     '"num" holds a non-numeric entry'),
+    ("den-string", _with(PLANT_DOC, ("den", 1), "-1.8"),
+     '"den" holds a non-numeric entry'),
+    ("anchor-string", _with(ANCHOR_DOC, ("anchor", "re"), "-0.9"),
+     "bad anchor values: re must be a number, got '-0.9'"),
+    ("dc-bool", _with(ANCHOR_DOC, ("dc",), False),
+     "bad anchor values: dc must be a number, got False"),
+]
+LAX_VERIFY_FILES = [
+    ("nonlinearity", "odd-string", _with(PHI_DOC, ("odd",), "false"),
+     "bad nonlinearity document: odd must be true or false, got 'false'"),
+    ("nonlinearity", "y-string", _with(PHI_DOC, ("breakpoints", 0, "y"),
+                                       "-1.0"),
+     "bad nonlinearity document: y must be a number, got '-1.0'"),
+    ("nonlinearity", "v_hi-bool", _with(PHI_DOC, ("breakpoints", 1, "v_hi"),
+                                        True),
+     "bad nonlinearity document: v_hi must be a number, got True"),
+    ("nonlinearity", "slope-string", _with(PHI_DOC, ("slope_bound",), "2.0"),
+     "bad nonlinearity document: slope_bound must be a number, got '2.0'"),
+    ("nonlinearity", "slope-bool", _with(PHI_DOC, ("slope_bound",), True),
+     "bad nonlinearity document: slope_bound must be a number, got True"),
+    ("signal", "underscore", b"index,u,y\n0,1_0,1.0\n1,-1.0,-1.0\n",
+     "line 2: samples must be plain decimal numbers"),
+    ("signal", "hex-float", b"index,u,y\n0,1.0,1.0\n1,-1.0,0x1p0\n",
+     "line 3: samples must be plain decimal numbers"),
+]
+
+
+@pytest.mark.parametrize("command, role, content, message", [
+    pytest.param(command, "plant", content, message,
+                 id=f"{command}-plant-{label}")
+    for label, content, message in LAX_PLANTS
+    for command in ("nyquist", "verify")] + [
+    pytest.param("verify", role, content, message, id=f"verify-{label}")
+    for role, label, content, message in LAX_VERIFY_FILES])
+def test_non_number_input_exits_2(runner, plant_file, tmp_path, command,
+                                  role, content, message):
+    result = _run_on(runner, plant_file, tmp_path, command, role, content)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_version(runner):
@@ -580,6 +653,39 @@ class TestVerify:
                                      str(sig), "--periods", "20"])
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
+
+    def test_ill_posed_loop_exits_6(self, runner, tmp_path, monkeypatch):
+        # D = -0.5 under a monotone phi with slopes up to 15.8 > -1/D:
+        # construct refuses the loop, and so does verify on its cycle,
+        # with the same message and no verdict
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({"num": [-0.5, 1.0], "den": [1.0, 0.3]}))
+        message = ("error: ill-posed algebraic loop: feedthrough D = -0.5 "
+                   "and a piece of phi with slope 15.8 give 1 + D*s <= 0 "
+                   "(-1/D = 2), so y + D*phi(y) = C x has no unique root\n")
+        out = tmp_path / "phi.json"
+        sig = tmp_path / "sig.csv"
+        result = runner.invoke(cli, [
+            "construct", str(plant), "--alpha", "2", "--beta", "3",
+            "--out", str(out), "--signals", str(sig)])
+        assert result.exit_code == 6, result.output
+        assert result.stderr == message
+        assert not out.exists() and not sig.exists()
+        calls = []
+        monkeypatch.setattr(construct, "verify_cycle",
+                            lambda *args, **kwargs: calls.append(args)
+                            or verify_cycle(*args, **kwargs))
+        with pytest.raises(AlgebraicLoopError):
+            build_certificate(load_plant(plant), RationalFrequency(2, 3))
+        [(_, phi, u, y)] = calls
+        save_phi(out, phi)
+        save_signals(sig, u, y)
+        result = runner.invoke(cli, ["verify", str(plant), str(out),
+                                     str(sig)])
+        assert result.exit_code == 6, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == message
+        assert result.stdout == ""
 
     def test_multivalued_trace_skipped(self, runner, tmp_path):
         # 1/z sits exactly on the T = 3 window edge at omega = 2*pi/3, so

@@ -16,9 +16,10 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "shift_data", "slope_bound", "_sorted_feasible", "_sweep_rows",
            "realize", "StateSpaceRealization", "monotone_interpolable",
            "DataPairSet", "interpolate_reference", "compute_shift_reference",
-           "max_chord_slope", "on_window_edge", "periodic_steady_state_solve",
-           "interpolation_residual_map", "first_repeat_reference",
-           "periodic_response", "periodic_steady_state")
+           "max_chord_slope", "in_window", "on_window_edge",
+           "periodic_steady_state_solve", "interpolation_residual_map",
+           "first_repeat_reference", "periodic_response",
+           "periodic_steady_state")
 
 
 def test_every_exported_name_resolves():
@@ -40,7 +41,7 @@ def test_oracles_are_not_exported():
     assert not hasattr(lti.TransferFunction, "add_constant")
     assert not hasattr(interp.PiecewiseNonlinearity, "scalar")
     assert not hasattr(interp.PiecewiseNonlinearity, "max_chord_slope")
-    assert "boundary" not in phase.PhaseCheck.__dataclass_fields__
+    assert not hasattr(phase, "PhaseCheck")
 
 
 def test_cli_start_does_not_load_numpy_fft(plant_file):

@@ -35,6 +35,7 @@ from luryecycle.phase import (
 )
 from helpers import (
     coprime_pairs,
+    in_window,
     kbar_or_inf,
     on_window_edge,
     phase_window_holds,
@@ -79,35 +80,35 @@ class TestPhaseWindow:
 
 class TestPhaseCheck:
     def test_example_plant_at_grid_minimum(self, example_plant):
-        chk = phase_check(freq_response(example_plant, F27.omega), F27)
-        assert chk.response == pytest.approx(
+        resp = freq_response(example_plant, F27.omega)
+        delta, bound = phase_check(resp, F27)
+        assert resp == pytest.approx(
             -1.4197572177829966 - 0.31408378933125235j, abs=1e-12)
-        assert chk.satisfied
-        assert not on_window_edge(chk)
-        assert abs(chk.delta) <= chk.bound == pytest.approx(math.pi / 7)
+        assert in_window(delta, bound)
+        assert not on_window_edge(delta, bound)
+        assert abs(delta) <= bound == pytest.approx(math.pi / 7)
 
     def test_boundary_flag_on_exact_window_edge(self):
         resp = -complex(math.cos(math.pi / 7), math.sin(math.pi / 7))
-        chk = phase_check(resp, F27)
-        assert chk.satisfied
-        assert on_window_edge(chk)
-        assert chk.delta == pytest.approx(math.pi / 7)
+        delta, bound = phase_check(resp, F27)
+        assert in_window(delta, bound)
+        assert on_window_edge(delta, bound)
+        assert delta == pytest.approx(math.pi / 7)
 
     def test_outside_window_not_satisfied(self):
         resp = -complex(math.cos(1.0), math.sin(1.0))
-        chk = phase_check(resp, F27)
-        assert not chk.satisfied
+        assert not in_window(*phase_check(resp, F27))
 
     def test_odd_variant_shrinks_window_for_even_alpha(self):
         resp = -complex(math.cos(0.3), math.sin(0.3))
-        assert phase_check(resp, F27).satisfied  # 0.3 < pi/7
-        assert not phase_check(resp, F27, odd_variant=True).satisfied
+        assert in_window(*phase_check(resp, F27))  # 0.3 < pi/7
+        assert not in_window(*phase_check(resp, F27, odd_variant=True))
 
     def test_odd_variant_same_window_for_odd_alpha(self, example_plant):
         resp = freq_response(example_plant, F13.omega)
-        plain = phase_check(resp, F13)
-        odd = phase_check(resp, F13, odd_variant=True)
-        assert plain.bound == odd.bound == pytest.approx(math.pi / 6)
+        _, plain = phase_check(resp, F13)
+        _, odd = phase_check(resp, F13, odd_variant=True)
+        assert plain == odd == pytest.approx(math.pi / 6)
 
     def test_zero_response_rejected(self):
         with pytest.raises(ZeroResponseError):

@@ -11,7 +11,6 @@ from luryecycle import (
     DomainError,
     MultivaluedPhiError,
     RationalFrequency,
-    SelfVerifyError,
     TransferFunction,
     build_certificate,
     nyquist_gain,
@@ -408,10 +407,11 @@ class TestVerifyCycle:
                                          cert.phi, cert.u, cert.y)
         assert verdict.ok()
 
-    def test_ill_posed_loop_falls_back(self, monkeypatch):
-        # D = -0.5 and phi with pieces of slope >= 2 = -1/D: the loop
-        # solve picks other roots than the stored cycle, the prediction
-        # fails, and so does the check, as in build_certificate.
+    def test_ill_posed_loop_raises_before_stepping(self, monkeypatch):
+        # D = -0.5 and phi with pieces of slope >= 2 = -1/D: some inputs
+        # give y + D*phi(y) = C x several roots, so the check refuses the
+        # loop before its simulation takes a step, in build_certificate
+        # as in verify_cycle and simulate_closed_loop.
         g = TransferFunction((-0.5, 1.0), (1.0, 0.3))
         calls = []
 
@@ -419,12 +419,22 @@ class TestVerifyCycle:
             calls.append(args)
             return verify_cycle(*args, **kwargs)
 
+        def no_kernel(*args):
+            raise AssertionError("the ill-posed loop was stepped")
+
         monkeypatch.setattr(construct, "verify_cycle", spy)
-        with pytest.raises(SelfVerifyError):
+        monkeypatch.setattr(sim, "_closed_loop_kernel", no_kernel)
+        message = (r"ill-posed algebraic loop: feedthrough D = -0\.5 .*"
+                   r"\(-1/D = 2\)")
+        with pytest.raises(AlgebraicLoopError, match=message):
             build_certificate(g, RationalFrequency(2, 3))
         [(_, phi, u, y)] = calls
-        verdict = self._check_falls_back(monkeypatch, g, phi, u, y)
-        assert not verdict.ok()
+        ys, vs = np.array(phi.ys), np.array(phi.los)
+        assert np.max(np.diff(vs) / np.diff(ys)) >= 2.0
+        with pytest.raises(AlgebraicLoopError, match=message):
+            verify_cycle(g, phi, u, y)
+        with pytest.raises(AlgebraicLoopError, match=message):
+            simulate_closed_loop(g, phi, [0.0], 30, 3)
 
     def test_long_check_needs_no_trajectory_memory(self, example_plant):
         # 10**6 periods of the (2, 7) cycle: the state repeats early, the

@@ -9,9 +9,11 @@ predicted input against the closed loop stepped with phi.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
-signs and finite lin, the solve returns a root on phi's graph, and it is
-the first root reached from lin in the direction of -D*phi(lin): the
-one the damped iteration in helpers climbs to whenever it settles.
+signs and finite lin, building the solve refuses exactly the ill-posed
+loops, those with 1 + D*s <= 0 on some piece of phi; on the others it
+returns the one root on phi's graph, the one the damped iteration in
+helpers climbs to whenever it settles.  The simulation properties draw
+well-posed loops.
 """
 
 import math
@@ -96,22 +98,47 @@ def _loop_gain(phi, d, y):
     return min(1.0 + d * s for s in slopes)
 
 
+def _steepest(phi, d):
+    """The slope s of phi's pieces, the constant ends included, with the
+    smallest 1 + d*s."""
+    bps = phi.breakpoints
+    return min([0.0] + [(q.v_lo - p.v_hi) / (q.y - p.y)
+                        for p, q in zip(bps, bps[1:])],
+               key=lambda s: 1.0 + d * s)
+
+
 @settings(max_examples=400)
 @given(phi=monotone_phis(), d=gains, lin=st.floats(-60.0, 60.0))
-def test_solve_finds_first_root_toward_minus_d_phi(phi, d, lin):
+# 1 + D*s = 0 exactly: f is flat on a piece, so lin = 0 has every root
+# on it
+@example(phi=PiecewiseNonlinearity((0.0, 1.0), (0.0, 2.0), (0.0, 2.0)),
+         d=-0.5, lin=0.0)
+# values may fall within phi's slack, so a piece can be steep and
+# falling, and ill-posed for D > 0
+@example(phi=PiecewiseNonlinearity((0.0, 1e-15, 1.0), (0.0, -1e-12, 1.0),
+                                   (0.0, -1e-12, 1.0)), d=2.0, lin=0.5)
+# lin = f(ys[-1]): lin - D*phi(ys[-1]) rounds to just inside the steep
+# last piece, where the root must not be left
+@example(phi=PiecewiseNonlinearity((1e-6 - 1e-12, 1e-6), (29.99, 30.0),
+                                   (29.99, 30.0)), d=7.0,
+         lin=1e-6 + 7.0 * 30.0)
+def test_solve_refuses_exactly_the_ill_posed_loops(phi, d, lin):
+    if 1.0 + d * _steepest(phi, d) <= 0.0:
+        with pytest.raises(AlgebraicLoopError, match="ill-posed"):
+            _loop_solver(phi, d)
+        return
     y = _loop_solver(phi, d)(lin)
     scale = max(1.0, abs(lin), abs(y),
                 abs(d) * max(abs(b.v_lo) for b in phi.breakpoints))
     tol = 1e-12 * scale
     assert abs(_residual(phi, d, lin, y)) <= tol
-    # f(y) = y + d*phi(y) - lin is linear between breakpoints, so no
-    # root lies strictly between lin and y when f keeps the sign of
-    # f(lin) at every breakpoint in between.
-    f0 = _residual(phi, d, lin, lin)
-    lo, hi = min(lin, y), max(lin, y)
+    # f(y) = y + d*phi(y) - lin is linear between breakpoints, so y is
+    # its only root when f is negative at every breakpoint below y and
+    # positive at every one above.
     for b in phi.breakpoints:
-        if lo < b.y < hi and abs(b.y - y) > tol:
-            assert _residual(phi, d, lin, b.y) * math.copysign(1.0, f0) > -tol
+        if abs(b.y - y) > tol:
+            assert _residual(phi, d, lin, b.y) * math.copysign(1.0, b.y - y) \
+                > -tol
     # The iteration stops on a step below 1e-12.  Its map has slope
     # (1 - d*s)/2, so that puts it within 1e-12 / ((1 + d*s)/2) of a
     # fixed point, 1e-9 or closer where (1 + d*s)/2 >= 1e-3; near
@@ -131,7 +158,7 @@ def test_non_finite_loop_input_is_a_typed_error(phi, d, lin):
 @st.composite
 def loops(draw):
     """A random stable plant of order 1 to 10 with D = 0, with D != 0,
-    or static, a monotone phi and an initial state."""
+    or static, a monotone phi and an initial state, the loop well-posed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_stable_tf(rng, max_order=10)
     form = draw(st.sampled_from(("strict", "feedthrough", "static")))
@@ -142,7 +169,21 @@ def loops(draw):
         num[0] = float(rng.normal()) if form == "feedthrough" else 0.0
         g = TransferFunction(tuple(num), g.den)
     x0 = rng.uniform(-20.0, 20.0, size=g.order)
-    return g, draw(monotone_phis()), x0
+    phi = draw(monotone_phis())
+    return _well_posed(g, phi), phi, x0
+
+
+def _well_posed(g, phi):
+    """g with its feedthrough D halved until the loop with phi is
+    well-posed, 1 + D*s > 0 on every piece of phi: the simulation refuses
+    any other loop (test_solve_refuses_exactly_the_ill_posed_loops)."""
+    num = [0.0] * (len(g.den) - len(g.num)) + list(g.num)
+    d = num[0]
+    while 1.0 + d * _steepest(phi, d) <= 0.0:
+        d /= 2
+    if d == num[0]:
+        return g
+    return TransferFunction((d, *num[1:]), g.den)
 
 
 @given(loops())
@@ -172,7 +213,7 @@ def repeating_loops(draw):
         PiecewiseNonlinearity((0.0,), (level,), (level,)),
         PiecewiseNonlinearity((-width, width), (-level, level),
                               (-level, level)))))
-    return g, phi, x0
+    return _well_posed(g, phi), phi, x0
 
 
 def _run(simulate):

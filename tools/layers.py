@@ -12,7 +12,8 @@ each key COMPARE_ROUNDS times per tree, alternating which tree goes
 first (A then B, then B then A), so that drift of the host falls on
 both trees alike; it prints each key's minimum over the rounds for A and
 for B and their ratio B/A.  The plant is G = z/(z^2 - 1.8 z + 0.81)
-(D = 0), and G + 0.3 (D = 0.3) for the feedthrough simulation.
+(D = 0), and G + 0.3 (D = 0.3) and G - 0.3 (D = -0.3) for the
+feedthrough simulations.
 Measurements:
 
 - phase.sweep_entries at beta_max 20, 100, 300 and 1000, and
@@ -37,12 +38,14 @@ Measurements:
 - sim.simulate_closed_loop for 20 periods, stepping the closed loop
   (phi called at every step) from the initial state that verify_cycle
   computes, driven by the phi of the T = 1001 monotone certificate,
-  with D = 0 and D = 0.3; at the benchmark's cycle_long sizes, T = 101
-  and 301 with the phi of the slope-k certificates above in both
-  windows (D = 0); a run that never repeats, where every repeat check
-  is pure cost: G = 1/(z - 0.999) from x0 = 1000 for 20 periods of
-  T = 7 under the phi of the T = 7 monotone certificate (key "...
-  never repeats"); and its first call at a new plant order, which
+  with D = 0 and D = 0.3, and for G - 0.3 from its own T = 1001
+  even-window slope-k certificate, whose loop is well-posed (slopes
+  below -1/D = 3.33; key "D=-0.3 k"); at the benchmark's cycle_long
+  sizes, T = 101 and 301 with the phi of the slope-k certificates
+  above in both windows (D = 0); a run that never repeats, where every
+  repeat check is pure cost: G = 1/(z - 0.999) from x0 = 1000 for 20
+  periods of T = 7 under the phi of the T = 7 monotone certificate
+  (key "... never repeats"); and its first call at a new plant order, which
   compiles the step for that order (a one-step run after clearing the
   compiled steps, as set-up);
 - sim.interpolation_residual at T = 101, 301 and 1001 on the cycle of
@@ -102,6 +105,13 @@ def _min_ms(fn, repeats: int, setup=None) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return round(best * 1e3, 3)
+
+
+def _slope_k(resp: complex, T: int, odd: bool) -> float:
+    """SLOPE_MARGIN times the closed-form slope bound of the response
+    resp at the frequency (T - 1, T), which lies in its window."""
+    t = math.tan(math.pi / (2 * T if odd else T))
+    return SLOPE_MARGIN * -t / (resp.real * t + abs(resp.imag))
 
 
 def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
@@ -203,6 +213,8 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     g_slow = pkg.TransferFunction((1.0,), (1.0, -0.999))
     g_d = pkg.TransferFunction((FEEDTHROUGH, 1.0 - 1.8 * FEEDTHROUGH,
                                 0.81 * FEEDTHROUGH), g.den)
+    g_neg = pkg.TransferFunction((-FEEDTHROUGH, 1.0 + 1.8 * FEEDTHROUGH,
+                                  -0.81 * FEEDTHROUGH), g.den)
     timed = []
     counts = {}
     slope_certs = {}
@@ -228,9 +240,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             lambda f=freq: build_certificate(g, f))
         mono_certs[T] = build_certificate(g, freq)
         for odd in (False, True):
-            # the closed-form bound; (T - 1, T) lies in its window
-            t = math.tan(math.pi / (2 * T if odd else T))
-            slope = SLOPE_MARGIN * -t / (resp.real * t + abs(resp.imag))
+            slope = _slope_k(resp, T, odd)
             label = f"T={T} {'odd' if odd else 'even'} k"
             add(f"construct.build_certificate {label}",
                 lambda f=freq, o=odd, k=slope: build_certificate(
@@ -254,6 +264,12 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     for label, plant in (("0", g), (str(FEEDTHROUGH), g_d)):
         add(f"sim.simulate_closed_loop D={label} steps={steps}",
             lambda p=plant: simulate_closed_loop(p, cert.phi, x0, steps))
+    freq = cert.freq
+    neg = build_certificate(g_neg, freq, slope=_slope_k(
+        freq_response(g_neg, freq.omega), freq.T, False))
+    add(f"sim.simulate_closed_loop D=-{FEEDTHROUGH} k steps={steps}",
+        lambda x=_initial_state(sim, g_neg, neg): simulate_closed_loop(
+            g_neg, neg.phi, x, steps))
     for label, k_cert in slope_certs.items():
         k_steps = SIM_PERIODS * k_cert.u.period
         add(f"sim.simulate_closed_loop {label} steps={k_steps}",
