@@ -309,7 +309,7 @@ def verify(plant_file, phi_file, signals_file, periods, trace, report):
         verdict = verify_cycle(plant, phi, u, y, periods=periods)
         if trace:
             if verdict.trajectory is not None:
-                Path(trace).write_text(trajectory_csv(*verdict.trajectory))
+                Path(trace).write_text(trajectory_csv(verdict.trajectory))
                 click.echo(f"wrote {trace}")
             else:
                 click.echo("trace skipped: nonlinearity is multivalued",

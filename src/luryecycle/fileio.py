@@ -64,8 +64,10 @@ def _read_json(path, error: type[LuryecycleError], what: str):
         raise error(f"{what} file nests JSON too deeply") from exc
 
 
-# A CSV sample: decimal digits with an optional sign, point and exponent.
+# A CSV sample: decimal digits with an optional sign, point and exponent;
+# a CSV index: decimal digits alone.
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INDEX = re.compile(r"[0-9]+")
 
 
 def _number(raw, what: str) -> float:
@@ -182,6 +184,8 @@ def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
             continue
         if len(row) != 3:
             raise FileFormatError(f"line {lineno}: expected 3 columns")
+        if not _INDEX.fullmatch(row[0].strip()):
+            raise FileFormatError(f"line {lineno}: index must be plain digits")
         if not all(_DECIMAL.fullmatch(text.strip()) for text in row[1:]):
             raise FileFormatError(
                 f"line {lineno}: samples must be plain decimal numbers")

@@ -197,6 +197,27 @@ class PiecewiseNonlinearity:
             return lower, lower
         return lower, np.where(snapped, table[6, k], chord)
 
+    @cached_property
+    def _guard_table(self) -> np.ndarray:
+        """Column j holds lo, hi and -los[j], with lower(y) = los[j] at
+        every y in [lo, hi]: lo = max(ys[j] - h, ys[j-1] + t) and hi =
+        min(ys[j] + h, ys[j+1] - t), rounded, where the neighbours exist,
+        h = y_tol - y_tol/256 and t = y_tol + y_tol/256.
+        Proof: with M = max(1, -ys[0], ys[-1]) each rounding errs by at
+        most 2^-52 M, far below y_tol/256, so on [lo, hi] the rounded
+        differences give abs(y - ys[j]) <= y_tol < abs(y - ys[j -+ 1])
+        and ys[j-1] < y < ys[j+1].  So _graph_end's bisect_left is j + 1
+        if y > ys[j], where the first test picks ys[j] over the farther
+        ys[j+1], or else j, where the first test fails on ys[j-1] (or
+        i = 0) and the second picks ys[j]."""
+        ys, lo, _ = self._cols
+        tol = self.y_tol
+        h, t = tol - tol / 256, tol + tol / 256
+        table = np.array((ys - h, ys + h, -lo))
+        np.maximum(table[0, 1:], ys[:-1] + t, out=table[0, 1:])
+        np.minimum(table[1, :-1], ys[1:] - t, out=table[1, :-1])
+        return table
+
 
 # evaluate_array's table at the slots -inf, <= ys[0], > ys[-1], +inf, NaN.
 _TABLE_ENDS = np.array(

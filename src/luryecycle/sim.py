@@ -31,18 +31,19 @@ period: at each chunk start it packs x into bytes and looks them up
 among the earlier chunk starts, which also catches a state that repeats
 two or more periods back, and is the only check for an order-0 plant,
 which has no state.  The periodicity check reads only the stepped rows
-and one period more.  The initial state must be finite.
+and one period more.  The initial state must be finite, and so must
+the state at each chunk start, before its lookup: an overflowing run
+raises DomainError there rather than look up the bits of a NaN, whose
+sign CPython may set either way.
 
-The cycle check steps the loop on the input the stored cycle predicts,
-u_k = -phi(y*_{k mod T}) at the stored outputs y*, instead of calling
-phi at every step, and then evaluates phi over every stepped output in
-one array pass (a run longer than CHECK_PERIODS periods also checks the
-rows so far at each doubling of that).  When that gives back exactly
-the inputs stepped, bit for bit with the sign of a zero, each step read
--phi(y_k), so by induction over the steps the run is the closed-loop
-run, stopped at the same repeat.  On any mismatch, a NaN input or a
-non-finite loop input (AlgebraicLoopError) in that run, the closed loop
-is stepped again from x0 and that run stands.
+Step i of a period reads u = v_i without calling phi when its output
+lies in its guard [lo_i, hi_i].  Given the stored outputs y*, it is the
+last of phi's snap guards that starts at or below y*_i (or the last of
+all), on which phi is los[j] (PiecewiseNonlinearity._guard_table proves
+it), and v_i = -los[j].  So every guarded step reads the input the
+closed loop reads, bit for bit, and nothing is re-checked; a stored
+cycle's outputs are phi's breakpoints, so its guards hold the simulated
+outputs a few ulps off them.  Without stored outputs the bounds are NaN.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  It has one root for
@@ -80,12 +81,6 @@ NONTRIVIAL_TOL = 1e-6
 # nyquist_gain's tolerance on ||z| - 1| for a unit-circle root and on
 # |Im G| / |G| for a real response.
 MARGIN_TOL = 1e-6
-
-# A run on the predicted input checks its outputs so far at the chunk
-# start after this many periods and at each doubling of that, so that a
-# failed prediction steps and holds at most this many periods or twice
-# the rows of the closed-loop run, which may stop much earlier.
-CHECK_PERIODS = 8
 
 __all__ = [
     "VERDICT_TOL",
@@ -143,19 +138,18 @@ def _loop_solver(phi: PiecewiseNonlinearity, d: float):
 # The closed-loop simulation of an order-n companion form, as source.
 # Each step writes out the products and sums of the module docstring in
 # a fixed order: y = 0.0 + c0*x0 + ... (then y = solve(y) when D != 0),
-# u = -source(y), or u = source[i] on the predicted input, w = 0.0 +
+# u = v[i] inside step i's guard and u = -phi(y) outside, w = 0.0 +
 # a0*x0 + ... + u, and the shift x_i = x_{i-1}, x0 = w, one assignment
 # each (for n >= 4 faster than one tuple assignment).  The state lives
 # in the local floats x0..x{n-1}.  The steps run in chunks of one
-# period, with the two repeat checks of the module docstring: before
-# step i of a chunk, ring[i] holds the w one period back (an entry of
-# the initial state, or a NaN, which equals no w, where the run has no
-# such w), and the step swaps in its own w.  On the predicted input,
-# check(ys, us) also runs at the chunk start CHECK_PERIODS periods in
-# and at each doubling of that.  The third result is the step from
-# which the stepped run repeats itself, or None.
+# period, with the finiteness check and the two repeat checks of the
+# module docstring: before step i of a chunk, ring[i] holds the w one
+# period back (an entry of the initial state, or a NaN, which equals no
+# w, where the run has no such w), and the step swaps in its own w.  The
+# third result is the step from which the stepped run repeats itself,
+# or None.
 _KERNEL = """\
-def simulate(c, a, x, source, solve, steps, period, pack, check=None):
+def simulate(c, a, x, phi, solve, steps, period, pack, lo, hi, v):
     [{c}] = c
     [{a}] = a
     [{x}] = x
@@ -166,13 +160,15 @@ def simulate(c, a, x, source, solve, steps, period, pack, check=None):
     starts = {{}}
     ring = ([nan] * period + x[::-1])[-period:]
     same = 0
-{check}    for start in range(0, steps, period):
+    for start in range(0, steps, period):
+        if not ({finite}):
+            raise DomainError(f"loop state at step {{start}} is not finite")
         key = pack({x})
         if key in starts:
             return ys, us, starts[key]
         starts[key] = start
-{checkpoint}        for i in range(min(period, steps - start)):
-{body}            u = {u}
+        for i in range(min(period, steps - start)):
+{body}            u = v[i] if lo[i] <= y <= hi[i] else -phi(y)
             y_out(y)
             u_out(u)
 {update}    return ys, us, None
@@ -186,14 +182,6 @@ _COMPARE = """\
                     return ys, us, len(ys) - period
             else:
                 same = 0
-"""
-# The predicted input's checks: the first chunk start to check, and the
-# check at a chunk start.
-_CHECK_INIT = f"    check_at = {CHECK_PERIODS} * period\n"
-_CHECK = """\
-        if start == check_at:
-            check(ys, us)
-            check_at += check_at
 """
 # A sum continues on a new line after this many terms: the compiler
 # recurses once per term of a chained sum, and fails near 3000.
@@ -212,12 +200,11 @@ def _sum_lines(target: str, terms: list[str]) -> str:
 
 
 @lru_cache(maxsize=16)
-def _closed_loop_kernel(n: int, feedthrough: bool, predicted: bool):
-    """_KERNEL for order n, compiled on first use: the closed loop, whose
-    source is phi's lower bound, or with predicted the loop stepped on
-    source, one period of inputs.  The source holds only n:
-    coefficients, phi or the inputs, and the loop solver are arguments.
-    Order 0 has no state, so it keeps only the chunk-start check."""
+def _closed_loop_kernel(n: int, feedthrough: bool):
+    """_KERNEL for order n, compiled on first use.  The source holds
+    only n: coefficients, phi, the guards and the loop solver are
+    arguments.  Order 0 has no state, so it keeps only the chunk-start
+    repeat check."""
     def names(prefix):
         return [f"{prefix}{i}" for i in range(n)]
 
@@ -231,14 +218,13 @@ def _closed_loop_kernel(n: int, feedthrough: bool, predicted: bool):
         [_sum_lines("w", products("a") + ["u"])]
         + [f"            x{i} = x{i - 1}\n" for i in range(n - 1, 0, -1)]
         + ["            x0 = w\n", _COMPARE.format(n=n)]) if n else ""
-    check, checkpoint = (_CHECK_INIT, _CHECK) if predicted else ("", "")
+    finite = " and ".join(f"isfinite(x{i})" for i in range(n)) or "True"
     source = _KERNEL.format(c=", ".join(names("c")), a=", ".join(names("a")),
-                            x=", ".join(names("x")), body=body, update=update,
-                            u="source[i]" if predicted else "-source(y)",
-                            check=check, checkpoint=checkpoint)
-    namespace = {"copysign": math.copysign, "nan": math.nan}
-    name = "predicted input" if predicted else "closed loop"
-    exec(compile(source, f"<{name}, order {n}>", "exec"), namespace)
+                            x=", ".join(names("x")), body=body,
+                            finite=finite, update=update)
+    namespace = {"copysign": math.copysign, "isfinite": math.isfinite,
+                 "nan": math.nan, "DomainError": DomainError}
+    exec(compile(source, f"<closed loop, order {n}>", "exec"), namespace)
     return namespace["simulate"]
 
 
@@ -283,7 +269,7 @@ class Trajectory:
 def simulate_closed_loop(plant: TransferFunction,
                          phi: PiecewiseNonlinearity, x0, steps: int,
                          period: int | None = None, *,
-                         expected=None) -> Trajectory:
+                         outputs=None) -> Trajectory:
     """Simulate the plant's companion form x+ = A x + B u, y = C x + D u
     in the loop u = -phi(y), from the finite initial state x0.
 
@@ -296,10 +282,10 @@ def simulate_closed_loop(plant: TransferFunction,
     and at every multiple of period with the earlier multiples (by
     default the period is the whole run, so no repeat is found); from
     the first repeat on the rest of the run is tiled, as described in
-    the module docstring.  expected, one period of inputs, is the input
-    the loop is predicted to read at each step of a period: the run on
-    it is returned when it is the closed-loop run, as the module
-    docstring describes, so it changes only the speed.
+    the module docstring.  A state that is not finite at a multiple of
+    period raises :class:`DomainError`.  outputs, one period of stored
+    outputs, gives each step the guard of the module docstring; it
+    changes only the speed.
     """
     if not phi.is_single_valued:
         raise MultivaluedPhiError(
@@ -321,61 +307,21 @@ def simulate_closed_loop(plant: TransferFunction,
     a0 = [-c for c in den[1:]]
     c = [b - d * a for b, a in zip(num[1:], den[1:])]
     solve = _loop_solver(phi, d) if d != 0.0 else None
-    pack = struct.Struct(f"<{n}d").pack
-    if expected is not None:
-        if len(expected) != chunk:
-            raise ValueError("expected must hold one input per step of "
-                             "a period")
-        run = _predicted_run(
-            phi, _closed_loop_kernel(n, solve is not None, True),
-            (c, a0, x, np.asarray(expected, dtype=float).tolist(), solve),
-            steps, chunk, pack)
-        if run is not None:
-            return run
+    if outputs is None:
+        guards = ([math.nan] * chunk,) * 3
+    elif len(outputs) != chunk:
+        raise ValueError("outputs must hold one output per step of a period")
+    else:
+        # the last guard that starts at or below each stored output
+        table = phi._guard_table
+        guards = table.take(table[0].searchsorted(outputs, "right") - 1,
+                            axis=1).tolist()
     # phi.bounds[0] is phi itself, phi being single-valued
-    ys, us, start = _closed_loop_kernel(n, solve is not None, False)(
-        c, a0, x, phi.bounds[0], solve, steps, chunk, pack)
+    ys, us, start = _closed_loop_kernel(n, solve is not None)(
+        c, a0, x, phi.bounds[0], solve, steps, chunk,
+        struct.Struct(f"<{n}d").pack, *guards)
     return Trajectory(np.array(ys, dtype=float), np.array(us, dtype=float),
                       start, steps)
-
-
-class _Mispredicted(Exception):
-    """A run on the predicted input left the closed-loop run."""
-
-
-def _reads_phi(phi: PiecewiseNonlinearity, y: np.ndarray,
-               u: np.ndarray) -> bool:
-    """Whether each u_k is -phi(y_k) bit for bit, from one array pass,
-    with no NaN (whose bits an array pass need not keep)."""
-    with np.errstate(all="ignore"):
-        lower = phi.evaluate_array(y)[0]
-    return (np.negative(lower).tobytes() == u.tobytes()
-            and not np.isnan(u).any())
-
-
-def _predicted_run(phi: PiecewiseNonlinearity, kernel, args, steps: int,
-                   period: int, pack) -> Trajectory | None:
-    """The run of kernel, the loop stepped on a predicted input, when it
-    is the closed-loop run of steps rows, or None when phi over its
-    outputs does not give back its inputs or it raised."""
-    checked = 0
-
-    def check(ys, us):
-        nonlocal checked
-        if not _reads_phi(phi, np.array(ys[checked:], dtype=float),
-                          np.array(us[checked:], dtype=float)):
-            raise _Mispredicted
-        checked = len(ys)
-
-    try:
-        ys, us, start = kernel(*args, steps, period, pack, check)
-    except (AlgebraicLoopError, _Mispredicted):
-        return None
-    y = np.array(ys, dtype=float)
-    u = np.array(us, dtype=float)
-    if not _reads_phi(phi, y[checked:], u[checked:]):
-        return None
-    return Trajectory(y, u, start, steps)
 
 
 @dataclass(frozen=True)
@@ -409,19 +355,15 @@ def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
     of phi's array evaluator over the samples.  As in a max over
     interval_distance, a NaN distance counts as 0, and no distance gives
     +0.0."""
-    with np.errstate(all="ignore"):
-        return _distance(*phi.evaluate_array(y_values), u_values)
-
-
-def _distance(lo: np.ndarray, hi: np.ndarray, u_values) -> float:
-    """interpolation_residual from the ends (lo, hi) of the value sets,
-    hi being lo for a single-valued phi, under the caller's errstate."""
     u = np.asarray(u_values, dtype=float)
-    dist = lo + u
-    # -u - lo is -(lo + u), but for the sign of a zero
-    worst = np.abs(dist) if hi is lo else np.fmax(dist, -u - hi)
-    # + 0.0 turns a -0.0 that fmax may keep into +0.0
-    return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
+    with np.errstate(all="ignore"):
+        lo, hi = phi.evaluate_array(y_values)
+        dist = lo + u
+        # -u - lo is -(lo + u), but for the sign of a zero; hi is lo for
+        # a single-valued phi
+        worst = np.abs(dist) if hi is lo else np.fmax(dist, -u - hi)
+        # + 0.0 turns a -0.0 that fmax may keep into +0.0
+        return float(np.fmax.reduce(worst, initial=0.0)) + 0.0
 
 
 def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
@@ -433,9 +375,10 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     periods, at least 2; fewer raise :class:`DomainError`, because a
     verdict must not pass on a simulation that never ran.  The
     simulation starts from the periodic initial state, which must be
-    finite, and is stepped on the input the stored cycle predicts, as
-    the module docstring describes; an ill-posed feedthrough loop raises
-    :class:`AlgebraicLoopError` before the first step.
+    finite, and is guarded by the stored outputs, as the module
+    docstring describes; an ill-posed feedthrough loop raises
+    :class:`AlgebraicLoopError` before the first step, and a state that
+    overflows raises :class:`DomainError` at the next period start.
     """
     if u.period != y.period:
         raise ValueError("input and output must share one period")
@@ -443,7 +386,6 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
         raise DomainError(
             f"the closed-loop check needs at least 2 periods, got {periods}")
     T, n = u.period, plant.order
-    ua = u.as_array()
     ya = y.as_array()
     # one evaluation of den(z): the response of num/den and, for the
     # simulation, that of z^n/den, w, giving x0_i = w_{(T-1-i) mod T}
@@ -454,14 +396,13 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     with np.errstate(all="ignore"):
         linear, *steady = dft_response(nums, plant.den, u)
         res_per = float(np.max(np.abs(ya - linear)))
-        lo, hi = phi.evaluate_array(ya)
-        res_int = _distance(lo, hi, ua)
+    res_int = interpolation_residual(phi, ya, u.as_array())
     nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
     trajectory = None
     if steady:
         trajectory = simulate_closed_loop(
             plant, phi, steady[0][(T - 1 - np.arange(n)) % T], periods * T,
-            T, expected=np.negative(lo))
+            T, outputs=ya)
         res_per = trajectory.periodicity(T, initial=res_per)
     return CycleVerdict(period=T, residual_periodicity=res_per,
                         residual_interpolation=res_int,
@@ -505,36 +446,19 @@ def nyquist_gain(plant: TransferFunction) -> float:
     return min(gains, default=math.inf)
 
 
-def _tiling(y: np.ndarray, u: np.ndarray) -> tuple[int, int]:
-    """(start, lag) such that row k of the trajectory equals row k - lag
-    bit for bit at every k >= start: lag is the shortest distance back
-    to a row equal to the last one, and start is n when there is none."""
-    n = len(y)
-    yb, ub = y.view(np.int64), u.view(np.int64)
-    hits = np.flatnonzero((yb[:-1] == yb[-1:]) & (ub[:-1] == ub[-1:]))
-    if not hits.size:
-        return n, 0
-    lag = n - 1 - int(hits[-1])
-    differ = np.flatnonzero((yb[lag:] != yb[:-lag]) | (ub[lag:] != ub[:-lag]))
-    return lag + (int(differ[-1]) + 1 if differ.size else 0), lag
+def trajectory_csv(trajectory: Trajectory) -> str:
+    """A simulated trajectory as CSV text: header k,y,u, 17 significant
+    digits.
 
-
-def trajectory_csv(y_values, u_values) -> str:
-    """Trajectory as CSV text: header k,y,u, 17 significant digits.
-
-    From the row where the trajectory starts repeating itself bit for
-    bit, as a tiled simulation does, each row reuses the text of the row
-    one repeat back, so only the rows before that are formatted."""
-    y = np.asarray(y_values, dtype=float).reshape(-1)
-    u = np.asarray(u_values, dtype=float).reshape(-1)
-    n = min(len(y), len(u))
-    y, u = y[:n], u[:n]
-    start, lag = _tiling(y, u)
-    rows = list(map(",%.17g,%.17g\n".__mod__,
-                    zip(y[:start].tolist(), u[:start].tolist())))
-    if start < n:
-        stretch = rows[start - lag:]
-        rows += stretch * ((n - start) // lag) + stretch[:(n - start) % lag]
+    Only the stepped rows are formatted: each tiled row reuses the text
+    of the row lag = stepped rows - start back, the row it repeats."""
+    y, u = trajectory.stepped_y, trajectory.stepped_u
+    n, stepped = trajectory.steps, len(y)
+    rows = list(map(",%.17g,%.17g\n".__mod__, zip(y.tolist(), u.tolist())))
+    if stepped < n:
+        stretch = rows[trajectory.start:]
+        whole, part = divmod(n - stepped, len(stretch))
+        rows += stretch * whole + stretch[:part]
     flat = [""] * (2 * n)
     flat[::2] = map(str, range(n))
     flat[1::2] = rows

@@ -359,9 +359,9 @@ def periodic_steady_state(plant: TransferFunction,
 def cycle_check_reference(plant: TransferFunction, phi, u: PeriodicSignal,
                           y: PeriodicSignal, periods: int):
     """What verify_cycle checks, with the closed loop stepped from the
-    periodic initial state and phi called at every step, never on a
-    predicted input: the periodicity and interpolation residuals and the
-    run (None for a multivalued phi)."""
+    periodic initial state and phi called at every step, through no
+    guard: the periodicity and interpolation residuals and the run (None
+    for a multivalued phi)."""
     T = u.period
     ya = y.as_array()
     linear = periodic_response(plant, u).as_array()

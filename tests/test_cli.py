@@ -28,7 +28,6 @@ from luryecycle import (
     load_signals,
     save_phi,
     save_signals,
-    trajectory_csv,
     verify_cycle,
 )
 from luryecycle import construct, phase
@@ -42,6 +41,7 @@ from helpers import (
     sweep_reference,
     sweep_rows_reference,
     sweep_stdout_reference,
+    trajectory_csv_reference,
 )
 
 
@@ -256,6 +256,14 @@ LAX_VERIFY_FILES = [
      "line 2: samples must be plain decimal numbers"),
     ("signal", "hex-float", b"index,u,y\n0,1.0,1.0\n1,-1.0,0x1p0\n",
      "line 3: samples must be plain decimal numbers"),
+    ("signal", "index-underscore", b"index,u,y\n0,1.0,1.0\n0_1,-1.0,-1.0\n",
+     "line 3: index must be plain digits"),
+    ("signal", "index-plus", b"index,u,y\n+0,1.0,1.0\n1,-1.0,-1.0\n",
+     "line 2: index must be plain digits"),
+    ("signal", "index-minus-zero", b"index,u,y\n-0,1.0,1.0\n1,-1.0,-1.0\n",
+     "line 2: index must be plain digits"),
+    ("signal", "index-arabic-indic", "index,u,y\n0,1.0,1.0\n\u0661,-1.0,"
+     "-1.0\n".encode(), "line 3: index must be plain digits"),
 ]
 
 
@@ -544,7 +552,7 @@ class TestVerify:
         plant = load_plant(plant_file)
         ys, us = simulate_closed_loop(plant, load_phi(out),
                                       periodic_steady_state(plant, u), 3 * 7)
-        assert trace.read_text() == trajectory_csv(ys, us)
+        assert trace.read_text() == trajectory_csv_reference(ys, us)
 
     @pytest.mark.parametrize("periods", ["0", "1", "-2"])
     def test_too_few_periods_exit_2(self, runner, plant_file, artifacts,

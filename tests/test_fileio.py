@@ -182,6 +182,12 @@ class TestSignalsRoundTrip:
         with pytest.raises(FileFormatError):
             load_signals(path)
 
+    def test_index_may_have_blanks_around(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("index,u,y\n 0 ,1.0,2.0\n\t1,0.5, 1.0 \n")
+        u, y = load_signals(path)
+        assert u.values == (1.0, 0.5) and y.values == (2.0, 1.0)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("index,u,y\n0,1.0\n")

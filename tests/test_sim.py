@@ -24,6 +24,7 @@ from luryecycle.interp import (
 from luryecycle import construct, sim
 from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import (
+    Trajectory,
     interpolation_residual,
     simulate_closed_loop,
 )
@@ -51,6 +52,11 @@ def line(slope: float, width: float = 100.0) -> PiecewiseNonlinearity:
     v = slope * width
     return PiecewiseNonlinearity((-width, width), (-v, v), (-v, v),
                                  slope_bound=slope)
+
+
+def trajectory(y, u) -> Trajectory:
+    """The run that stepped the rows (y, u) and no more."""
+    return Trajectory(np.array(y), np.array(u), None, len(y))
 
 
 def phi_calls(phi: PiecewiseNonlinearity) -> list[float]:
@@ -174,14 +180,31 @@ class TestClosedLoopSimulation:
         with pytest.raises(DomainError, match="initial state"):
             simulate_closed_loop(example_plant, line(0.2), x0, 5)
 
+    def test_overflowing_state_ends_every_call_at_one_step(self):
+        # G = z/(z^2 - 1.5 z + 0.7) from a state near the float limit
+        # overflows in its first steps, and CPython may set the sign of
+        # the NaNs that follow either way over a process's first calls.
+        # The state check at the period start ends every call there,
+        # before the bits of a NaN state are looked up.
+        g = TransferFunction((1.0, 0.0), (1.0, -1.5, 0.7))
+        phi = PiecewiseNonlinearity((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        for _ in range(4):
+            with pytest.raises(DomainError,
+                               match="state at step 5 is not finite"):
+                simulate_closed_loop(g, phi, [1.7e308, 1.7e308], 84, 5)
+
     def test_expected_input_is_refused_on_a_zero_of_the_other_sign(
             self, example_plant):
         # From rest under phi(0) = 0.0 the loop reads u = -0.0 at every
-        # step; a prediction of +0.0 steps the same states but is not the
-        # closed-loop run, so the closed loop is stepped instead.
-        run = simulate_closed_loop(example_plant, line(0.2), [0.0, 0.0], 14,
-                                   7, expected=[0.0] * 7)
+        # step.  The stored outputs 0.0 snap to the breakpoint at 0, and
+        # its guard reads -los[j], -0.0 as phi gives, never a +0.0.
+        phi = PiecewiseNonlinearity((-1.0, 0.0, 1.0), (-0.2, 0.0, 0.2),
+                                    (-0.2, 0.0, 0.2))
+        calls = phi_calls(phi)
+        run = simulate_closed_loop(example_plant, phi, [0.0, 0.0], 14,
+                                   7, outputs=[0.0] * 7)
         assert float_bits(run[1]) == float_bits([-0.0] * 14)
+        assert calls == []  # every step read its guard
 
     def test_feedthrough_loop_solved_consistently(self):
         # D = 1 with a mild 0.2 line: y = lin - 0.2*y on every step.
@@ -333,7 +356,7 @@ class TestVerifyCycle:
                                  slope=1.31)
         steps = 3 * 7
         monkeypatch.setattr(sim, "_closed_loop_kernel",
-                            lambda n, feedthrough, predicted: lambda *args: (
+                            lambda n, feedthrough: lambda *args: (
                                 [math.nan] * steps, [math.nan] * steps,
                                 None))
         verdict = verify_cycle(example_plant, cert.phi, cert.u, cert.y,
@@ -341,34 +364,12 @@ class TestVerifyCycle:
         assert math.isnan(verdict.residual_periodicity)
         assert not verdict.ok()
 
-    @staticmethod
-    def _check_falls_back(monkeypatch, plant, phi, u, y):
-        """verify_cycle's run on the predicted input is refused, and the
-        verdict and trajectory are those of the closed loop."""
-        predicted = []
-
-        def spy(*args):
-            run = predicted_run(*args)
-            predicted.append(run)
-            return run
-
-        predicted_run = sim._predicted_run
-        monkeypatch.setattr(sim, "_predicted_run", spy)
-        verdict = verify_cycle(plant, phi, u, y)
-        assert predicted == [None]
-        res_per, res_int, run = cycle_check_reference(plant, phi, u, y, 20)
-        assert float_bits([verdict.residual_periodicity,
-                           verdict.residual_interpolation]) == \
-            float_bits([res_per, res_int])
-        assert verdict.trajectory.start == run.start
-        assert verdict.trajectory[0].tobytes() == run[0].tobytes()
-        assert verdict.trajectory[1].tobytes() == run[1].tobytes()
-        return verdict
-
-    def test_moved_breakpoint_falls_back(self, example_plant, monkeypatch):
+    def test_moved_breakpoint_falls_back(self, example_plant):
         # A breakpoint moved 10 y_tol off the stored output it came from:
         # phi there is a chord value, which the simulated output, a few
-        # ulps off the stored one, reads with other last bits.
+        # ulps off the stored one, reads with other last bits.  No guard
+        # holds that output, so its step calls phi, and the check is
+        # still the closed-loop check.
         cert = build_certificate(example_plant, RationalFrequency(2, 7),
                                  slope=1.31)
         phi = cert.phi
@@ -376,36 +377,24 @@ class TestVerifyCycle:
         ys = list(phi.ys)
         ys[i] += 10 * phi.y_tol
         moved = PiecewiseNonlinearity(ys, phi.los, phi.his)
-        # the first step whose closed-loop input differs from the
-        # predicted one
+        # the first step whose closed-loop input differs from phi at the
+        # stored output
         expected = [-moved.evaluate(v)[0] for v in cert.y.values]
-        run = cycle_check_reference(example_plant, moved, cert.u, cert.y,
-                                    20)[2]
+        res_per, res_int, run = cycle_check_reference(
+            example_plant, moved, cert.u, cert.y, 20)
         m = next(k for k, u in enumerate(run.stepped_u.tolist())
                  if float_bits([u]) != float_bits([expected[k % 7]]))
         assert 0 <= m < len(run.stepped_u)
-        self._check_falls_back(monkeypatch, example_plant, moved, cert.u,
-                               cert.y)
-
-    def test_error_on_the_predicted_input_falls_back(self, example_plant,
-                                                     monkeypatch):
-        cert = build_certificate(example_plant, RationalFrequency(2, 7),
-                                 slope=1.31)
-        kernel = sim._closed_loop_kernel
-
-        def failing(n, feedthrough, predicted):
-            if not predicted:
-                return kernel(n, feedthrough, predicted)
-
-            def run(*args):
-                raise AlgebraicLoopError("loop input inf is not a finite "
-                                         "number")
-            return run
-
-        monkeypatch.setattr(sim, "_closed_loop_kernel", failing)
-        verdict = self._check_falls_back(monkeypatch, example_plant,
-                                         cert.phi, cert.u, cert.y)
-        assert verdict.ok()
+        calls = phi_calls(moved)
+        verdict = verify_cycle(example_plant, moved, cert.u, cert.y)
+        assert float_bits([run.stepped_y[m]]) in \
+            [float_bits([y]) for y in calls]
+        assert float_bits([verdict.residual_periodicity,
+                           verdict.residual_interpolation]) == \
+            float_bits([res_per, res_int])
+        assert verdict.trajectory.start == run.start
+        assert verdict.trajectory[0].tobytes() == run[0].tobytes()
+        assert verdict.trajectory[1].tobytes() == run[1].tobytes()
 
     def test_ill_posed_loop_raises_before_stepping(self, monkeypatch):
         # D = -0.5 and phi with pieces of slope >= 2 = -1/D: some inputs
@@ -463,13 +452,13 @@ class TestVerifyCycle:
         # within 140 steps, but the loop stepped on the input a wrong
         # cycle predicts settles at the rate 0.999 and would step
         # thousands of periods (about 6 MB of rows) before its state
-        # repeats.  Its check 8 periods in ends it.
+        # repeats.  The check steps only the closed loop.
         g = TransferFunction((1.0,), (1.0, -0.999))
         phi = PiecewiseNonlinearity((-1000.0, 1000.0), (-855.0, 945.0),
                                     (-855.0, 945.0))
         values = tuple(k / 10.0 for k in range(1, 8))
         u, y = PeriodicSignal(values), PeriodicSignal(values)
-        verify_cycle(g, phi, u, y, periods=2)  # compiles both steps
+        verify_cycle(g, phi, u, y, periods=2)  # compiles the step
         tracemalloc.start()
         try:
             verdict = verify_cycle(g, phi, u, y, periods=10**5)
@@ -550,7 +539,7 @@ class TestNyquistGain:
 
 class TestTrajectoryCsv:
     def test_format(self):
-        text = trajectory_csv([0.5, -1.0], [1.0, 0.25])
+        text = trajectory_csv(trajectory([0.5, -1.0], [1.0, 0.25]))
         lines = text.splitlines()
         assert lines[0] == "k,y,u"
         assert lines[1] == "0,0.5,1"
@@ -560,7 +549,7 @@ class TestTrajectoryCsv:
     def test_round_trips_significant_digits(self):
         y = [math.pi, -1.0 / 3.0]
         u = [2.0 / 7.0, math.e]
-        lines = trajectory_csv(y, u).splitlines()[1:]
+        lines = trajectory_csv(trajectory(y, u)).splitlines()[1:]
         for k, row in enumerate(lines):
             _, ys, us = row.split(",")
             assert float(ys) == y[k]

@@ -4,8 +4,8 @@ fixed-point iteration it replaced, and the compiled closed-loop simulation
 one-pass interpolation residual and the trajectory CSV that formats a
 repeated stretch once against the per-step references, the DFT periodic
 initial state against the solve with I - A^T, verify_cycle's shared
-DFT against the functions it replaces, and verify_cycle's run on the
-predicted input against the closed loop stepped with phi.
+DFT against the functions it replaces, the snap guards against phi, and
+verify_cycle's guarded run against the closed loop stepped with phi.
 
 For a plant with direct feedthrough D each simulated output solves
 y + D*phi(y) = lin.  Over random monotone single-valued phi, D of both
@@ -32,9 +32,10 @@ from luryecycle import (
     grid_search,
     sim,
 )
-from luryecycle.interp import PiecewiseNonlinearity
+from luryecycle.interp import Y_TOL_FACTOR, PiecewiseNonlinearity
 from luryecycle.lti import PeriodicSignal
 from luryecycle.sim import (
+    Trajectory,
     _loop_solver,
     interpolation_residual,
     simulate_closed_loop,
@@ -337,7 +338,7 @@ def test_verify_cycle_dft_matches_public_functions(plant, T, seed,
         PiecewiseNonlinearity((0.0,), (-1.0,), (1.0,))
     starts = []
 
-    def spy(plant, phi, x0, steps, period, expected):
+    def spy(plant, phi, x0, steps, period, outputs):
         starts.append(x0)
         return _Unstepped()
 
@@ -372,18 +373,21 @@ samples = st.one_of(st.sampled_from((0.0, -0.0, math.nan, -math.nan, 1.5)),
 
 @st.composite
 def trajectories(draw):
-    """(y, u) rows: a head, then a stretch repeated whole or in part,
-    then perhaps rows that end the repeat; values include -0.0, NaNs of
-    both signs and infinities."""
-    rows = st.lists(st.tuples(samples, samples), max_size=8)
-    head, stretch, tail = draw(rows), draw(rows), draw(rows)
-    repeated = stretch * draw(st.integers(0, 6))
-    out = head + repeated[:draw(st.integers(0, len(repeated)))] + tail
-    return [y for y, _ in out], [u for _, u in out]
+    """Trajectory objects: stepped rows, and from a start among them on
+    perhaps more steps that repeat the stretch from start to their end,
+    whole or in part; values include -0.0, NaNs of both signs and
+    infinities."""
+    rows = draw(st.lists(st.tuples(samples, samples), max_size=12))
+    y = np.array([y for y, _ in rows], dtype=float)
+    u = np.array([u for _, u in rows], dtype=float)
+    if rows and draw(st.booleans()):
+        return Trajectory(y, u, draw(st.integers(0, len(rows) - 1)),
+                          draw(st.integers(len(rows), len(rows) + 40)))
+    return Trajectory(y, u, None, len(rows))
 
 
 def _trajectory(loop, period, steps):
-    """The simulated (y, u)."""
+    """The simulated run."""
     g, phi, x0 = loop
     return simulate_closed_loop(g, phi, x0, steps, period)
 
@@ -393,11 +397,80 @@ def _trajectory(loop, period, steps):
                            st.integers(0, 120)).map(
                      lambda args: _trajectory(*args))))
 def test_trajectory_csv_matches_row_reference(trajectory):
-    """The CSV text that reuses the rows of a repeated stretch equals
-    the one formatted row by row, on tiled simulations and on rows that
-    repeat in part or not at all."""
-    y, u = trajectory
-    assert trajectory_csv(y, u) == trajectory_csv_reference(y, u)
+    """The CSV text that formats the stepped rows once and reuses them
+    for the tiled ones equals the one formatted row by row, on tiled
+    simulations and on drawn runs that repeat in part or not at all."""
+    assert trajectory_csv(trajectory) == \
+        trajectory_csv_reference(*trajectory)
+
+
+@st.composite
+def snapping_phis(draw):
+    """Single-valued monotone phi at one of four scales, with
+    breakpoints that may lie closer than 2*y_tol to a neighbour, and
+    values that may be zeros of either sign."""
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e6, 1e300)))
+    base = draw(st.sets(coords, min_size=1, max_size=6))
+    tol = Y_TOL_FACTOR * max(1.0, *(abs(y) * scale for y in base))
+    ys = set()
+    for y in base:
+        ys.add(y * scale)
+        ys.update(y * scale + f * tol for f in draw(
+            st.lists(st.floats(0.1, 3.0), max_size=2)))
+    ys = sorted(ys)
+    rises = draw(st.lists(st.sampled_from((0.0, -0.0, 0.5, 3.0)),
+                          min_size=len(ys), max_size=len(ys)))
+    v = draw(st.sampled_from((0.0, -0.0, -1.0)))
+    vs = []
+    for rise in rises:
+        v += rise * scale
+        vs.append(v)
+    return PiecewiseNonlinearity(ys, vs, vs)
+
+
+def _probes(phi) -> list[float]:
+    """Outputs at and around each breakpoint: ys[j] and ys[j] +- y_tol
+    with their neighbouring floats, the midpoint of breakpoints less
+    than 2*y_tol apart, +-0.0 and NaN."""
+    tol, out = phi.y_tol, [0.0, -0.0, math.nan]
+    for y in phi.ys:
+        for p in (y, y - tol, y + tol):
+            out += [p, math.nextafter(p, -math.inf),
+                    math.nextafter(p, math.inf)]
+    out += [(a + b) / 2.0 for a, b in zip(phi.ys, phi.ys[1:])
+            if b - a < 2.0 * tol]
+    return out
+
+
+@settings(max_examples=200)
+@given(snapping_phis(), st.lists(st.floats(), max_size=3))
+def test_snap_guard_reads_phi(phi, stored):
+    """Wherever a guard holds an output, its value is -phi(y) bit for
+    bit: at every breakpoint's guard, for y among the probes and at and
+    next to the guard's own ends.  A breakpoint more than 3*y_tol from
+    each neighbour lies in its own guard.  And one step of 1/z from a
+    third of the finite probes, given a breakpoint, +-0.0, NaN or a drawn
+    float as its stored output, reads -phi(y), in or out of a guard."""
+    lower = phi.bounds[0]
+    probes = _probes(phi)
+    ys, tol = phi.ys, phi.y_tol
+    lows, highs, values = phi._guard_table.tolist()
+    for lo, hi, v in zip(lows, highs, values):
+        ends = [lo, hi] + [math.nextafter(e, d) for e in (lo, hi)
+                           for d in (-math.inf, math.inf)]
+        for y in probes + ends:
+            if lo <= y <= hi:
+                assert float_bits([v]) == float_bits([-lower(y)]), y
+    for j, y in enumerate(ys):
+        if (j == 0 or y - ys[j - 1] > 3 * tol) and \
+                (j == len(ys) - 1 or ys[j + 1] - y > 3 * tol):
+            assert lows[j] <= y <= highs[j]
+    delay = TransferFunction((0.0, 1.0), (1.0, 0.0))
+    for y_star in list(ys) + probes[:3] + stored:
+        for x in filter(math.isfinite, probes[::3]):
+            y, u = simulate_closed_loop(delay, phi, [x], 1, 1,
+                                        outputs=[y_star])
+            assert float_bits(u) == float_bits([-lower(y[0])]), (y_star, x)
 
 
 def _outcome(check):
@@ -411,14 +484,14 @@ def _outcome(check):
 @settings(max_examples=300)
 @given(stable_plants(max_order=6), st.booleans(), st.integers(0, 2),
        st.booleans())
-def test_predicted_check_equals_the_closed_loop_check(plant, odd, row,
-                                                      finite):
+def test_guarded_check_equals_the_closed_loop_check(plant, odd, row,
+                                                    finite):
     """verify_cycle, as build_certificate calls it (monotone class or
-    slope 1.0001*kbar, a top row of either window), steps the loop on the
-    input the stored cycle predicts; its stepped rows, repeat start,
-    tiled trajectories and residuals equal bit for bit those of the
-    closed loop stepped with phi at every step, whether the prediction
-    held or fell back, and a typed error is the same error."""
+    slope 1.0001*kbar, a top row of either window), steps the loop
+    through the snap guards of the stored outputs; its stepped rows,
+    repeat start, tiled trajectories and residuals equal bit for bit
+    those of the closed loop stepped with phi at every step, and a typed
+    error is the same error."""
     try:
         rows = grid_search(plant, 12, odd_variant=odd)
     except LuryecycleError:

@@ -54,12 +54,13 @@ Measurements:
   build gives a multivalued phi (keys "T=<T> odd edge anchor"), each on
   a fresh copy of phi, so that every repeat also pays what the checkout
   builds per nonlinearity;
-- sim.verify_cycle of the slope-k certificates above in both windows
-  at T = 101, 301 and 1001 (20 periods), and two counts rather than
-  times: the rows its simulation stepped before the state repeated
-  (keys "... stepped"), and whether it fell back to stepping the closed
-  loop, calling phi at every step (keys "... fell back", 1 or 0; a
-  checkout that never steps the predicted input always reads 1).
+- sim.verify_cycle of the slope-k certificates at the frequencies
+  (T - 1, T) in both windows at T = 7, 21, 101, 301 and 1001 (20
+  periods), and two counts rather than times: the rows its
+  simulation stepped before the state repeated (keys "... stepped"),
+  and the calls it made to phi's lower bound while stepping (keys
+  "... phi calls"; a checkout that calls phi at every step reads the
+  rows stepped).
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 """
@@ -88,7 +89,8 @@ PERIODS = (7, 101, 301, 1001)
 SLOPE_MARGIN = 1.0001
 SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
-VERIFY_PERIODS = (101, 301, 1001)
+RESIDUAL_PERIODS = (101, 301, 1001)
+VERIFY_PERIODS = (7, 21, 101, 301, 1001)
 NEVER_REPEATS_T = 7
 FEEDTHROUGH = 0.3
 COMPARE_ROUNDS = 3
@@ -134,9 +136,8 @@ def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
 
 
 def _check_counts(sim, plant, cert) -> tuple[int, int]:
-    """The rows verify_cycle's simulation stepped on cert, and 1 if it
-    stepped the closed loop, which calls phi (a fresh copy, with a
-    counting lower bound) at each step, else 0."""
+    """The rows verify_cycle's simulation stepped on cert, and the calls
+    it made to phi (a fresh copy, with a counting lower bound)."""
     phi = replace(cert.phi)
     lower, upper = phi.bounds
     calls = [0]
@@ -148,7 +149,7 @@ def _check_counts(sim, plant, cert) -> tuple[int, int]:
     phi.__dict__["bounds"] = (counted, upper)
     verdict = sim.verify_cycle(plant, phi, cert.u, cert.y,
                                periods=SIM_PERIODS)
-    return len(verdict.trajectory.stepped_y), int(calls[0] > 0)
+    return len(verdict.trajectory.stepped_y), calls[0]
 
 
 def _initial_state(sim, plant, cert):
@@ -245,11 +246,9 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             add(f"construct.build_certificate {label}",
                 lambda f=freq, o=odd, k=slope: build_certificate(
                     g, f, odd=o, slope=k))
-            if T in VERIFY_PERIODS:
-                k_cert = build_certificate(g, freq, odd=odd, slope=slope)
-                if T in SIM_CYCLE_PERIODS:
-                    slope_certs[label] = k_cert
-                verify_certs[label] = k_cert
+            if T in SIM_CYCLE_PERIODS:
+                slope_certs[label] = build_certificate(g, freq, odd=odd,
+                                                       slope=slope)
         anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
         add(f"construct.build_certificate T={T} anchor",
             lambda a=anchor, f=freq: build_certificate(a, f))
@@ -258,6 +257,13 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             args, kw = _arguments(construct, name, g, freq, kwargs)
             add(f"interp.{name} T={T}",
                 lambda fn=getattr(construct, name), a=args, k=kw: fn(*a, **k))
+    for T in VERIFY_PERIODS:
+        freq = RationalFrequency(T - 1, T)
+        resp = freq_response(g, freq.omega)
+        for odd in (False, True):
+            verify_certs[f"T={T} {'odd' if odd else 'even'} k"] = \
+                build_certificate(g, freq, odd=odd,
+                                  slope=_slope_k(resp, T, odd))
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
     x0 = _initial_state(sim, g, cert)
@@ -286,7 +292,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     add(f"sim.simulate_closed_loop first call order={g.order}",
         lambda: simulate_closed_loop(g, cert.phi, x0, 1),
         kernel.cache_clear if kernel is not None else None)
-    for T in VERIFY_PERIODS:
+    for T in RESIDUAL_PERIODS:
         k_cert = verify_certs[f"T={T} even k"]
         freq = RationalFrequency(T - 1, T)
         edge = AnchorPlant(freq.omega, -cmath.exp(1j * math.pi / (2 * T)))
@@ -301,9 +307,9 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
         add(f"sim.verify_cycle {label}",
             lambda c=k_cert: sim.verify_cycle(g, c.phi, c.u, c.y,
                                               periods=SIM_PERIODS))
-        stepped, fell_back = _check_counts(sim, g, k_cert)
+        stepped, phi_calls = _check_counts(sim, g, k_cert)
         counts[f"sim.verify_cycle {label} stepped"] = stepped
-        counts[f"sim.verify_cycle {label} fell back"] = fell_back
+        counts[f"sim.verify_cycle {label} phi calls"] = phi_calls
     plant_file = tmp / "plant.json"
     plant_file.write_text(json.dumps({"num": list(g.num),
                                       "den": list(g.den)}))
