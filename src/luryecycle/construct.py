@@ -44,7 +44,6 @@ from .interp import (
     PiecewiseNonlinearity,
     compute_shift,
     interpolate,
-    interval_distance,
     loop_transform_data,
     odd_append,
 )
@@ -166,8 +165,8 @@ class ConstructionCertificate:
 
 
 def build_certificate(plant: Plant, freq: RationalFrequency, *,
-                      odd: bool = False, slope: float = math.inf,
-                      periods: int = 20) -> ConstructionCertificate:
+                      odd: bool = False,
+                      slope: float = math.inf) -> ConstructionCertificate:
     """Run the full construction pipeline at one rational frequency.
 
     slope selects the target class: a finite k for chord slopes in
@@ -207,33 +206,33 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     T = freq.T
     w = freq.omega
     u = np.cos(w * np.arange(T))
-    with np.errstate(all="ignore"):
-        ytilde = (resp * np.exp(1j * w * np.arange(T))).real
-    if not np.all(np.isfinite(ytilde)):
-        raise DomainError(f"response {resp0!r} overflows the cycle data")
     dc0 = plant_dc(plant)
     dc = None if dc0 is None else dc0 + shift_c
 
-    data = np.column_stack((ytilde, -u))
     xi = 0.0
-    phi = None
-    if freq.alpha % 2 == 0 and not odd:
-        if dc is None:
-            raise PlantValidationError(
-                "anchor plant needs a dc value for the even-alpha "
-                "construction without the odd option")
-        if not math.isfinite(dc):
-            raise DomainError(f"dc gain {dc!r} is not finite")
-        xi = compute_shift(data, dc)
-        u = u + xi
-        ytilde = ytilde + xi * dc
-        data = np.column_stack((ytilde, -u))
-        # Test the origin before the loop transform: on the final phi the
-        # test decides 590 of 24,000 near-edge anchor builds differently.
-        phi = interpolate(data)
-        if interval_distance(phi.evaluate(0.0), 0.0) > ORIGIN_TOL:
-            raise NoIntersectionError(
-                "shifted data does not pass through the origin")
+    shifted = freq.alpha % 2 == 0 and not odd
+    with np.errstate(all="ignore"):
+        ytilde = (resp * np.exp(1j * w * np.arange(T))).real
+        if shifted:
+            if dc is None:
+                raise PlantValidationError(
+                    "anchor plant needs a dc value for the even-alpha "
+                    "construction without the odd option")
+            if not math.isfinite(dc):
+                raise DomainError(f"dc gain {dc!r} is not finite")
+            xi = compute_shift(np.column_stack((ytilde, -u)), dc)
+            u = u + xi
+            ytilde = ytilde + xi * dc
+        # |resp| is finite, so only the shift can overflow the outputs.
+        if not np.all(np.isfinite(ytilde)):
+            raise DomainError(f"response {resp0!r} overflows the cycle data")
+    data = np.column_stack((ytilde, -u))
+    # Test the origin before the loop transform: on the final phi the
+    # test decides 590 of 24,000 near-edge anchor builds differently.
+    phi = interpolate(data) if shifted else None
+    if shifted and phi.origin_gap > ORIGIN_TOL:
+        raise NoIntersectionError(
+            "shifted data does not pass through the origin")
     if odd:
         data = odd_append(data)
     y_sig = ytilde
@@ -248,7 +247,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     u_per = PeriodicSignal(u)
     y_per = PeriodicSignal(y_sig)
     if isinstance(plant, TransferFunction):
-        verdict = verify_cycle(plant, phi, u_per, y_per, periods=periods)
+        verdict = verify_cycle(plant, phi, u_per, y_per)
     else:
         # An anchor has no description beyond the response value that
         # produced the outputs; check containment and size.
@@ -257,16 +256,16 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             residual_periodicity=0.0,
             residual_interpolation=interpolation_residual(phi, y_sig, u),
             nontrivial=bool(np.max(np.abs(y_sig)) > NONTRIVIAL_TOL))
-    origin_gap = interval_distance(phi.evaluate(0.0), 0.0)
-    if (verdict.residual_periodicity > CERT_RESIDUAL_TOL
-            or verdict.residual_interpolation > CERT_RESIDUAL_TOL
-            or origin_gap > CERT_RESIDUAL_TOL
+    # a NaN residual (a run that overflowed) fails too
+    if (not verdict.residual_periodicity <= CERT_RESIDUAL_TOL
+            or not verdict.residual_interpolation <= CERT_RESIDUAL_TOL
+            or not phi.origin_gap <= CERT_RESIDUAL_TOL
             or not verdict.nontrivial):
         raise SelfVerifyError(
             f"construction failed self-verification: periodicity residual "
             f"{verdict.residual_periodicity:.3g}, interpolation residual "
             f"{verdict.residual_interpolation:.3g}, origin gap "
-            f"{origin_gap:.3g}, nontrivial={verdict.nontrivial}")
+            f"{phi.origin_gap:.3g}, nontrivial={verdict.nontrivial}")
     return ConstructionCertificate(
         freq=freq, response=resp0, variant=_VARIANTS[(odd, finite)],
         slope=slope, xi=float(xi), u=u_per, y=y_per, phi=phi,

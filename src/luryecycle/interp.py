@@ -42,7 +42,6 @@ __all__ = [
     "Breakpoint",
     "PiecewiseNonlinearity",
     "interpolate",
-    "interval_distance",
     "odd_append",
     "compute_shift",
     "loop_transform_data",
@@ -142,8 +141,8 @@ class PiecewiseNonlinearity:
     @cached_property
     def bounds(self) -> tuple[Callable[[float], float],
                               Callable[[float], float]]:
-        """Functions (lower, upper) with evaluate(y) = (lower(y), upper(y));
-        a single-valued phi is lower itself."""
+        """Functions (lower, upper): the value set at y is the interval
+        [lower(y), upper(y)], and a single-valued phi is lower itself."""
         return (_graph_end(self.ys, self.los, self.los, self.his, self.y_tol),
                 _graph_end(self.ys, self.his, self.los, self.his, self.y_tol))
 
@@ -151,15 +150,21 @@ class PiecewiseNonlinearity:
     def is_single_valued(self) -> bool:
         return self.los == self.his
 
-    def evaluate(self, y: float) -> tuple[float, float]:
-        """Value set at y as an interval (lo, hi); single points collapse."""
-        lower, upper = self.bounds
-        return (lower(y), upper(y))
-
     @cached_property
-    def _table(self) -> tuple[np.ndarray, float, bool]:
-        """evaluate_array's table, snap width, and whether los and his are
-        equal bit for bit."""
+    def origin_gap(self) -> float:
+        """Distance of 0 from the value set at 0; a NaN end counts as 0."""
+        lower, upper = self.bounds
+        return max(0.0, lower(0.0), -upper(0.0))
+
+    def evaluate_array(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """The ends (lower, upper) of the value sets at an array of
+        outputs, equal bit for bit to bounds (upper is lower if los and his
+        are equal bit for bit).  Row 2 of a table built per call, [-inf,
+        ys, max, inf], puts y in slot s: -inf, <= ys[0], (ys[s-2],
+        ys[s-1]], > ys[-1], +inf, NaN.  Column s holds the slot's
+        neighbours, chord width and rise, and los[s-2], his[s-2] (the
+        chord's start); at the ends +-inf snap to los[0] or his[-1], and
+        t = 1 times a rise of -0.0 keeps the chord at its start."""
         n = len(self.ys)
         ys, lo, hi = self._cols
         table = np.empty((7, n + 4))
@@ -170,18 +175,6 @@ class PiecewiseNonlinearity:
         table[5:, 2:n + 2] = self._cols[1:]
         np.subtract(ys[1:], ys[:-1], out=table[3, 2:n + 1])
         np.subtract(lo[1:], hi[:-1], out=table[4, 2:n + 1])
-        return table, self.y_tol, lo.tobytes() == hi.tobytes()
-
-    def evaluate_array(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """The ends (lower, upper) of the value sets at an array of
-        outputs, equal bit for bit to bounds (upper is lower if los and his
-        are equal bit for bit).  Row 2 of the table, [-inf, ys, max, inf],
-        puts y in slot s: -inf, <= ys[0], (ys[s-2], ys[s-1]], > ys[-1],
-        +inf, NaN.  Column s holds the slot's neighbours, chord width and
-        rise, and los[s-2], his[s-2] (the chord's start); at the ends +-inf
-        snap to los[0] or his[-1], and t = 1 times a rise of -0.0 keeps
-        the chord at its start."""
-        table, tol, same = self._table
         y = np.asarray(y, dtype=float)
         s = table[2, :-1].searchsorted(y)
         left, right, _, width, rise, _, start = table[:, s]
@@ -190,18 +183,21 @@ class PiecewiseNonlinearity:
         t = dl / width
         chord = start + np.minimum(t, 1.0, out=t) * rise
         # the nearer breakpoint within y_tol, the left one on a tie
-        snapped = np.minimum(dl, dr) <= tol
+        snapped = np.minimum(dl, dr) <= self.y_tol
         k = s + (dl > dr)
         lower = np.where(snapped, table[5, k], chord)
-        if same:
+        if lo.tobytes() == hi.tobytes():
             return lower, lower
         return lower, np.where(snapped, table[6, k], chord)
 
-    @cached_property
-    def _guard_table(self) -> np.ndarray:
-        """Column j holds lo, hi and -los[j], with lower(y) = los[j] at
-        every y in [lo, hi]: lo = max(ys[j] - h, ys[j-1] + t) and hi =
-        min(ys[j] + h, ys[j+1] - t), rounded, where the neighbours exist,
+    def guards(self, outputs) -> list[list[float]]:
+        """Snap guards of the outputs: three lists lo, hi and v of one
+        entry per output, with lower(y) = -v at every y in [lo, hi].  An
+        output takes the last column j whose lo is at or below it (the
+        last, below the first or at NaN).  Column j holds lo, hi and
+        -los[j], with lower(y) = los[j] at every y in [lo, hi]:
+        lo = max(ys[j] - h, ys[j-1] + t) and hi = min(ys[j] + h,
+        ys[j+1] - t), rounded, where the neighbours exist,
         h = y_tol - y_tol/256 and t = y_tol + y_tol/256.
         Proof: with M = max(1, -ys[0], ys[-1]) each rounding errs by at
         most 2^-52 M, far below y_tol/256, so on [lo, hi] the rounded
@@ -216,7 +212,8 @@ class PiecewiseNonlinearity:
         table = np.array((ys - h, ys + h, -lo))
         np.maximum(table[0, 1:], ys[:-1] + t, out=table[0, 1:])
         np.minimum(table[1, :-1], ys[1:] - t, out=table[1, :-1])
-        return table
+        return table.take(table[0].searchsorted(outputs, "right") - 1,
+                          axis=1).tolist()
 
 
 # evaluate_array's table at the slots -inf, <= ys[0], > ys[-1], +inf, NaN.
@@ -254,12 +251,6 @@ def _graph_end(ys: tuple[float, ...], snap: tuple[float, ...],
     return end
 
 
-def interval_distance(interval: tuple[float, float], v: float) -> float:
-    """Distance from a scalar to a closed interval (0 when contained)."""
-    lo, hi = interval
-    return max(0.0, lo - v, v - hi)
-
-
 def _sorted(data) -> np.ndarray:
     """The pairs as an (N, 2) float array in the order that sorted() gives
     (y, v) tuples: a stable sort of the pairs read as complex numbers."""
@@ -272,7 +263,9 @@ def _sorted(data) -> np.ndarray:
 def _clusters(data) -> tuple[np.ndarray, float]:
     """(3, N) breakpoint columns and width of the pairs: outputs chained by
     gaps within the width form a breakpoint at their math.fsum mean (for
-    two, one sum plus 0.0 equals it), holding their min and max value."""
+    two, one sum plus 0.0 equals it), holding their min and max value.
+    Where the sum overflows, a sum of the outputs scaled by 2^-k < 1/N
+    gives the mean's bits as an unbounded exponent would."""
     s = _sorted(data)
     ys, vs = s[:, 0], s[:, 1]
     eps = Y_TOL_FACTOR * float(max(1.0, -ys[0], ys[-1]))
@@ -287,7 +280,13 @@ def _clusters(data) -> tuple[np.ndarray, float]:
     cols[0] /= last - first + 1
     for c in np.flatnonzero((last - first > 1) | ~np.isfinite(cols[0])):
         y, v = s[first[c]:last[c] + 1].T.tolist()
-        cols[:, c] = math.fsum(y) / len(y), min(v), max(v)
+        try:
+            mean = math.fsum(y) / len(y)
+        except OverflowError:
+            k = len(y).bit_length()
+            mean = math.ldexp(math.fsum(math.ldexp(e, -k) for e in y)
+                              / len(y), k)
+        cols[:, c] = mean, min(v), max(v)
     return cols, eps
 
 
@@ -340,8 +339,7 @@ def _odd_flaw(phi: PiecewiseNonlinearity, cols: np.ndarray, tol_y: float,
     if np.count_nonzero(mirrored) < len(ys):
         b = phi.ys[mirrored.argmin()]
         return f"no mirror of the breakpoint at y={b!r} exists"
-    lo, hi = phi.evaluate(0.0)
-    if lo > ORIGIN_TOL or hi < -ORIGIN_TOL:
+    if phi.origin_gap > ORIGIN_TOL:
         return "0 is not in phi(0)"
     return None
 

@@ -142,10 +142,6 @@ class PeriodicSignal:
     def as_array(self) -> np.ndarray:
         return self._array
 
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.fft.rfft(self._array)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -174,5 +170,6 @@ def dft_response(nums, den, u: PeriodicSignal) -> list[np.ndarray]:
     T = u.period
     z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
     dz = np.polyval(den, z)
-    return [np.fft.irfft(np.polyval(num, z) / dz * u._spectrum, n=T)
+    spectrum = np.fft.rfft(u.as_array())
+    return [np.fft.irfft(np.polyval(num, z) / dz * spectrum, n=T)
             for num in nums]

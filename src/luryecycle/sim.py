@@ -37,13 +37,11 @@ raises DomainError there rather than look up the bits of a NaN, whose
 sign CPython may set either way.
 
 Step i of a period reads u = v_i without calling phi when its output
-lies in its guard [lo_i, hi_i].  Given the stored outputs y*, it is the
-last of phi's snap guards that starts at or below y*_i (or the last of
-all), on which phi is los[j] (PiecewiseNonlinearity._guard_table proves
-it), and v_i = -los[j].  So every guarded step reads the input the
-closed loop reads, bit for bit, and nothing is re-checked; a stored
-cycle's outputs are phi's breakpoints, so its guards hold the simulated
-outputs a few ulps off them.  Without stored outputs the bounds are NaN.
+lies in the guard [lo_i, hi_i] of its stored output, on which phi is
+-v_i (PiecewiseNonlinearity.guards proves it).  So every guarded step
+reads the input the closed loop reads, bit for bit; a stored cycle's
+outputs are phi's breakpoints, so its guards hold the simulated outputs
+a few ulps off them.  Without stored outputs the bounds are NaN.
 
 A plant with direct feedthrough D closes an algebraic loop: each step's
 output solves y + D*phi(y) = lin, where lin = C x.  It has one root for
@@ -312,10 +310,7 @@ def simulate_closed_loop(plant: TransferFunction,
     elif len(outputs) != chunk:
         raise ValueError("outputs must hold one output per step of a period")
     else:
-        # the last guard that starts at or below each stored output
-        table = phi._guard_table
-        guards = table.take(table[0].searchsorted(outputs, "right") - 1,
-                            axis=1).tolist()
+        guards = phi.guards(outputs)
     # phi.bounds[0] is phi itself, phi being single-valued
     ys, us, start = _closed_loop_kernel(n, solve is not None)(
         c, a0, x, phi.bounds[0], solve, steps, chunk,
@@ -352,9 +347,8 @@ class CycleVerdict:
 def interpolation_residual(phi: PiecewiseNonlinearity, y_values,
                            u_values) -> float:
     """Worst distance of -u_k from the value set phi(y_k), from one pass
-    of phi's array evaluator over the samples.  As in a max over
-    interval_distance, a NaN distance counts as 0, and no distance gives
-    +0.0."""
+    of phi's array evaluator over the samples.  A NaN distance counts
+    as 0, and no distance gives +0.0."""
     u = np.asarray(u_values, dtype=float)
     with np.errstate(all="ignore"):
         lo, hi = phi.evaluate_array(y_values)

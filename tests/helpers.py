@@ -32,7 +32,6 @@ from luryecycle.interp import (
     Breakpoint,
     PiecewiseNonlinearity,
     interpolate,
-    interval_distance,
     loop_transform_data,
     odd_append,
 )
@@ -161,7 +160,7 @@ def simulate_closed_loop_reference(
     for k in range(steps):
         lin = _dot(c, x)
         y = lin if solve is None else solve(lin)
-        u = -phi.evaluate(y)[0]
+        u = -value_set(phi, y)[0]
         ys[k] = y
         us[k] = u
         x = [_dot(row, x) + bi * u for row, bi in zip(a, b)]
@@ -189,7 +188,7 @@ def first_repeat_reference(plant: TransferFunction, phi, x0, steps: int,
         if k == steps:
             return steps
         lin = _dot(c, x)
-        u = -phi.evaluate(lin if solve is None else solve(lin))[0]
+        u = -value_set(phi, lin if solve is None else solve(lin))[0]
         x = ([_dot(a0, x) + u] + x[:-1]) if x else []
         states.append(np.array(x, dtype=float).tobytes())
 
@@ -201,6 +200,18 @@ def _dot(row, x) -> float:
     for r, xi in zip(row, x):
         total += r * xi
     return total
+
+
+def value_set(phi, y: float) -> tuple[float, float]:
+    """Value set of phi at y as an interval (lo, hi), from phi.bounds."""
+    lower, upper = phi.bounds
+    return (lower(y), upper(y))
+
+
+def interval_distance(interval: tuple[float, float], v: float) -> float:
+    """Distance from a scalar to a closed interval (0 when contained)."""
+    lo, hi = interval
+    return max(0.0, lo - v, v - hi)
 
 
 def evaluate_reference(phi, y: float) -> tuple[float, float]:
@@ -269,7 +280,7 @@ def solve_output_reference(d: float, phi, lin: float) -> float | None:
     """
     y = lin
     for _ in range(LOOP_MAX_ITER):
-        nxt = y + LOOP_DAMPING * ((lin - d * phi.evaluate(y)[0]) - y)
+        nxt = y + LOOP_DAMPING * ((lin - d * value_set(phi, y)[0]) - y)
         if abs(nxt - y) <= LOOP_TOL:
             return nxt
         y = nxt
@@ -927,13 +938,13 @@ def check_interpolation_invariants(rng: np.random.Generator,
         phi = interpolate(data)
 
         for y, v in pairs:
-            assert interval_distance(phi.evaluate(y), v) <= 1e-9, \
+            assert interval_distance(value_set(phi, y), v) <= 1e-9, \
                 (pairs, y, v)
         span = max(abs(y) for y, _ in pairs) + 1.0
         queries = np.sort(rng.uniform(-span, span, size=16))
         last_hi = -math.inf
         for q in queries:
-            lo, hi = phi.evaluate(float(q))
+            lo, hi = value_set(phi, float(q))
             assert lo <= hi + 1e-12
             assert hi >= last_hi - 1e-12, "graph must never step down"
             last_hi = max(last_hi, hi)
@@ -945,8 +956,8 @@ def check_interpolation_invariants(rng: np.random.Generator,
         if odd_case:
             assert phi.odd
             for q in queries:
-                lo, hi = phi.evaluate(float(q))
-                mlo, mhi = phi.evaluate(float(-q))
+                lo, hi = value_set(phi, float(q))
+                mlo, mhi = value_set(phi, float(-q))
                 assert math.isclose(lo, -mhi, abs_tol=1e-9)
                 assert math.isclose(hi, -mlo, abs_tol=1e-9)
 
@@ -958,7 +969,7 @@ def check_interpolation_invariants(rng: np.random.Generator,
             # a riser maps to a chord of slope exactly k
             assert peak >= k * (1.0 - 1e-9), (pairs, k)
         for y, v in pairs:
-            assert interval_distance(phi_k.evaluate(y + v / k), v) <= 1e-9
+            assert interval_distance(value_set(phi_k, y + v / k), v) <= 1e-9
         checked += 1
     return checked
 

@@ -117,6 +117,24 @@ def test_typed_construction_failures_exit_with_their_code(
     assert "error: " in result.output
 
 
+@pytest.mark.parametrize("plant, args, code, message", [
+    # phi misses the origin by more than a certificate allows.
+    ({"num": [0.000244140625, 0], "den": [1, -1.8, 0.81]},
+     ["4", "9", "--slope", "9453.830493747704"], 6, "origin gap 1.64e-05"),
+    # G(1) overflows, so the even-alpha shift has no dc gain.
+    ({"num": [-1e306, 5e305], "den": [1, -0.999]}, ["2", "3"], 2,
+     "dc gain -inf is not finite"),
+], ids=["origin-gap", "dc-overflow"])
+def test_construction_failure_names_its_cause(runner, tmp_path, plant, args,
+                                              code, message):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    result = runner.invoke(cli, ["construct", str(path), "--alpha", args[0],
+                                 "--beta", args[1], *args[2:]])
+    assert result.exit_code == code, result.output
+    assert message in result.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["construct"],
     ["construct", "--odd"],
@@ -499,6 +517,15 @@ class TestConstruct:
             "--slope", "fast"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("slope", ["0", "-1", "nan"])
+    def test_non_positive_slope_is_usage_error(self, runner, plant_file,
+                                               slope):
+        result = runner.invoke(cli, [
+            "construct", str(plant_file), "--alpha", "2", "--beta", "7",
+            f"--slope={slope}"])
+        assert result.exit_code == 2
+        assert "slope must be positive" in result.output
+
     def test_report_is_deterministic_up_to_timestamp(self, runner,
                                                      plant_file, tmp_path):
         rep = tmp_path / "rep.json"
@@ -594,6 +621,21 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)
         assert "not finite" in result.output
         assert "PASS" not in result.output
+
+    def test_odd_phi_missing_the_origin_exits_2(self, runner, plant_file,
+                                                artifacts, tmp_path):
+        # mirrored breakpoints, but phi(0) = 4e-6 misses 0 by more than
+        # ORIGIN_TOL
+        _, sig = artifacts
+        bad = tmp_path / "odd_phi.json"
+        bad.write_text(json.dumps({
+            "odd": True, "slope_bound": "inf", "breakpoints": [
+                {"y": y, "v_lo": v, "v_hi": v}
+                for y, v in ((-1, -1000), (0, 4e-6), (1, 1000))]}))
+        result = runner.invoke(cli, ["verify", str(plant_file), str(bad),
+                                     str(sig)])
+        assert result.exit_code == 2
+        assert "0 is not in phi(0)" in result.output
 
     @pytest.mark.parametrize("key", ["v_lo", "slope_bound"])
     def test_phi_value_beyond_float_range_exits_2(self, runner, plant_file,

@@ -11,6 +11,7 @@ from luryecycle import (
     PhaseConditionError,
     PlantValidationError,
     RationalFrequency,
+    SelfVerifyError,
     SlopeViolationError,
     TransferFunction,
     build_certificate,
@@ -21,7 +22,7 @@ from luryecycle import construct, interp
 from luryecycle.construct import plant_dc
 from luryecycle.interp import interpolate, loop_transform_data, odd_append
 from luryecycle.lti import freq_response
-from helpers import max_chord_slope, slope_bound
+from helpers import max_chord_slope, slope_bound, value_set
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)
@@ -56,6 +57,20 @@ class TestPlantForms:
             AnchorPlant(omega=math.nan, value=1.0 + 0.0j)
         with pytest.raises(PlantValidationError):
             AnchorPlant(omega=1.0, value=complex(math.inf, 0.0))
+
+    def test_overflowing_simulation_fails_self_verification(self):
+        # The odd cycle data clusters at outputs whose sum overflows, and
+        # the closed loop overflows to a NaN periodicity residual.
+        g = TransferFunction((-1.2504604041601612e308, 0.0), (1.0, 0.5))
+        with pytest.raises(SelfVerifyError, match="periodicity residual nan"):
+            build_certificate(g, RationalFrequency(2, 3), odd=True)
+
+    def test_shift_that_overflows_the_outputs_raises_domain_error(self):
+        # |G| is finite, but the shift ytilde + xi*dc is not.
+        g = TransferFunction((-1.4111158021566176e308, 0.0), (1.0, 0.5))
+        with pytest.raises(DomainError, match=r"response \(-1\.4111.*\) "
+                           "overflows the cycle data"):
+            build_certificate(g, RationalFrequency(2, 3))
 
     def test_overflowing_response_raises_domain_error(self):
         # G(e^{j*pi/3}) overflows to -inf, which would pass the phase check.
@@ -102,7 +117,7 @@ class TestBuildVariants:
         # u must be -phi applied to y, sample by sample.
         cert = build_certificate(example_plant, F27, slope=1.31)
         for u, y in zip(cert.u.values, cert.y.values):
-            lo, hi = cert.phi.evaluate(y)
+            lo, hi = value_set(cert.phi, y)
             assert lo - 1e-9 <= -u <= hi + 1e-9
 
     def test_below_bound_slope_fails_phase_check(self, example_plant):

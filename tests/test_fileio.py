@@ -54,6 +54,18 @@ class TestLoadPlant:
         with pytest.raises(PlantValidationError):
             load_plant(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"num": [], "den": [1.0]}, '"num" must be a non-empty list'),
+        ([1], "plant JSON must be an object"),
+        ({"anchor": {"omega": 0.5, "re": -1.0}},
+         'anchor form needs "omega", "re" and "im"'),
+    ], ids=["empty-num", "not-an-object", "anchor-without-im"])
+    def test_malformed_plant_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantValidationError, match=f"^{message}$"):
+            load_plant(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{num: oops")
@@ -165,6 +177,17 @@ class TestSignalsRoundTrip:
         assert u2.values == u.values
         assert y2.values == y.values
 
+    def test_save_needs_one_period(self, tmp_path):
+        with pytest.raises(ValueError, match="share one period"):
+            save_signals(tmp_path / "sig.csv", PeriodicSignal((1.0, 2.0)),
+                         PeriodicSignal((1.0,)))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("index,u,y\n\n0,1.0,2.0\n\n1,0.5,1.0\n\n")
+        u, y = load_signals(path)
+        assert u.values == (1.0, 0.5) and y.values == (2.0, 1.0)
+
     def test_header_is_fixed(self, tmp_path):
         path = tmp_path / "sig.csv"
         save_signals(path, PeriodicSignal((1.0,)), PeriodicSignal((2.0,)))
@@ -201,11 +224,19 @@ class TestSignalsRoundTrip:
             load_signals(path)
 
     @pytest.mark.parametrize("row", ["0,nan,1.0", "0,1.0,inf",
-                                     "0,-inf,1.0"])
+                                     "0,-inf,1.0", "0,1e999,1.0"])
     def test_non_finite_sample_rejected(self, tmp_path, row):
         path = tmp_path / "sig.csv"
         path.write_text(f"index,u,y\n{row}\n")
         with pytest.raises(FileFormatError, match="line 2"):
+            load_signals(path)
+
+    def test_sample_float_cannot_read_rejected(self, tmp_path):
+        # str.strip removes U+001F around the sample, float() does not
+        path = tmp_path / "sig.csv"
+        path.write_text("index,u,y\n0,\x1f1.0\x1f,2.0\n")
+        with pytest.raises(FileFormatError,
+                           match="^line 2: could not convert"):
             load_signals(path)
 
     def test_non_finite_breakpoint_rejected(self):

@@ -14,7 +14,6 @@ from luryecycle.interp import (
     PiecewiseNonlinearity,
     compute_shift,
     interpolate,
-    interval_distance,
     loop_transform_data,
     odd_append,
 )
@@ -22,9 +21,11 @@ from luryecycle.interp import (
 from helpers import (
     compute_shift_reference,
     interpolates,
+    interval_distance,
     max_chord_slope,
     phi_from_breakpoints,
     shift_data,
+    value_set,
 )
 
 
@@ -125,23 +126,38 @@ class TestPiecewiseNonlinearity:
 
     def test_evaluation_regions(self):
         phi = PiecewiseNonlinearity((0.0, 2.0), (0.0, 3.0), (1.0, 3.0))
-        assert phi.evaluate(0.0) == (0.0, 1.0)       # at a breakpoint
-        assert phi.evaluate(1.0) == (2.0, 2.0)       # chord midpoint
-        assert phi.evaluate(-5.0) == (0.0, 0.0)      # constant left tail
-        assert phi.evaluate(9.0) == (3.0, 3.0)       # constant right tail
-        near = phi.evaluate(1e-12)                   # snaps to breakpoint
+        assert value_set(phi, 0.0) == (0.0, 1.0)     # at a breakpoint
+        assert value_set(phi, 1.0) == (2.0, 2.0)     # chord midpoint
+        assert value_set(phi, -5.0) == (0.0, 0.0)    # constant left tail
+        assert value_set(phi, 9.0) == (3.0, 3.0)     # constant right tail
+        near = value_set(phi, 1e-12)                 # snaps to breakpoint
         assert near == (0.0, 1.0)
 
     @pytest.mark.parametrize("ys", [(0.5,), (0.0, 2.0)])
     def test_nan_evaluates_to_nan(self, ys):
         phi = PiecewiseNonlinearity(ys, (1.0,) * len(ys), (1.0,) * len(ys))
-        assert all(map(math.isnan, phi.evaluate(math.nan)))
+        assert all(map(math.isnan, value_set(phi, math.nan)))
 
 
 class TestInterpolate:
     def test_non_monotone_data_rejected(self):
         with pytest.raises(NotMonotoneError):
             interpolate(((0.0, 1.0), (1.0, 0.0)))
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_cluster_mean_whose_sum_overflows(self, size):
+        # The outputs of each cluster sum beyond the float range, but
+        # their mean does not; scaled by 2^-4, which changes neither the
+        # clusters nor the rounding, the sum stays in range.
+        top = 1.7e308
+        ys = [top, math.nextafter(top, 0.0), top, math.nextafter(top, 0.0),
+              top][:size]
+        data = [(y, 1.0 + i) for i, y in enumerate(ys)] + [(0.0, 0.0)]
+        phi = interpolate(data)
+        small = interpolate([(y / 16.0, v) for y, v in data])
+        assert len(phi.ys) == 2
+        assert phi.ys == tuple(y * 16.0 for y in small.ys)
+        assert math.isfinite(phi.ys[1]) and phi.ys[1] <= top
 
     def test_clusters_equal_y_into_multivalued_breakpoint(self):
         phi = interpolate(((0.0, 0.0), (0.0, 1.0), (1.0, 1.5)))
@@ -192,7 +208,7 @@ class TestInterpolate:
             data = tuple(zip(ys, vs))
             phi = interpolate(data)
             for y, v in data:
-                assert interval_distance(phi.evaluate(y), v) <= 1e-9
+                assert interval_distance(value_set(phi, y), v) <= 1e-9
 
 
 class TestDataPairs:
@@ -242,7 +258,7 @@ class TestShift:
         assert type(xi) is float
         assert xi == pytest.approx(-1.0 / 3.0, abs=1e-12)
         phi = interpolate(shift_data(data, xi, 1.0))
-        assert interval_distance(phi.evaluate(0.0), 0.0) <= 1e-9
+        assert interval_distance(value_set(phi, 0.0), 0.0) <= 1e-9
 
     def test_riser_crossing_beats_farther_chord(self):
         # The ray s*(10,-1) pierces the riser at y=0 (s=0) and nothing

@@ -14,6 +14,7 @@ bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume, given
@@ -38,11 +39,13 @@ from helpers import (
     float_phis,
     interpolate_reference,
     interpolates,
+    interval_distance,
     monotone_interpolable_reference,
     odd_append_reference,
     odd_reference,
     phi_from_breakpoints,
     probe_points,
+    value_set,
 )
 
 
@@ -200,14 +203,14 @@ def test_detected_odd_flag_passes_the_constructor_check(data):
 
 @given(st.one_of(dyadic_phis(), dyadic_phis(multivalued=True)))
 def test_cached_evaluators_match_reference(phi):
-    """evaluate, and lower for a single-valued phi, give exactly the
+    """bounds, and lower for a single-valued phi, give exactly the
     breakpoint-by-breakpoint reference (compared by repr, so NaN matches
     NaN and a zero's sign counts): at and near breakpoints, on exact
     ties, outside the span, at inf and at NaN, which gives NaN also
     with one breakpoint."""
     for y in probe_points(phi):
         want = evaluate_reference(phi, y)
-        assert repr(phi.evaluate(y)) == repr(want), y
+        assert repr(value_set(phi, y)) == repr(want), y
         if phi.is_single_valued:
             assert repr(phi.bounds[0](y)) == repr(want[0]), y
 
@@ -226,6 +229,38 @@ def test_array_evaluator_matches_bounds(phi):
     assert float_bits(lo) == float_bits(map(lower, ys))
     assert float_bits(hi) == float_bits(map(upper, ys))
     assert math.isnan(lo[0]) and math.isnan(hi[0])  # probe_points' NaN
+
+
+# a value set at 0 that spans the float range, a chord that overflows
+# at 0, and one of subnormal values
+_EXTREME_PHIS = (
+    PiecewiseNonlinearity((0.0,), (-1.7e308,), (1.7e308,)),
+    PiecewiseNonlinearity((-1.0, 1.0), (-1.7e308, 1.7e308),
+                          (-1.7e308, 1.7e308)),
+    PiecewiseNonlinearity((-3.0, 1.0), (-5e-324, 1.5e-323),
+                          (-5e-324, 1.5e-323)),
+)
+
+
+@given(st.one_of(dyadic_phis(), dyadic_phis(multivalued=True),
+                 float_phis(), float_phis(multivalued=True),
+                 st.sampled_from(_EXTREME_PHIS)))
+def test_origin_gap_is_the_reference_distance(phi):
+    """origin_gap is the distance of 0 from evaluate_reference's value
+    set at 0, bit for bit: zeros of either sign at a breakpoint on 0,
+    chords through 0, tails, and a chord that overflows."""
+    want = interval_distance(evaluate_reference(phi, 0.0), 0.0)
+    assert float_bits([phi.origin_gap]) == float_bits([want])
+
+
+@given(st.floats(), st.floats())
+def test_origin_gap_counts_nan_ends_as_zero(lo, hi):
+    """On any ends, NaN and zeros of either sign included, origin_gap
+    gives the distance of 0 from [lo, hi] bit for bit."""
+    ends = SimpleNamespace(bounds=(lambda y: lo, lambda y: hi))
+    got = PiecewiseNonlinearity.origin_gap.func(ends)
+    assert float_bits([got]) == float_bits([interval_distance((lo, hi),
+                                                              0.0)])
 
 
 @given(st.one_of(grid_data(first_quadrant=True), grid_data()),

@@ -19,7 +19,7 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "max_chord_slope", "in_window", "on_window_edge",
            "periodic_steady_state_solve", "interpolation_residual_map",
            "first_repeat_reference", "periodic_response",
-           "periodic_steady_state")
+           "periodic_steady_state", "interval_distance", "value_set")
 
 
 def test_every_exported_name_resolves():
@@ -41,6 +41,7 @@ def test_oracles_are_not_exported():
     assert not hasattr(lti.TransferFunction, "add_constant")
     assert not hasattr(interp.PiecewiseNonlinearity, "scalar")
     assert not hasattr(interp.PiecewiseNonlinearity, "max_chord_slope")
+    assert not hasattr(interp.PiecewiseNonlinearity, "evaluate")
     assert not hasattr(phase, "PhaseCheck")
 
 

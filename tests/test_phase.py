@@ -174,6 +174,31 @@ class TestSlopeBound:
                 assert resp.real + 1.0 / b.kbar <= 1e-9
             t += 1
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_finite_bound_keeps_the_sign_of_the_shifted_part(self, seed):
+        """Every finite row has R + 1/kbar <= 1e-9*max(1, |R|): 4,000
+        rows per seed with |R| from 2^-997 to the float limit (kept
+        below overflow of R*t), t = tan(pi/m) for m from 3 to 4e6, and
+        |I| from 1 down to 1e-17 (relative) inside the window edge, on
+        it, and outside it."""
+        rng = np.random.default_rng(seed)
+        n = 4000
+        t = np.tan(np.pi / np.round(np.exp(rng.uniform(math.log(3.0),
+                                                       math.log(4e6), n))))
+        mag = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-997, 1024, n))
+        mag = np.minimum(mag, np.ldexp(1.0, 1023) / np.maximum(t, 1.0))
+        rel = 10.0 ** rng.uniform(-17.0, 0.0, n)
+        rel[rng.random(n) < 0.1] = 0.0
+        rel[rng.random(n) < 0.1] *= -1.0
+        response = np.empty(n, dtype=complex)
+        response.real = -mag
+        response.imag = mag * t * (1.0 - rel) * rng.choice((-1.0, 1.0), n)
+        kind, kbar = _slope_bounds(response, t)
+        finite = kind == 0
+        R = response.real[finite]
+        assert np.all(R + 1.0 / kbar[finite]
+                      <= 1e-9 * np.fmax(1.0, np.abs(R)))
+
     def test_infinite_bound_at_window_edge(self):
         resp = complex(-1.0, math.tan(math.pi / 7))
         b = slope_bound(resp, F27)

@@ -39,6 +39,7 @@ from helpers import (
     realize,
     simulate_closed_loop_reference,
     simulate_linear,
+    value_set,
 )
 
 DELAY = TransferFunction((0.0, 1.0), (1.0, 0.0))  # G(z) = 1/z
@@ -254,6 +255,11 @@ class TestClosedLoopSimulation:
                 simulate_closed_loop(example_plant, line(0.2), np.zeros(2),
                                      5, period)
 
+    def test_outputs_need_one_per_step_of_a_period(self, example_plant):
+        with pytest.raises(ValueError, match="one output per step"):
+            simulate_closed_loop(example_plant, line(0.2), np.zeros(2), 5,
+                                 3, outputs=[0.0, 0.0])
+
     def test_state_repeat_ends_the_stepping(self, example_plant):
         # The (2, 7) cycle's state at a period start repeats bit for bit
         # within 20 periods: the simulation evaluates phi on fewer than
@@ -379,7 +385,7 @@ class TestVerifyCycle:
         moved = PiecewiseNonlinearity(ys, phi.los, phi.his)
         # the first step whose closed-loop input differs from phi at the
         # stored output
-        expected = [-moved.evaluate(v)[0] for v in cert.y.values]
+        expected = [-value_set(moved, v)[0] for v in cert.y.values]
         res_per, res_int, run = cycle_check_reference(
             example_plant, moved, cert.u, cert.y, 20)
         m = next(k for k, u in enumerate(run.stepped_u.tolist())

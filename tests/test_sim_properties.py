@@ -60,6 +60,7 @@ from helpers import (
     simulate_closed_loop_reference,
     solve_output_reference,
     trajectory_csv_reference,
+    value_set,
 )
 
 coords = st.floats(-20.0, 20.0, allow_nan=False)
@@ -258,7 +259,7 @@ def test_residual_matches_per_sample_reference(phi, seed):
     rng = np.random.default_rng(seed)
     us = []
     for y in ys:
-        lo, hi = phi.evaluate(y)
+        lo, hi = value_set(phi, y)
         us.append(float(rng.choice([-lo, -hi, -0.5 * (lo + hi),
                                     -hi - 0.25, -lo + 0.25, math.nan])))
     assert repr(interpolation_residual(phi, ys, us)) == \
@@ -277,7 +278,7 @@ def test_residual_matches_map_version(phi, seed):
     rng = np.random.default_rng(seed)
     us = []
     for y in ys:
-        lo, hi = phi.evaluate(y)
+        lo, hi = value_set(phi, y)
         us.append(float(rng.choice([-lo, -hi, -0.5 * (lo + hi), -hi - 0.25,
                                     -lo + 0.25, math.nan, 0.0, -0.0])))
     assert repr(interpolation_residual(phi, ys, us)) == \
@@ -446,15 +447,18 @@ def _probes(phi) -> list[float]:
 @given(snapping_phis(), st.lists(st.floats(), max_size=3))
 def test_snap_guard_reads_phi(phi, stored):
     """Wherever a guard holds an output, its value is -phi(y) bit for
-    bit: at every breakpoint's guard, for y among the probes and at and
-    next to the guard's own ends.  A breakpoint more than 3*y_tol from
+    bit: at every guard, for y among the probes and at and next to the
+    guard's own ends.  A breakpoint more than 3*y_tol from
     each neighbour lies in its own guard.  And one step of 1/z from a
     third of the finite probes, given a breakpoint, +-0.0, NaN or a drawn
     float as its stored output, reads -phi(y), in or out of a guard."""
     lower = phi.bounds[0]
     probes = _probes(phi)
     ys, tol = phi.ys, phi.y_tol
-    lows, highs, values = phi._guard_table.tolist()
+    # every guard starts at ys[j] - h or ys[j-1] + t, so these select each
+    h, t = tol - tol / 256, tol + tol / 256
+    lows, highs, values = phi.guards([y - h for y in ys]
+                                     + [y + t for y in ys])
     for lo, hi, v in zip(lows, highs, values):
         ends = [lo, hi] + [math.nextafter(e, d) for e in (lo, hi)
                            for d in (-math.inf, math.inf)]
@@ -464,7 +468,8 @@ def test_snap_guard_reads_phi(phi, stored):
     for j, y in enumerate(ys):
         if (j == 0 or y - ys[j - 1] > 3 * tol) and \
                 (j == len(ys) - 1 or ys[j + 1] - y > 3 * tol):
-            assert lows[j] <= y <= highs[j]
+            [lo], [hi], _ = phi.guards([y])
+            assert lo <= y <= hi
     delay = TransferFunction((0.0, 1.0), (1.0, 0.0))
     for y_star in list(ys) + probes[:3] + stored:
         for x in filter(math.isfinite, probes[::3]):
@@ -511,8 +516,8 @@ def test_guarded_check_equals_the_closed_loop_check(plant, odd, row,
         return
     (g, phi, u, y), kwargs = calls[0]
     got = _outcome(lambda: verify_cycle(g, phi, u, y, **kwargs))
-    want = _outcome(lambda: cycle_check_reference(g, phi, u, y,
-                                                  kwargs["periods"]))
+    # build_certificate leaves periods at verify_cycle's default of 20
+    want = _outcome(lambda: cycle_check_reference(g, phi, u, y, 20))
     if isinstance(want, tuple) and isinstance(want[0], str):
         assert got == want
         return
