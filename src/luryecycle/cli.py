@@ -21,7 +21,6 @@ import math
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from pathlib import Path
 from weakref import WeakKeyDictionary
 
 import click
@@ -50,6 +49,7 @@ from .fileio import (
     plant_echo,
     save_phi,
     save_signals,
+    write_output,
 )
 from .lti import RationalFrequency, TransferFunction
 from .phase import coprime_grid, sweep_entries
@@ -104,7 +104,8 @@ def _write_report(path, command: str, parameters: dict, plant: dict | None,
         "results": results,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                 "report")
 
 
 def _rational_plant(plant, what: str) -> TransferFunction:
@@ -273,16 +274,17 @@ def construct(plant_file, alpha, beta, odd, slope, out, signals, report):
         cert = build_certificate(plant, freq, odd=odd, slope=k)
         save_phi(out, cert.phi)
         save_signals(signals, cert.u, cert.y)
-        click.echo(f"variant {cert.variant}: T = {freq.T}, "
-                   f"omega = {alpha}*pi/{beta}")
+        lines = [f"variant {cert.variant}: T = {freq.T}, "
+                 f"omega = {alpha}*pi/{beta}"]
         if math.isfinite(k):
-            click.echo(f"slope class k = {k:.9g}")
+            lines.append(f"slope class k = {k:.9g}")
         if freq.alpha % 2 == 0 and not odd:
-            click.echo(f"input shift xi = {cert.xi:.9g}")
-        click.echo(f"residuals: periodicity "
-                   f"{cert.verdict.residual_periodicity:.3g}, interpolation "
-                   f"{cert.verdict.residual_interpolation:.3g}")
-        click.echo(f"wrote {out} and {signals}")
+            lines.append(f"input shift xi = {cert.xi:.9g}")
+        v = cert.verdict
+        lines.append(f"residuals: periodicity {v.residual_periodicity:.3g}, "
+                     f"interpolation {v.residual_interpolation:.3g}")
+        lines.append(f"wrote {out} and {signals}")
+        click.echo("\n".join(lines))
         _write_report(report, "construct",
                       {"alpha": alpha, "beta": beta, "odd": odd,
                        "slope": slope, "out": str(out),
@@ -307,21 +309,24 @@ def verify(plant_file, phi_file, signals_file, periods, trace, report):
         phi = load_phi(phi_file)
         u, y = load_signals(signals_file)
         verdict = verify_cycle(plant, phi, u, y, periods=periods)
+        lines = []
         if trace:
             if verdict.trajectory is not None:
-                Path(trace).write_text(trajectory_csv(verdict.trajectory))
-                click.echo(f"wrote {trace}")
+                write_output(trace, trajectory_csv(verdict.trajectory),
+                             "trace")
+                lines.append(f"wrote {trace}")
             else:
                 click.echo("trace skipped: nonlinearity is multivalued",
                            err=True)
-        click.echo(f"period T = {verdict.period}")
-        click.echo(f"residual periodicity   = "
-                   f"{verdict.residual_periodicity:.3g}")
-        click.echo(f"residual interpolation = "
-                   f"{verdict.residual_interpolation:.3g}")
-        click.echo(f"nontrivial = {verdict.nontrivial}")
         passed = verdict.ok()
-        click.echo("PASS" if passed else "FAIL")
+        lines += [f"period T = {verdict.period}",
+                  f"residual periodicity   = "
+                  f"{verdict.residual_periodicity:.3g}",
+                  f"residual interpolation = "
+                  f"{verdict.residual_interpolation:.3g}",
+                  f"nontrivial = {verdict.nontrivial}",
+                  "PASS" if passed else "FAIL"]
+        click.echo("\n".join(lines))
         _write_report(report, "verify",
                       {"periods": periods}, plant_echo(plant),
                       {"period": verdict.period,
@@ -375,7 +380,7 @@ def figure_data(plant_file, alpha, beta, which, odd, slope, out, report):
                 f"{b.y!r},{b.v_lo!r},{b.v_hi!r}"
                 for b in cert.phi.breakpoints]
             results = cert.to_dict()
-        Path(out).write_text("\n".join(lines) + "\n")
+        write_output(out, "\n".join(lines) + "\n", "figure data")
         click.echo(f"wrote {out} ({len(lines) - 1} rows)")
         _write_report(report, "figure-data",
                       {"alpha": alpha, "beta": beta, "which": which,

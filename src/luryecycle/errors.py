@@ -64,4 +64,5 @@ class SelfVerifyError(LuryecycleError):
 
 
 class FileFormatError(LuryecycleError):
-    """Stored nonlinearity or signal file is malformed."""
+    """Stored nonlinearity or signal file is malformed, or an output file
+    cannot be written."""

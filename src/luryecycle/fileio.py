@@ -20,7 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 from .construct import AnchorPlant, Plant
@@ -31,12 +33,12 @@ from .lti import PeriodicSignal, TransferFunction
 __all__ = [
     "load_plant",
     "plant_echo",
-    "phi_to_dict",
     "phi_from_dict",
     "save_phi",
     "load_phi",
     "save_signals",
     "load_signals",
+    "write_output",
 ]
 
 
@@ -51,6 +53,18 @@ def _read_text(path, error: type[LuryecycleError], what: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} file is not UTF-8 text: {exc}") from exc
+
+
+def write_output(path, text: str, what: str) -> None:
+    """Write text to the file (FileFormatError if it cannot): overwrite, then
+    cut to length, since truncating first makes ext4 flush on close."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {what} file: {exc}") from exc
 
 
 def _read_json(path, error: type[LuryecycleError], what: str):
@@ -126,16 +140,6 @@ def plant_echo(plant: Plant) -> dict:
             "dc": plant.dc}
 
 
-def phi_to_dict(phi: PiecewiseNonlinearity) -> dict:
-    return {
-        "odd": phi.odd,
-        "slope_bound": (phi.slope_bound if math.isfinite(phi.slope_bound)
-                        else "inf"),
-        "breakpoints": [{"y": y, "v_lo": lo, "v_hi": hi}
-                        for y, lo, hi in zip(phi.ys, phi.los, phi.his)],
-    }
-
-
 def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
     try:
         sb = doc["slope_bound"]
@@ -152,7 +156,18 @@ def phi_from_dict(doc: dict) -> PiecewiseNonlinearity:
 
 
 def save_phi(path, phi: PiecewiseNonlinearity) -> None:
-    Path(path).write_text(json.dumps(phi_to_dict(phi), indent=2) + "\n")
+    """Write phi's document {"odd", "slope_bound" (a number or "inf"),
+    "breakpoints": [{"y", "v_lo", "v_hi"}, ...]} as json.dumps(doc, indent=2)
+    writes it, plus a newline; phi's floats are finite, so each is its repr."""
+    slope = (repr(phi.slope_bound) if math.isfinite(phi.slope_bound)
+             else '"inf"')
+    points = ",\n".join(
+        f'    {{\n      "y": {y!r},\n      "v_lo": {lo!r},\n'
+        f'      "v_hi": {hi!r}\n    }}'
+        for y, lo, hi in zip(phi.ys, phi.los, phi.his))
+    write_output(path, f'{{\n  "odd": {json.dumps(phi.odd)},\n  '
+                 f'"slope_bound": {slope},\n  "breakpoints": [\n{points}'
+                 f'\n  ]\n}}\n', "nonlinearity")
 
 
 def load_phi(path) -> PiecewiseNonlinearity:
@@ -169,12 +184,15 @@ def save_signals(path, u: PeriodicSignal, y: PeriodicSignal) -> None:
     lines = ["index,u,y"]
     for i in range(u.period):
         lines.append(f"{i},{u[i]!r},{y[i]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "\n".join(lines) + "\n", "signal")
 
 
 def load_signals(path) -> tuple[PeriodicSignal, PeriodicSignal]:
     text = _read_text(path, FileFormatError, "signal")
-    rows = list(csv.reader(text.splitlines()))
+    try:
+        rows = list(csv.reader(text.splitlines()))
+    except csv.Error as exc:
+        raise FileFormatError(f"signal file is not valid CSV: {exc}") from exc
     if not rows or [h.strip() for h in rows[0]] != ["index", "u", "y"]:
         raise FileFormatError('signal CSV needs the header "index,u,y"')
     us: list[float] = []

@@ -23,6 +23,9 @@ from .errors import PlantValidationError
 # Poles with magnitude >= 1 - POLE_MARGIN are rejected as numerically
 # marginal; everything downstream assumes a strict stability margin.
 POLE_MARGIN = 1e-9
+# The Schur-Cohn test accepts when every |k| < 1 - SCHUR_SLACK; nearer 1,
+# np.roots decides (it accepts a double pole at 1 - 1e-8; the test does not).
+SCHUR_SLACK = 1e-4
 
 __all__ = [
     "POLE_MARGIN",
@@ -42,7 +45,11 @@ class TransferFunction:
     Coefficients are stored in descending powers of z.  Construction
     normalizes the denominator to a leading coefficient of 1, strips
     leading zeros from the numerator, and rejects improper fractions and
-    poles on or outside the unit circle.
+    poles of magnitude >= 1 - POLE_MARGIN.  The Schur-Cohn step-down
+    recursion on den(r z), r = 1 - POLE_MARGIN, accepts the plant without
+    an eigen-solve when each of its reflection coefficients k = a[-1]/a[0]
+    has |k| < 1 - SCHUR_SLACK; otherwise the magnitudes of np.roots
+    decide, and the message names the offending pole.
     """
 
     num: tuple[float, ...]
@@ -59,6 +66,9 @@ class TransferFunction:
         lead = den[0]
         den = [c / lead for c in den]
         num = [c / lead for c in num]
+        if not all(map(math.isfinite, num + den)):
+            raise PlantValidationError(
+                "coefficients overflow when scaled to a monic denominator")
         while len(num) > 1 and num[0] == 0.0:
             num.pop(0)
         if not num:
@@ -69,7 +79,13 @@ class TransferFunction:
                 f"exceeds denominator degree {len(den) - 1}")
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
-        for p in self.poles:
+        # Schur-Cohn steps on den(r z) / r^n; a[0] of 0 or NaN ends them
+        r = 1.0 - POLE_MARGIN
+        a = [c / r ** i for i, c in enumerate(den)]
+        while len(a) > 1 and abs(a[-1]) < (1.0 - SCHUR_SLACK) * a[0]:
+            k = a[-1] / a[0]
+            a = [x - k * y for x, y in zip(a[:-1], a[:0:-1])]
+        for p in self.poles if len(a) > 1 else ():
             if abs(p) >= 1.0 - POLE_MARGIN:
                 raise PlantValidationError(
                     f"pole with magnitude {abs(p):.12g} is not strictly "

@@ -435,8 +435,8 @@ def nyquist_gain(plant: TransferFunction) -> float:
                 f"response {g!r} at omega = {omega:.9g} is not finite")
     gains = [-1.0 / g.real for g in responses
              if g.real < 0.0 and abs(g.imag) <= MARGIN_TOL * abs(g)]
-    if num[0] < 0.0:
-        gains.append(-1.0 / num[0])
+    if num[0] < 0.0:  # a float division: -1/D overflows to inf quietly
+        gains.append(-1.0 / float(num[0]))
     return min(gains, default=math.inf)
 
 

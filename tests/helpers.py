@@ -540,6 +540,23 @@ def sweep_stdout_reference(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def phi_to_dict(phi) -> dict:
+    """phi as the JSON document of a nonlinearity file."""
+    return {
+        "odd": phi.odd,
+        "slope_bound": (phi.slope_bound if math.isfinite(phi.slope_bound)
+                        else "inf"),
+        "breakpoints": [{"y": y, "v_lo": lo, "v_hi": hi}
+                        for y, lo, hi in zip(phi.ys, phi.los, phi.his)],
+    }
+
+
+def phi_text_reference(phi) -> str:
+    """A nonlinearity file's text: one json.dumps with indent 2, plus a
+    newline."""
+    return json.dumps(phi_to_dict(phi), indent=2) + "\n"
+
+
 def trajectory_csv_reference(y_values, u_values) -> str:
     """Trajectory CSV one row at a time: header k,y,u, then k and the
     two values with 17 significant digits."""

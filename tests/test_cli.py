@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import runpy
+import sys
 import warnings
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from luryecycle import (
     verify_cycle,
 )
 from luryecycle import construct, phase
-from luryecycle.cli import cli, exit_code_for
+from luryecycle.cli import cli, exit_code_for, main
 from luryecycle.lti import freq_response
 from luryecycle.sim import simulate_closed_loop
 
@@ -298,6 +300,62 @@ def test_non_number_input_exits_2(runner, plant_file, tmp_path, command,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr == f"error: {message}\n"
+
+
+# Each option that names an output file, given a path in a directory
+# that does not exist: {bad}.  The output ends in exit 2 with the file's
+# kind named, after whatever the command printed before writing it.
+@pytest.mark.parametrize("args, what, printed", [
+    ("nyquist {plant} --report {bad}", "report", "k_N = 3.61\n"),
+    ("phase-sweep {plant} --beta-max 4 --report {bad}", "report",
+     "alpha,beta,T,"),
+    ("construct {plant} --alpha 2 --beta 7 --out {bad} --signals {tmp}/s",
+     "nonlinearity", ""),
+    ("construct {plant} --alpha 2 --beta 7 --out {tmp}/p --signals {bad}",
+     "signal", ""),
+    ("construct {plant} --alpha 2 --beta 7 --out {tmp}/p --signals {tmp}/s "
+     "--report {bad}", "report", "variant "),
+    ("verify {plant} {phi} {sig} --trace {bad}", "trace", ""),
+    ("verify {plant} {phi} {sig} --report {bad}", "report", "period T = 7"),
+    ("figure-data {plant} --alpha 1 --beta 5 --which vt --out {bad}",
+     "figure data", ""),
+    ("figure-data {plant} --alpha 1 --beta 5 --which vt --out {tmp}/f "
+     "--report {bad}", "report", "wrote "),
+], ids=["nyquist-report", "phase-sweep-report", "construct-out",
+        "construct-signals", "construct-report", "verify-trace",
+        "verify-report", "figure-data-out", "figure-data-report"])
+def test_unwritable_output_exits_2(runner, plant_file, tmp_path, args, what,
+                                   printed):
+    phi, sig = tmp_path / "phi.json", tmp_path / "sig.csv"
+    assert runner.invoke(cli, [
+        "construct", str(plant_file), "--alpha", "2", "--beta", "7",
+        "--out", str(phi), "--signals", str(sig)]).exit_code == 0
+    result = runner.invoke(cli, args.format(
+        plant=plant_file, phi=phi, sig=sig, tmp=tmp_path,
+        bad=tmp_path / "missing" / "file").split())
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout.startswith(printed)
+    assert result.stderr.startswith(f"error: cannot write {what} file: ")
+    assert "missing" in result.stderr
+
+
+def test_main_runs_the_command_group(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["luryecycle", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "luryecycle, version 0.1.0\n"
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["luryecycle", "--version"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # runpy warns that luryecycle.cli is imported already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("luryecycle.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "luryecycle, version 0.1.0\n"
 
 
 def test_version(runner):

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from luryecycle import (
     AnchorPlant,
@@ -17,7 +20,7 @@ from luryecycle import (
     save_phi,
     save_signals,
 )
-from luryecycle.fileio import phi_from_dict, phi_to_dict
+from luryecycle.fileio import phi_from_dict, write_output
 from luryecycle.interp import (
     PiecewiseNonlinearity,
     interpolate,
@@ -26,7 +29,52 @@ from luryecycle.interp import (
 )
 from luryecycle.lti import PeriodicSignal
 
-from helpers import breakpoint_bits, carrier_data, interpolate_reference
+from helpers import (
+    breakpoint_bits,
+    carrier_data,
+    interpolate_reference,
+    phi_text_reference,
+    phi_to_dict,
+)
+
+# Finite floats out to +-1e308, subnormals and both zeros included.
+WIDE = st.floats(-1e308, 1e308)
+
+
+@st.composite
+def stored_phis(draw) -> PiecewiseNonlinearity:
+    """phi with one to eight breakpoints anywhere in +-1e308, single- or
+    multivalued, odd (mirrored about the origin, with or without a
+    breakpoint there) or not, in the monotone class or a finite one."""
+    multivalued = draw(st.booleans())
+    n = 1 + multivalued  # values per breakpoint
+    odd = draw(st.booleans())
+    if odd:  # mirrored about the origin
+        ys = sorted(draw(st.sets(st.floats(5e-324, 1e308), min_size=1,
+                                 max_size=4)))
+        vs = sorted(draw(st.lists(st.floats(0.0, 1e308), min_size=n * len(ys),
+                                  max_size=n * len(ys))))
+        los, his = vs[::n], vs[n - 1::n]
+        mid = draw(st.sampled_from([None, 0.0] + multivalued * [los[0]]))
+        origin = [] if mid is None else [(0.0, -mid, mid)]
+        rows = ([(-y, -hi, -lo) for y, lo, hi in zip(ys, los, his)][::-1]
+                + origin + list(zip(ys, los, his)))
+    else:
+        ys = sorted(draw(st.sets(WIDE, min_size=1, max_size=8)))
+        vs = sorted(draw(st.lists(WIDE, min_size=n * len(ys),
+                                  max_size=n * len(ys))))
+        rows = list(zip(ys, vs[::n], vs[n - 1::n]))
+    ys, los, his = (list(c) for c in zip(*rows))
+    slope = math.inf
+    if not multivalued and draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            chords = np.diff(los) / np.diff(ys) if len(ys) > 1 else [0.0]
+        slope = 2.0 * max(1.0, float(np.max(chords)))
+    try:
+        return PiecewiseNonlinearity(ys, los, his, odd=odd,
+                                     slope_bound=slope)
+    except ValueError:
+        assume(False)
 
 
 class TestLoadPlant:
@@ -113,6 +161,22 @@ class TestLoadPlant:
         assert again == example_plant
 
 
+class TestWriteOutput:
+    def test_longer_file_is_cut_to_the_text(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 100)
+        write_output(path, "short\n", "test")
+        assert path.read_text() == "short\n"
+
+    def test_device_is_written_without_cutting(self):
+        write_output(os.devnull, "text\n", "test")
+
+    def test_unwritable_path_names_the_file_kind(self, tmp_path):
+        with pytest.raises(FileFormatError,
+                           match="^cannot write test file: .*missing"):
+            write_output(tmp_path / "missing" / "out.txt", "", "test")
+
+
 class TestPhiRoundTrip:
     def test_multivalued_odd(self, tmp_path):
         phi = PiecewiseNonlinearity((-1.0, 0.0, 1.0), (-2.0, -0.5, 1.0),
@@ -149,6 +213,14 @@ class TestPhiRoundTrip:
         path = tmp_path / "phi.json"
         save_phi(path, phi)
         assert load_phi(path).slope_bound == 2.0
+
+    @settings(max_examples=200)
+    @given(stored_phis())
+    def test_file_is_the_json_dumps_text(self, tmp_path_factory, phi):
+        path = tmp_path_factory.mktemp("phi") / "phi.json"
+        save_phi(path, phi)
+        assert path.read_text() == phi_text_reference(phi)
+        assert load_phi(path) == phi
 
     def test_dict_encoding_uses_inf_string(self):
         phi = PiecewiseNonlinearity((0.0,), (0.0,), (0.0,))
@@ -229,6 +301,12 @@ class TestSignalsRoundTrip:
         path = tmp_path / "sig.csv"
         path.write_text(f"index,u,y\n{row}\n")
         with pytest.raises(FileFormatError, match="line 2"):
+            load_signals(path)
+
+    def test_field_beyond_the_csv_limit_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("index,u,y\n0,1.0," + "1" * 200_000 + "\n")
+        with pytest.raises(FileFormatError, match="not valid CSV"):
             load_signals(path)
 
     def test_sample_float_cannot_read_rejected(self, tmp_path):

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luryecycle import (
     PlantValidationError,
@@ -9,6 +12,7 @@ from luryecycle import (
     TransferFunction,
 )
 from luryecycle.lti import (
+    POLE_MARGIN,
     PeriodicSignal,
     dc_gain,
     freq_response,
@@ -45,6 +49,18 @@ class TestTransferFunction:
         with pytest.raises(PlantValidationError):
             TransferFunction((1.0,), (1.0, -1.0))
 
+    def test_empty_numerator_is_zero(self):
+        assert TransferFunction((), (1.0, -0.5)).num == (0.0,)
+
+    @pytest.mark.parametrize("num,den", [
+        ((1.0,), (1e-300, 1e300)),
+        ((1e300,), (1e-300, 0.5)),
+    ])
+    def test_rejects_coefficients_that_overflow_when_normalized(self, num,
+                                                                den):
+        with pytest.raises(PlantValidationError, match="overflow"):
+            TransferFunction(num, den)
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(PlantValidationError):
             TransferFunction((1.0,), (0.0, 1.0))
@@ -72,7 +88,79 @@ class TestTransferFunction:
     def test_static_gain_plant(self):
         g = TransferFunction((0.5,), (1.0,))
         assert g.order == 0
+        assert g.poles.shape == (0,)
         assert freq_response(g, 1.3) == pytest.approx(0.5)
+
+
+@st.composite
+def near_margin_dens(draw) -> tuple[float, ...]:
+    """Monic real polynomials of order 1 to 12 whose roots lie 1e-10 to
+    1e-2 inside or outside the pole margin, real or in conjugate pairs,
+    each with multiplicity 1 to 4.  Most roots lie inside, and half of
+    the gaps exceed 1e-4, so that the recursion decides many examples."""
+    roots: list[complex] = []
+    for _ in range(draw(st.integers(1, 4))):
+        mult = draw(st.integers(1, 4))
+        gap = draw(st.one_of(st.floats(-10.0, -2.0), st.floats(-4.0, -2.0)))
+        radius = (1.0 - POLE_MARGIN
+                  + draw(st.sampled_from([-1.0] * 5 + [1.0])) * 10.0 ** gap)
+        if draw(st.booleans()):
+            p = radius * cmath.exp(1j * draw(st.floats(0.0, math.pi)))
+            group = [p, p.conjugate()] * mult
+        else:
+            group = [draw(st.sampled_from([-radius, radius]))] * mult
+        if len(roots) + len(group) > 12:
+            break
+        roots += group
+    if not roots:
+        roots = [1.0 - POLE_MARGIN - 1e-10]
+    return tuple(np.real(np.poly(roots)).tolist())
+
+
+def roots_accept(den) -> bool:
+    """The eigen-solve's decision: every root of den has magnitude below
+    1 - POLE_MARGIN."""
+    return all(abs(p) < 1.0 - POLE_MARGIN for p in np.roots(den))
+
+
+class TestStabilityCheck:
+    """TransferFunction accepts a plant by the Schur-Cohn recursion, which
+    computes no poles, or else by np.roots; its decision is np.roots'."""
+
+    @settings(max_examples=500)
+    @given(near_margin_dens())
+    def test_decision_equals_the_eigen_solve(self, den):
+        try:
+            g = TransferFunction((1.0,), den)
+        except PlantValidationError as exc:
+            assert not roots_accept(den)
+            assert "not strictly inside the unit circle" in str(exc)
+            return
+        # also whenever the recursion accepted (no poles computed)
+        assert roots_accept(den), ("poles" in g.__dict__, den)
+
+    def test_recursion_accepts_without_computing_poles(self, example_plant):
+        assert "poles" not in example_plant.__dict__
+        assert example_plant.poles.shape == (2,)
+
+    @pytest.mark.parametrize("den, accepted", [
+        ((1.0, -(1.0 - 1e-9)), False),
+        ((1.0, -(1.0 - 2e-9)), True),
+        # a double pole at 1 - 1e-8, which only the eigen-solve accepts
+        (tuple(np.poly([1.0 - 1e-8] * 2).tolist()), True),
+        ((1.0, 1.0 - 1e-5), True),
+    ], ids=["at-margin", "inside-margin", "double-pole", "slack-edge"])
+    def test_near_margin_plants(self, den, accepted):
+        if not accepted:
+            with pytest.raises(PlantValidationError):
+                TransferFunction((1.0,), den)
+            return
+        g = TransferFunction((1.0,), den)
+        assert "poles" in g.__dict__  # decided by the eigen-solve
+
+    def test_unstable_message_names_the_pole(self):
+        with pytest.raises(PlantValidationError, match=r"magnitude 1\.1 "):
+            TransferFunction((1.0,), (1.0, -1.1))
 
 
 class TestRationalFrequency:

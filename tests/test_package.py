@@ -19,7 +19,8 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "max_chord_slope", "in_window", "on_window_edge",
            "periodic_steady_state_solve", "interpolation_residual_map",
            "first_repeat_reference", "periodic_response",
-           "periodic_steady_state", "interval_distance", "value_set")
+           "periodic_steady_state", "interval_distance", "value_set",
+           "phi_to_dict")
 
 
 def test_every_exported_name_resolves():
@@ -36,7 +37,7 @@ def test_every_submodule_name_resolves():
 def test_oracles_are_not_exported():
     for name in ORACLES:
         assert not hasattr(luryecycle, name), name
-        for module in (lti, phase, interp, sim, construct):
+        for module in (lti, phase, interp, sim, construct, fileio):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(lti.TransferFunction, "add_constant")
     assert not hasattr(interp.PiecewiseNonlinearity, "scalar")

@@ -510,6 +510,12 @@ class TestNyquistGain:
     def test_static_plant_never_crosses(self):
         assert nyquist_gain(TransferFunction((0.5,), (1.0,))) == math.inf
 
+    def test_subnormal_negative_feedthrough_bound_overflows_quietly(self):
+        # -1/D = 2e323 is beyond the float range: the bound is inf, with
+        # no RuntimeWarning (which the suite turns into an error).
+        g = TransferFunction((-5e-324, 5e-324), (1.0, -0.5))
+        assert nyquist_gain(g) == math.inf
+
     def test_feedthrough_margin_is_exact(self):
         # 1 + k*D vanishes at k = 1, but G(-1) = -4/3 already puts a
         # pole on the circle at k = 0.75.

@@ -60,7 +60,14 @@ Measurements:
   simulation stepped before the state repeated (keys "... stepped"),
   and the calls it made to phi's lower bound while stepping (keys
   "... phi calls"; a checkout that calls phi at every step reads the
-  rows stepped).
+  rows stepped);
+- each CLI command in-process on the example plant: nyquist, and
+  construct (slope 1.0001*kbar, even window) and verify (20 periods,
+  with --trace and --report) of its cycle at (T - 1, T) for T = 7 and
+  21 (keys "cli.<command> ..."); and the session that runs nyquist,
+  phase-sweep --beta-max 20, construct and verify in that order (keys
+  "cli session T=<T>").  Hot single-command loops hide costs that a
+  session pays, such as the first eigen-solve after other work.
 
 Nothing here is a benchmark gate; bench/ holds the end-to-end benchmark.
 """
@@ -91,6 +98,8 @@ SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
 RESIDUAL_PERIODS = (101, 301, 1001)
 VERIFY_PERIODS = (7, 21, 101, 301, 1001)
+SESSION_PERIODS = (7, 21)
+SESSION_BETA_MAX = 20
 NEVER_REPEATS_T = 7
 FEEDTHROUGH = 0.3
 COMPARE_ROUNDS = 3
@@ -320,6 +329,28 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             key = f"cli.phase_sweep beta_max={beta_max} {fmt}"
             add(key, lambda a=args: _invoke(pkg.cli.cli, a), clear_grid)
             add(f"{key} warm", lambda a=args: _invoke(pkg.cli.cli, a))
+    nyquist = ["nyquist", str(plant_file)]
+    sweep = ["phase-sweep", str(plant_file), "--beta-max",
+             str(SESSION_BETA_MAX), "--format", "json"]
+    add("cli.nyquist", lambda: _invoke(pkg.cli.cli, nyquist))
+    for T in SESSION_PERIODS:
+        phi, sig, trace, report = (str(tmp / f"T{T}-{name}") for name in (
+            "phi.json", "sig.csv", "trace.csv", "report.json"))
+        slope = _slope_k(freq_response(g, RationalFrequency(T - 1, T).omega),
+                         T, False)
+        construct_args = ["construct", str(plant_file), "--alpha",
+                          str(T - 1), "--beta", str(T), "--slope",
+                          repr(slope), "--out", phi, "--signals", sig]
+        verify_args = ["verify", str(plant_file), phi, sig, "--periods",
+                       str(SIM_PERIODS), "--trace", trace, "--report",
+                       report]
+        add(f"cli.construct T={T}",
+            lambda a=construct_args: _invoke(pkg.cli.cli, a))
+        add(f"cli.verify T={T}",
+            lambda a=verify_args: _invoke(pkg.cli.cli, a))
+        add(f"cli session T={T}",
+            lambda s=(nyquist, sweep, construct_args, verify_args): [
+                _invoke(pkg.cli.cli, a) for a in s])
     return timed, counts
 
 
