@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from weakref import WeakKeyDictionary
 
 import click
+import numpy as np
 
 from . import __version__
 from .construct import build_certificate, plant_response
@@ -52,7 +53,7 @@ from .fileio import (
     write_output,
 )
 from .lti import RationalFrequency, TransferFunction
-from .phase import coprime_grid, sweep_entries
+from .phase import sweep_entries
 from .sim import nyquist_gain, trajectory_csv, verify_cycle
 
 EXIT_OK = 0
@@ -164,61 +165,58 @@ def nyquist(plant_file, report):
 
 _SWEEP_KEYS = ("alpha", "beta", "T", "omega", "re", "im", "phase", "kbar",
                "feasible")
-# The constant text around the nine tokens of a row, as
-# json.dumps(rows, indent=2) writes it; the first row's opening piece
-# lacks the separator from the row before.
-_JSON_PIECES = ["\n  },\n  {\n    \"alpha\": "] + [
-    f',\n    "{key}": ' for key in _SWEEP_KEYS[1:]]
-_JSON_FIRST = "  {\n    \"alpha\": "
-_CSV_PIECES = ["\n"] + [","] * (len(_SWEEP_KEYS) - 1)
-# Per coprime grid: the text of the integers up to its largest T and of
-# each omega, rendered once and dropped with the grid.
-_GRID_TEXT: WeakKeyDictionary = WeakKeyDictionary()
+# Per format, the constant text ahead of each of the nine tokens of a
+# row: json.dumps(rows, indent=2)'s, whose first row lacks the break
+# from the row before, and CSV's.
+_JSON_BREAK = "\n  },\n"
+_PIECES = {
+    "json": [_JSON_BREAK + '  {\n    "alpha": '] + [
+        f',\n    "{key}": ' for key in _SWEEP_KEYS[1:]],
+    "csv": ["\n"] + [","] * (len(_SWEEP_KEYS) - 1),
+}
+# Per coprime grid and format: the head of each grid row, rendered once
+# and dropped with the grid.
+_ROW_HEADS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _sweep_columns(table) -> list[list]:
-    """The phase-sweep table as one list per key of _SWEEP_KEYS."""
-    return [table.alpha, table.beta, table.T, table.omega, table.re,
-            table.im, list(map(math.atan2, table.im, table.re)),
-            table.kbar_json(), table.feasible()]
+def _row_heads(grid, fmt: str) -> np.ndarray:
+    """The text of each row of the coprime grid up to its re value:
+    alpha, beta, T and omega with the pieces ahead of them and of re.
+    (str of a float is its repr.)"""
+    heads = _ROW_HEADS.setdefault(grid, {})
+    if fmt not in heads:
+        heads[fmt] = np.array(list(map("%s".join(_PIECES[fmt][:5]).__mod__,
+                                       zip(grid.alpha.tolist(),
+                                           grid.beta.tolist(),
+                                           grid.T.tolist(),
+                                           grid.omega.tolist()))),
+                              dtype=object)
+    return heads[fmt]
 
 
-def _grid_text(beta_max: int) -> tuple[list[str], dict[float, str]]:
-    """Text of the integers up to the largest T and of each omega of the
-    grid that coprime_grid holds for beta_max.  Every omega lies in
-    (0, pi), so no two keys alias (as -0.0 and 0.0 would) and none is a
-    NaN."""
-    grid = coprime_grid(beta_max)
-    text = _GRID_TEXT.get(grid)
-    if text is None:
-        omega = grid.omega.tolist()
-        text = _GRID_TEXT[grid] = (
-            list(map(str, range(2 * grid.beta_max + 1))),
-            dict(zip(omega, map(repr, omega))))
-    return text
-
-
-def _sweep_text(columns: list[list], fmt: str, beta_max: int) -> str:
+def _sweep_text(table, re: list, im: list, phase: list, fmt: str) -> str:
     """The table as json.dumps(rows, indent=2) would write it, or as CSV
-    with shortest round-trip floats and an empty kbar when infeasible,
-    joined once from the constant pieces and the tokens of each row.
-    Every float of the table is finite, so its JSON text is its repr."""
-    alpha, beta, T, omega, re, im, phase, kbar, feasible = columns
-    ints, omega_text = _grid_text(beta_max)
+    with shortest round-trip floats and an empty kbar when infeasible.
+    Each row is its grid row's head, the repr of re, im and phase, and
+    one kbar-plus-feasible token; the whole table is joined once.  Every
+    float of the table is finite, so its JSON text is its repr."""
+    pieces = _PIECES[fmt]
     null, inf = ("null", '"inf"') if fmt == "json" else ("", "inf")
-    tokens = [*(list(map(ints.__getitem__, c)) for c in (alpha, beta, T)),
-              list(map(omega_text.__getitem__, omega)),
-              *(list(map(repr, c)) for c in (re, im, phase)),
-              [null if k is None else inf if isinstance(k, str) else repr(k)
-               for k in kbar],
-              ["true" if f else "false" for f in feasible]]
-    pieces = _JSON_PIECES if fmt == "json" else _CSV_PIECES
-    width = 2 * len(pieces)
-    flat = [text for piece in pieces for text in (piece, "")] * len(alpha)
-    for i, column in enumerate(tokens):
-        flat[2 * i + 1::width] = column
+    kbar, feasible = pieces[7], pieces[8] + "true"
+    tails = np.array([None, kbar + inf + feasible,
+                      kbar + null + pieces[8] + "false"],
+                     dtype=object)[table.kind]
+    finite = table.kind == 0
+    tails[finite] = [kbar + k + feasible
+                     for k in map(repr, table.kbar[finite].tolist())]
+    flat = [None, None, pieces[5], None, pieces[6], None, None] * len(re)
+    flat[0::7] = _row_heads(table.grid, fmt)[table.rows].tolist()
+    flat[1::7] = map(repr, re)
+    flat[3::7] = map(repr, im)
+    flat[5::7] = map(repr, phase)
+    flat[6::7] = tails.tolist()
     if fmt == "json":
-        flat[0] = _JSON_FIRST
+        flat[0] = flat[0][len(_JSON_BREAK):]
         return "[\n" + "".join(flat) + "\n  }\n]"
     return ",".join(_SWEEP_KEYS) + "".join(flat)
 
@@ -237,15 +235,20 @@ def phase_sweep(plant_file, beta_max, odd, fmt, report):
     """Slope bounds for every coprime frequency pair up to --beta-max."""
     with _guard():
         plant = _rational_plant(load_plant(plant_file), "the sweep")
-        columns = _sweep_columns(sweep_entries(plant, beta_max,
-                                               odd_variant=odd))
-        click.echo(_sweep_text(columns, fmt, beta_max))
+        table = sweep_entries(plant, beta_max, odd_variant=odd)
+        re, im = table.re.tolist(), table.im.tolist()
+        phase = list(map(math.atan2, im, re))
+        click.echo(_sweep_text(table, re, im, phase, fmt))
         if report:
-            rows = [dict(zip(_SWEEP_KEYS, row)) for row in zip(*columns)]
+            columns = (table.alpha.tolist(), table.beta.tolist(),
+                       table.T.tolist(), table.omega.tolist(), re, im, phase,
+                       table.kbar_json(), table.feasible())
             _write_report(report, "phase-sweep",
                           {"beta_max": beta_max, "odd": odd},
-                          plant_echo(plant), {"rows": rows})
-        if not any(columns[-1]):
+                          plant_echo(plant),
+                          {"rows": [dict(zip(_SWEEP_KEYS, row))
+                                    for row in zip(*columns)]})
+        if not (table.kind < 2).any():
             raise EmptyResultError(
                 f"no feasible frequency pair with beta <= {beta_max}")
 

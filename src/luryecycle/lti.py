@@ -34,6 +34,7 @@ __all__ = [
     "PeriodicSignal",
     "freq_response",
     "dc_gain",
+    "polyval_rows",
     "dft_response",
 ]
 
@@ -178,14 +179,42 @@ def dc_gain(plant: TransferFunction) -> float:
     return freq_response(plant, 0.0).real
 
 
-def dft_response(nums, den, u: PeriodicSignal) -> list[np.ndarray]:
+def polyval_rows(rows, z) -> np.ndarray:
+    """Each coefficient row (descending powers) at the complex points z,
+    all rows in one Horner pass: row i, shaped like z, has the bits of
+    np.polyval(rows[i], z).  Shorter rows are padded with leading zeros,
+    which keep the sum at +0 as np.polyval's start does.
+
+    The bits depend on the host: numpy's array complex multiply is
+    FMA-fused under SIMD dispatch with FMA (X86_V4 among them); CPython's
+    complex multiply and numpy's complex scalars are not, so a Python
+    Horner loop gives other last bits.  Each multiply takes two arrays of
+    one shape into a third, as np.polyval's do: a broadcast multiply with
+    a one-element output, or one written over its input, can take a loop
+    that does not fuse."""
+    z = np.asarray(z)
+    n = max(map(len, rows))
+    coef = np.zeros((n, len(rows), 1), dtype=complex)
+    for i, row in enumerate(rows):
+        coef[n - len(row):, i, 0] = row
+    points = np.empty((len(rows), z.size), dtype=complex)
+    points[:] = z.ravel()
+    y = np.zeros_like(points)
+    product = np.empty_like(points)
+    for c in coef:
+        np.multiply(y, points, out=product)
+        np.add(product, c, out=y)
+    return y.reshape((len(rows),) + z.shape)
+
+
+def dft_response(nums, den, u: PeriodicSignal) -> np.ndarray:
     """Steady-state responses of num(z)/den(z), for each num in nums, to
-    the periodic input u, as arrays; the caller keeps the poles inside
-    the unit circle.  z = e^{j*2*pi*k/T} and den(z) are evaluated once
-    for all numerators."""
+    the periodic input u, one row each; the caller keeps the poles
+    inside the unit circle.  The numerators and den are evaluated at
+    z = e^{j*2*pi*k/T} in one pass, and the rows transformed back in
+    one irfft."""
     T = u.period
     z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
-    dz = np.polyval(den, z)
+    values = polyval_rows((*nums, den), z)
     spectrum = np.fft.rfft(u.as_array())
-    return [np.fft.irfft(np.polyval(num, z) / dz * spectrum, n=T)
-            for num in nums]
+    return np.fft.irfft(values[:-1] / values[-1] * spectrum, n=T)

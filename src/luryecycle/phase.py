@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, EmptyResultError, ZeroResponseError
-from .lti import RationalFrequency, TransferFunction
+from .lti import RationalFrequency, TransferFunction, polyval_rows
 
 # Classification tolerances.  PHASE_TOL is the slack of the window test;
 # RESPONSE_MAG_TOL guards the undefined phase of a zero response;
@@ -159,45 +159,6 @@ def _feasible_order(kbar: np.ndarray, T: np.ndarray,
     return order
 
 
-@dataclass(frozen=True)
-class SweepTable(Sequence):
-    """Slope bounds over the coprime grid, held as columns in table order.
-
-    Reading a row builds its :class:`SlopeBound`; a slice is a table
-    again.  kbar is None where the bound is not finite.
-    """
-
-    odd_variant: bool
-    alpha: list[int]
-    beta: list[int]
-    T: list[int]
-    omega: list[float]
-    re: list[float]
-    im: list[float]
-    kind: list[BoundKind]
-    kbar: list[float | None]
-
-    def __len__(self) -> int:
-        return len(self.alpha)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SweepTable(self.odd_variant, *(
-                getattr(self, f.name)[i] for f in fields(self)[1:]))
-        return SlopeBound(RationalFrequency(self.alpha[i], self.beta[i]),
-                          complex(self.re[i], self.im[i]), self.odd_variant,
-                          self.kind[i], self.kbar[i])
-
-    def feasible(self) -> list[bool]:
-        """SlopeBound.feasible of every row."""
-        return [k is not BoundKind.INFEASIBLE for k in self.kind]
-
-    def kbar_json(self) -> list:
-        """SlopeBound.kbar_json() of every row."""
-        return ["inf" if k is BoundKind.INFINITE else kb
-                for k, kb in zip(self.kind, self.kbar)]
-
-
 @dataclass(frozen=True, eq=False)
 class CoprimeGrid:
     """Every coprime pair 0 < alpha < beta <= beta_max in (beta, alpha)
@@ -254,6 +215,68 @@ def coprime_grid(beta_max: int) -> CoprimeGrid:
     return _grid
 
 
+_KINDS = tuple(BoundKind)
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """Slope bounds over the coprime grid, held as numpy columns in table
+    order: the grid row of each table row, the response's re and im, the
+    kind code (0 finite, 1 inf, 2 infeasible) and kbar (NaN where not
+    finite).
+
+    Reading a row builds its :class:`SlopeBound`; a slice is a table
+    again.  alpha, beta, T and omega are read from the grid.
+    """
+
+    odd_variant: bool
+    grid: CoprimeGrid
+    rows: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    kind: np.ndarray
+    kbar: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SweepTable(self.odd_variant, self.grid, *(
+                getattr(self, f.name)[i] for f in fields(self)[2:]))
+        row = self.rows[i]
+        kind = _KINDS[self.kind[i]]
+        return SlopeBound(
+            RationalFrequency(self.grid.alpha[row], self.grid.beta[row]),
+            complex(self.re[i], self.im[i]), self.odd_variant, kind,
+            float(self.kbar[i]) if kind is BoundKind.FINITE else None)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.grid.alpha[self.rows]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.grid.beta[self.rows]
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.grid.T[self.rows]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.grid.omega[self.rows]
+
+    def feasible(self) -> list[bool]:
+        """SlopeBound.feasible of every row."""
+        return (self.kind < 2).tolist()
+
+    def kbar_json(self) -> list:
+        """SlopeBound.kbar_json() of every row."""
+        return [kb if k == 0 else "inf" if k == 1 else None
+                for k, kb in zip(self.kind.tolist(), self.kbar.tolist())]
+
+
 def sweep_entries(plant: TransferFunction, beta_max: int,
                   odd_variant: bool = False) -> SweepTable:
     """Slope bounds for every coprime pair 0 < alpha < beta <= beta_max.
@@ -266,42 +289,31 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
     grid = coprime_grid(beta_max)
     n = grid.size(beta_max)
-    alpha, beta, T, omega = (grid.alpha[:n], grid.beta[:n], grid.T[:n],
-                             grid.omega[:n])
-    # The same Horner steps as lti.freq_response, on all points at once.
+    # lti.freq_response's bits, on all points at once
     with np.errstate(all="ignore"):
-        resp = (np.polyval(plant.num, grid.z[:n])
-                / np.polyval(plant.den, grid.z[:n]))
+        num_z, den_z = polyval_rows((plant.num, plant.den), grid.z[:n])
+        resp = num_z / den_z
     overflow = ~np.isfinite(resp)
     if overflow.any():
         i = int(np.argmax(overflow))
         raise DomainError(f"response {complex(resp[i])!r} at omega = "
-                          f"{alpha[i]}*pi/{beta[i]} is not finite")
+                          f"{grid.alpha[i]}*pi/{grid.beta[i]} is not finite")
     kind, kbar = _slope_bounds(
         resp, (grid.tan_odd if odd_variant else grid.tan_even)[:n])
     feasible = np.flatnonzero(kind < 2)
     order = np.concatenate([
         feasible[_feasible_order(np.where(kind == 0, kbar, np.inf)[feasible],
-                                 T[feasible], beta[feasible])],
+                                 grid.T[feasible], grid.beta[feasible])],
         np.flatnonzero(kind == 2)])
-    # The finite bounds sort ahead of the monotone-only limits.
-    n, n_feasible = order.size, feasible.size
-    n_finite = int(np.count_nonzero(kind == 0))
-    return SweepTable(
-        odd_variant, alpha[order].tolist(), beta[order].tolist(),
-        T[order].tolist(), omega[order].tolist(),
-        resp.real[order].tolist(), resp.imag[order].tolist(),
-        [BoundKind.FINITE] * n_finite
-        + [BoundKind.INFINITE] * (n_feasible - n_finite)
-        + [BoundKind.INFEASIBLE] * (n - n_feasible),
-        kbar[order[:n_finite]].tolist() + [None] * (n - n_finite))
+    return SweepTable(odd_variant, grid, order, resp.real[order],
+                      resp.imag[order], kind[order], kbar[order])
 
 
 def grid_search(plant: TransferFunction, beta_max: int,
                 odd_variant: bool = False) -> SweepTable:
     """Feasible slope bounds over the coprime grid, best (smallest) first."""
     table = sweep_entries(plant, beta_max, odd_variant)
-    found = len(table) - table.kind.count(BoundKind.INFEASIBLE)
+    found = int(np.count_nonzero(table.kind < 2))
     if not found:
         raise EmptyResultError(
             f"no feasible frequency pair with beta <= {beta_max}")

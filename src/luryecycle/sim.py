@@ -67,7 +67,7 @@ from .lti import (
     PeriodicSignal,
     TransferFunction,
     dft_response,
-    freq_response,
+    polyval_rows,
 )
 
 # Verification constants: VERDICT_TOL is the pass threshold for
@@ -418,17 +418,26 @@ def nyquist_gain(plant: TransferFunction) -> float:
     k = -1/D after crossing the circle; -1/D still bounds k_N if rounding
     hides that crossing.
     """
+    if not any(plant.num):  # G = 0
+        return math.inf
     den = np.array(plant.den)
     num = np.zeros(den.size)
     num[den.size - len(plant.num):] = plant.num
-    real_g = np.polysub(np.polymul(num, den[::-1]),
-                        np.polymul(den, num[::-1]))
+    # np.polymul's products: the operands stripped of their leading
+    # zeros, as its poly1d strips them, keep its summation order
+    real_g = np.polysub(
+        np.convolve(plant.num, np.trim_zeros(den[::-1], "f")),
+        np.convolve(den, np.trim_zeros(num[::-1], "f")))
     if not np.all(np.isfinite(real_g)):
         raise DomainError("the plant coefficients overflow the polynomial "
                           "of the real-axis crossings")
     omegas = [0.0, math.pi] + [float(np.angle(z)) for z in np.roots(real_g)
                                if abs(abs(z) - 1.0) <= MARGIN_TOL]
-    responses = [freq_response(plant, omega) for omega in omegas]
+    # the points and bits of freq_response at each omega
+    with np.errstate(all="ignore"):
+        num_z, den_z = polyval_rows((plant.num, plant.den), [
+            complex(math.cos(w), math.sin(w)) for w in omegas])
+        responses = (num_z / den_z).tolist()
     for omega, g in zip(omegas, responses):
         if not np.isfinite(g):
             raise DomainError(

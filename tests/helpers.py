@@ -43,6 +43,7 @@ from luryecycle.phase import (
     SlopeBound,
 )
 from luryecycle.sim import (
+    MARGIN_TOL,
     _loop_solver,
     interpolation_residual,
     simulate_closed_loop,
@@ -325,6 +326,24 @@ def nyquist_scan_reference(plant: TransferFunction, k_max: float,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def nyquist_reference(plant: TransferFunction) -> float:
+    """The gain margin in np.polymul / np.polysub form, one freq_response
+    per crossing: the form nyquist_gain must equal bit for bit."""
+    den = np.array(plant.den)
+    num = np.zeros(den.size)
+    num[den.size - len(plant.num):] = plant.num
+    real_g = np.polysub(np.polymul(num, den[::-1]),
+                        np.polymul(den, num[::-1]))
+    omegas = [0.0, math.pi] + [float(np.angle(z)) for z in np.roots(real_g)
+                               if abs(abs(z) - 1.0) <= MARGIN_TOL]
+    responses = [freq_response(plant, omega) for omega in omegas]
+    gains = [-1.0 / g.real for g in responses
+             if g.real < 0.0 and abs(g.imag) <= MARGIN_TOL * abs(g)]
+    if num[0] < 0.0:
+        gains.append(-1.0 / float(num[0]))
+    return min(gains, default=math.inf)
 
 
 def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:

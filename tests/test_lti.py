@@ -15,8 +15,11 @@ from luryecycle.lti import (
     POLE_MARGIN,
     PeriodicSignal,
     dc_gain,
+    dft_response,
     freq_response,
+    polyval_rows,
 )
+from luryecycle.phase import coprime_grid
 from helpers import (
     add_constant,
     circulant,
@@ -291,3 +294,58 @@ class TestPeriodicResponse:
         y = periodic_response(g, PeriodicSignal((1.0, -1.0))).as_array()
         gm1 = np.polyval(g.num, -1.0) / np.polyval(g.den, -1.0)
         assert y == pytest.approx([gm1, -gm1])
+
+
+coefficient_rows = st.lists(
+    st.one_of(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=13),
+              st.lists(st.just(0.0), min_size=1, max_size=3)),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def evaluation_points(draw):
+    """A scalar point, 1-400 points on the unit circle, the coprime grid's
+    z, or the DFT bins of a period."""
+    kind = draw(st.sampled_from(("scalar", "circle", "grid", "dft")))
+    if kind == "scalar":
+        w = draw(st.floats(-math.pi, math.pi))
+        return complex(math.cos(w), math.sin(w))
+    if kind == "circle":
+        w = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1,
+                          max_size=400))
+        return np.array([complex(math.cos(x), math.sin(x)) for x in w])
+    if kind == "grid":
+        beta_max = draw(st.integers(2, 40))
+        grid = coprime_grid(beta_max)
+        return grid.z[:grid.size(beta_max)]
+    T = draw(st.integers(1, 400))
+    return np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
+
+
+class TestPolyvalRows:
+    @settings(max_examples=300)
+    @given(coefficient_rows, evaluation_points())
+    def test_each_row_is_np_polyval_bit_for_bit(self, rows, z):
+        values = polyval_rows(rows, z)
+        assert values.shape == (len(rows),) + np.shape(z)
+        for row, value in zip(rows, values):
+            assert value.tobytes() == np.asarray(
+                np.polyval(row, z)).tobytes()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400),
+           st.integers(1, 3))
+    def test_batched_dft_response_is_the_per_row_irfft(self, seed, T, m):
+        rng = np.random.default_rng(seed)
+        g = random_stable_tf(rng, max_order=6)
+        nums = [tuple(rng.normal(size=int(rng.integers(1, len(g.den) + 1))))
+                for _ in range(m)]
+        u = PeriodicSignal(tuple(rng.normal(size=T)))
+        z = np.exp(2j * np.pi * np.arange(T // 2 + 1) / T)
+        spectrum = np.fft.rfft(u.as_array())
+        got = dft_response(nums, g.den, u)
+        assert got.shape == (m, T)
+        for num, row in zip(nums, got):
+            want = np.fft.irfft(np.polyval(num, z) / np.polyval(g.den, z)
+                                * spectrum, n=T)
+            assert row.tobytes() == want.tobytes()

@@ -5,6 +5,8 @@ Plants come from helpers.random_stable_tf, seeded by hypothesis.  Below
 k_N every closed-loop pole lies strictly inside the unit circle; at a
 finite k_N one reaches the circle, or escapes through infinity at
 k = -1/D; and the reference scan never finds a crossing below k_N.
+k_N also equals, bit for bit, the margin computed in np.polymul form
+with one freq_response per crossing.
 """
 
 import math
@@ -17,6 +19,7 @@ from luryecycle import nyquist_gain
 
 from helpers import (
     closed_loop_radius,
+    nyquist_reference,
     nyquist_scan_reference,
     random_stable_tf,
     realize,
@@ -50,3 +53,8 @@ def test_margin_is_the_first_unstable_gain(g):
     scan = nyquist_scan_reference(g, SCAN_K_MAX, SCAN_TOL)
     if scan is not None:
         assert k_n <= scan + SCAN_TOL
+
+
+@given(plants)
+def test_margin_equals_the_polymul_form_bit_for_bit(g):
+    assert nyquist_gain(g).hex() == nyquist_reference(g).hex()

@@ -242,10 +242,26 @@ class TestSweep:
         table = sweep_entries(example_plant, 12)
         assert table.feasible() == [e.feasible for e in table]
         assert table.kbar_json() == [e.kbar_json() for e in table]
-        assert table.omega == [e.freq.omega for e in table]
-        assert table.T == [e.freq.T for e in table]
+        assert table.omega.tolist() == [e.freq.omega for e in table]
+        assert table.T.tolist() == [e.freq.T for e in table]
         assert list(table[3:9]) == list(table)[3:9]
         assert table[-1] == list(table)[-1]
+
+    def test_table_reads(self, example_plant):
+        for odd in (False, True):
+            table = sweep_entries(example_plant, 12, odd_variant=odd)
+            rows = list(table)
+            assert table[-3] == rows[-3]
+            with pytest.raises(IndexError):
+                table[len(rows)]
+            assert len(table[5:5]) == 0 and list(table[5:5]) == []
+            assert table[5:5].feasible() == table[5:5].kbar_json() == []
+            part = table[2:20][3:9:2]
+            assert list(part) == rows[2:20][3:9:2]
+            assert part.alpha.tolist() == [e.freq.alpha for e in part]
+            assert part.beta.tolist() == [e.freq.beta for e in part]
+            assert part.odd_variant is odd
+            assert all(e.odd_variant is odd for e in part)
 
     def test_near_ties_group_from_their_first_value(self):
         # Three bounds in steps of 0.8*KBAR_TIE_TOL: the first two tie,

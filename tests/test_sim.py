@@ -510,6 +510,10 @@ class TestNyquistGain:
     def test_static_plant_never_crosses(self):
         assert nyquist_gain(TransferFunction((0.5,), (1.0,))) == math.inf
 
+    def test_zero_plant_never_crosses(self):
+        g = TransferFunction((0.0, 0.0), (1.0, -0.5))
+        assert nyquist_gain(g) == math.inf
+
     def test_subnormal_negative_feedthrough_bound_overflows_quietly(self):
         # -1/D = 2e323 is beyond the float range: the bound is inf, with
         # no RuntimeWarning (which the suite turns into an error).

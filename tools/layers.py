@@ -16,6 +16,11 @@ for B and their ratio B/A.  The plant is G = z/(z^2 - 1.8 z + 0.81)
 feedthrough simulations.
 Measurements:
 
+- lti.freq_response at a scalar frequency on the plant (order 2) and on
+  1/(z - 0.5)^8 (order 8), and lti.dft_response at T = 7, 101 and 301
+  on the input of the even-window slope-k certificate at (T - 1, T)
+  with verify_cycle's numerators, num and z^n; each key times 100
+  calls;
 - phase.sweep_entries at beta_max 20, 100, 300 and 1000, and
   phase.grid_search at 1000;
 - the phase-sweep command in-process (click's main, output written to
@@ -98,6 +103,8 @@ SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
 RESIDUAL_PERIODS = (101, 301, 1001)
 VERIFY_PERIODS = (7, 21, 101, 301, 1001)
+DFT_PERIODS = (7, 101, 301)
+CALLS = 100
 SESSION_PERIODS = (7, 21)
 SESSION_BETA_MAX = 20
 NEVER_REPEATS_T = 7
@@ -234,6 +241,11 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     def add(key, fn, setup=None):
         timed.append((key, fn, setup))
 
+    g8 = pkg.TransferFunction((1.0,), tuple(
+        math.comb(8, k) * (-0.5) ** k for k in range(9)))
+    for plant in (g, g8):
+        add(f"lti.freq_response order={plant.order} x{CALLS}",
+            lambda p=plant: [freq_response(p, 0.3) for _ in range(CALLS)])
     for beta_max in SWEEP_BETA_MAX:
         add(f"phase.sweep_entries beta_max={beta_max}",
             lambda b=beta_max: sweep_entries(g, b), clear_grid)
@@ -273,6 +285,11 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             verify_certs[f"T={T} {'odd' if odd else 'even'} k"] = \
                 build_certificate(g, freq, odd=odd,
                                   slope=_slope_k(resp, T, odd))
+    for T in DFT_PERIODS:
+        add(f"lti.dft_response T={T} x{CALLS}",
+            lambda u=verify_certs[f"T={T} even k"].u: [
+                pkg.lti.dft_response((g.num, (1.0, 0.0, 0.0)), g.den, u)
+                for _ in range(CALLS)])
     cert = build_certificate(g, RationalFrequency(1000, 1001))
     steps = SIM_PERIODS * cert.u.period
     x0 = _initial_state(sim, g, cert)
