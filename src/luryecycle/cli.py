@@ -174,8 +174,8 @@ _PIECES = {
         f',\n    "{key}": ' for key in _SWEEP_KEYS[1:]],
     "csv": ["\n"] + [","] * (len(_SWEEP_KEYS) - 1),
 }
-# Per coprime grid and format: the head of each grid row, rendered once
-# and dropped with the grid.
+# Per coprime grid: the format last rendered and the head of each grid
+# row in it, dropped with the grid or when the other format is rendered.
 _ROW_HEADS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -183,15 +183,14 @@ def _row_heads(grid, fmt: str) -> np.ndarray:
     """The text of each row of the coprime grid up to its re value:
     alpha, beta, T and omega with the pieces ahead of them and of re.
     (str of a float is its repr.)"""
-    heads = _ROW_HEADS.setdefault(grid, {})
-    if fmt not in heads:
-        heads[fmt] = np.array(list(map("%s".join(_PIECES[fmt][:5]).__mod__,
-                                       zip(grid.alpha.tolist(),
-                                           grid.beta.tolist(),
-                                           grid.T.tolist(),
-                                           grid.omega.tolist()))),
-                              dtype=object)
-    return heads[fmt]
+    held, heads = _ROW_HEADS.get(grid, (None, None))
+    if held != fmt:
+        heads = np.array(list(map("%s".join(_PIECES[fmt][:5]).__mod__,
+                                  zip(grid.alpha.tolist(), grid.beta.tolist(),
+                                      grid.T.tolist(), grid.omega.tolist()))),
+                         dtype=object)
+        _ROW_HEADS[grid] = fmt, heads
+    return heads
 
 
 def _sweep_text(table, re: list, im: list, phase: list, fmt: str) -> str:

@@ -1,8 +1,9 @@
 """End-to-end construction of destabilizing nonlinearities with certificates.
 
 The construction reads two numbers from the plant, its response
-G(e^{j*omega}) at omega = alpha*pi/beta and its dc gain G(1), and takes
-the same steps for every plant form:
+G(e^{j*omega}) at omega = alpha*pi/beta and its dc gain G(1) (for a
+rational plant, from one Horner pass), and takes the same steps for
+every plant form:
 
 1. shifts the response by 1/k when a finite slope class is requested
    (G + 1/k trades the slope-k class for the monotone one);
@@ -52,7 +53,7 @@ from .lti import (
     RationalFrequency,
     TransferFunction,
     dc_gain,
-    freq_response,
+    polyval_rows,
 )
 from .phase import PHASE_TOL, phase_check
 from .sim import (
@@ -70,6 +71,7 @@ __all__ = [
     "CERT_RESIDUAL_TOL",
     "AnchorPlant",
     "Plant",
+    "plant_values",
     "plant_response",
     "plant_dc",
     "ConstructionCertificate",
@@ -106,29 +108,34 @@ class AnchorPlant:
 Plant = TransferFunction | AnchorPlant
 
 
-def plant_response(plant: Plant, freq: RationalFrequency) -> complex:
-    """Plant value at omega = alpha*pi/beta for either plant form."""
+def plant_values(plant: Plant,
+                 freq: RationalFrequency) -> tuple[complex, float | None]:
+    """The response and dc value of either plant form; a rational plant's
+    from one Horner pass at e^{j*omega} and 1, with np.polyval's bits."""
     if isinstance(plant, TransferFunction):
-        return freq_response(plant, freq.omega)
+        z = complex(math.cos(freq.omega), math.sin(freq.omega))
+        with np.errstate(all="ignore"):
+            (num_z, num_1), (den_z, den_1) = polyval_rows(
+                (plant.num, plant.den), [z, 1.0])
+            return complex(num_z / den_z), float((num_1 / den_1).real)
     if abs(plant.omega - freq.omega) > ANCHOR_OMEGA_TOL:
         raise PlantValidationError(
             f"anchor is pinned at omega = {plant.omega:.12g}, not at "
             f"{freq.alpha}*pi/{freq.beta} = {freq.omega:.12g}")
-    return plant.value
+    return plant.value, plant.dc
+
+
+def plant_response(plant: Plant, freq: RationalFrequency) -> complex:
+    """Plant value at omega = alpha*pi/beta for either plant form."""
+    return plant_values(plant, freq)[0]
 
 
 def plant_dc(plant: Plant) -> float | None:
-    if isinstance(plant, TransferFunction):
-        return dc_gain(plant)
-    return plant.dc
+    return dc_gain(plant) if isinstance(plant, TransferFunction) else plant.dc
 
 
-_VARIANTS = {
-    (False, False): "monotone_inf",
-    (True, False): "odd_inf",
-    (False, True): "slope_k",
-    (True, True): "odd_slope_k",
-}
+_VARIANTS = {(False, False): "monotone_inf", (True, False): "odd_inf",
+             (False, True): "slope_k", (True, True): "odd_slope_k"}
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
     finite = math.isfinite(slope)
     shift_c = 1.0 / slope if finite else 0.0
 
-    resp0 = plant_response(plant, freq)
+    resp0, dc0 = plant_values(plant, freq)
     resp = resp0 + shift_c
     # The one magnitude check: a response whose modulus overflows, though
     # both its parts are finite, would fail later in abs() or in the sums
@@ -203,16 +210,15 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             + (f" for the shifted plant G + 1/{slope:.9g}" if finite else ""),
             delta=delta, bound=bound)
 
-    T = freq.T
-    w = freq.omega
-    u = np.cos(w * np.arange(T))
-    dc0 = plant_dc(plant)
+    T, w = freq.T, freq.omega
+    k = np.arange(T)
+    u = np.cos(w * k)
     dc = None if dc0 is None else dc0 + shift_c
 
     xi = 0.0
     shifted = freq.alpha % 2 == 0 and not odd
     with np.errstate(all="ignore"):
-        ytilde = (resp * np.exp(1j * w * np.arange(T))).real
+        ytilde = (resp * np.exp(1j * w * k)).real
         if shifted:
             if dc is None:
                 raise PlantValidationError(
@@ -220,13 +226,13 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
                     "construction without the odd option")
             if not math.isfinite(dc):
                 raise DomainError(f"dc gain {dc!r} is not finite")
-            xi = compute_shift(np.column_stack((ytilde, -u)), dc)
+            xi = compute_shift(np.array((ytilde, -u)).T, dc)
             u = u + xi
             ytilde = ytilde + xi * dc
         # |resp| is finite, so only the shift can overflow the outputs.
-        if not np.all(np.isfinite(ytilde)):
+        if not np.isfinite(ytilde).all():
             raise DomainError(f"response {resp0!r} overflows the cycle data")
-    data = np.column_stack((ytilde, -u))
+    data = np.array((ytilde, -u)).T
     # Test the origin before the loop transform: on the final phi the
     # test decides 590 of 24,000 near-edge anchor builds differently.
     phi = interpolate(data) if shifted else None
@@ -255,7 +261,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             period=T,
             residual_periodicity=0.0,
             residual_interpolation=interpolation_residual(phi, y_sig, u),
-            nontrivial=bool(np.max(np.abs(y_sig)) > NONTRIVIAL_TOL))
+            nontrivial=bool(abs(y_sig).max() > NONTRIVIAL_TOL))
     # a NaN residual (a run that overflowed) fails too
     if (not verdict.residual_periodicity <= CERT_RESIDUAL_TOL
             or not verdict.residual_interpolation <= CERT_RESIDUAL_TOL

@@ -15,7 +15,7 @@ xi; the caller shifts and interpolates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +75,9 @@ class PiecewiseNonlinearity:
     (ys[i+1], los[i+1]); outside the span it continues constant.  A
     finite slope_bound asserts membership of the class with chord slopes
     in [0, slope_bound], which forces every breakpoint single-valued.
+    Construction sets y_tol, the snap width at a breakpoint, from the
+    breakpoints (so reloaded graphs agree), is_single_valued, and bounds,
+    functions (lower, upper) of y whose values span the value set at y.
     """
 
     ys: tuple[float, ...]
@@ -91,17 +94,19 @@ class PiecewiseNonlinearity:
             i = np.logical_and.reduce(np.isfinite(cols)).argmin()
             raise ValueError(f"breakpoint {Breakpoint(*cols[:, i].tolist())}"
                              " is not finite")
-        for name, col in zip(("ys", "los", "his"), cols.tolist()):
-            object.__setattr__(self, name, tuple(col))
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "slope_bound", float(self.slope_bound))
-        if not self.ys:
+        ys, los, his = cols.tolist()
+        slope_bound = float(self.slope_bound)
+        if not ys:
             raise ValueError("a nonlinearity needs at least one breakpoint")
-        if not self.slope_bound > 0:
+        if not slope_bound > 0:
             raise ValueError("slope_bound must be positive")
-        y, lo, hi = cols
+        y, lo, hi = rows = tuple(cols)
+        self.__dict__.update(
+            ys=tuple(ys), los=tuple(los), his=tuple(his), _cols=cols,
+            _rows=rows, slope_bound=slope_bound, is_single_valued=los == his,
+            y_tol=Y_TOL_FACTOR * max(1.0, -ys[0], ys[-1]))
         slack = INTERPOLABLE_TOL * max(1.0, *mags[1:])
-        bad = np.zeros((len(y), 3), dtype=bool)
+        bad = np.zeros((len(ys), 3), dtype=bool)
         with np.errstate(all="ignore"):
             np.greater(lo, hi + slack, out=bad[:, 0])
             np.less_equal(y[1:], y[:-1], out=bad[1:, 1])
@@ -124,31 +129,16 @@ class PiecewiseNonlinearity:
                     raise _Flaw(f"chord slope {peak:.9g} exceeds the "
                                 f"declared bound {self.slope_bound:.9g}",
                                 peak)
-            if self.odd and (flaw := _odd_flaw(self, cols, self.y_tol, hi)):
+            self.__dict__["bounds"] = (
+                _graph_end(self.ys, self.los, self.los, self.his, self.y_tol),
+                _graph_end(self.ys, self.his, self.los, self.his, self.y_tol))
+            if self.odd and (flaw := _odd_flaw(self, self.y_tol, hi)):
                 raise ValueError(f"odd flag set but {flaw}")
 
     @cached_property
     def breakpoints(self) -> tuple[Breakpoint, ...]:
         """The breakpoints one by one, built when first read."""
         return tuple(map(Breakpoint, self.ys, self.los, self.his))
-
-    @cached_property
-    def y_tol(self) -> float:
-        """Snap width for evaluation at (nearly) a breakpoint; derived from
-        the breakpoints so stored and reloaded graphs agree."""
-        return Y_TOL_FACTOR * max(1.0, -self.ys[0], self.ys[-1])
-
-    @cached_property
-    def bounds(self) -> tuple[Callable[[float], float],
-                              Callable[[float], float]]:
-        """Functions (lower, upper): the value set at y is the interval
-        [lower(y), upper(y)], and a single-valued phi is lower itself."""
-        return (_graph_end(self.ys, self.los, self.los, self.his, self.y_tol),
-                _graph_end(self.ys, self.his, self.los, self.his, self.y_tol))
-
-    @cached_property
-    def is_single_valued(self) -> bool:
-        return self.los == self.his
 
     @cached_property
     def origin_gap(self) -> float:
@@ -166,29 +156,28 @@ class PiecewiseNonlinearity:
         chord's start); at the ends +-inf snap to los[0] or his[-1], and
         t = 1 times a rise of -0.0 keeps the chord at its start."""
         n = len(self.ys)
-        ys, lo, hi = self._cols
+        ys, lo, hi = self._rows
         table = np.empty((7, n + 4))
         table[:, :2] = _TABLE_ENDS[:, :2]
         table[:, n + 1:] = _TABLE_ENDS[:, 2:]
-        table[5:, :2], table[5:, n + 2:] = lo[0], hi[-1]
-        table[0, 2:n + 2], table[1:3, 1:n + 1] = ys, ys
+        table[5:, :2], table[5:, n + 2:] = self.los[0], self.his[-1]
+        table[0, 2:n + 2] = table[1, 1:n + 1] = table[2, 1:n + 1] = ys
         table[5:, 2:n + 2] = self._cols[1:]
         np.subtract(ys[1:], ys[:-1], out=table[3, 2:n + 1])
         np.subtract(lo[1:], hi[:-1], out=table[4, 2:n + 1])
         y = np.asarray(y, dtype=float)
         s = table[2, :-1].searchsorted(y)
-        left, right, _, width, rise, _, start = table[:, s]
-        dl = y - left
-        dr = right - y
-        t = dl / width
-        chord = start + np.minimum(t, 1.0, out=t) * rise
+        at = table.take(s, axis=1)
+        dl = y - at[0]
+        dr = at[1] - y
+        chord = at[6] + np.minimum(dl / at[3], 1.0) * at[4]
         # the nearer breakpoint within y_tol, the left one on a tie
         snapped = np.minimum(dl, dr) <= self.y_tol
-        k = s + (dl > dr)
-        lower = np.where(snapped, table[5, k], chord)
+        s += dl > dr
+        lower = np.where(snapped, table[5].take(s), chord)
         if lo.tobytes() == hi.tobytes():
             return lower, lower
-        return lower, np.where(snapped, table[6, k], chord)
+        return lower, np.where(snapped, table[6].take(s), chord)
 
     def guards(self, outputs) -> list[list[float]]:
         """Snap guards of the outputs: three lists lo, hi and v of one
@@ -206,7 +195,7 @@ class PiecewiseNonlinearity:
         if y > ys[j], where the first test picks ys[j] over the farther
         ys[j+1], or else j, where the first test fails on ys[j-1] (or
         i = 0) and the second picks ys[j]."""
-        ys, lo, _ = self._cols
+        ys, lo, _ = self._rows
         tol = self.y_tol
         h, t = tol - tol / 256, tol + tol / 256
         table = np.array((ys - h, ys + h, -lo))
@@ -257,7 +246,7 @@ def _sorted(data) -> np.ndarray:
     pts = np.ascontiguousarray(data, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
         raise ValueError("data must be a non-empty sequence of (y, v) pairs")
-    return pts[pts.view(complex).ravel().argsort(kind="stable")]
+    return pts.take(pts.view(complex).ravel().argsort(kind="stable"), axis=0)
 
 
 def _clusters(data) -> tuple[np.ndarray, float]:
@@ -272,8 +261,8 @@ def _clusters(data) -> tuple[np.ndarray, float]:
     cut = ys[1:] - ys[:-1] > eps
     if np.count_nonzero(cut) == len(cut):
         return np.array((ys + 0.0, vs, vs)), eps
-    first = np.flatnonzero(np.concatenate(([True], cut)))
-    last = np.flatnonzero(np.concatenate((cut, [True])))
+    ends = np.flatnonzero(np.concatenate(([True], cut, [True])))
+    first, last = ends[:-1], ends[1:] - 1
     a, b = vs[first], vs[last]
     cols = np.array((ys[first] + np.where(last > first, ys[last], 0.0) + 0.0,
                      np.where(b < a, b, a), np.where(b > a, b, a)))
@@ -313,32 +302,39 @@ def interpolate(data, slope_bound: float = math.inf) -> PiecewiseNonlinearity:
                 f"transformed data needs chord slope {exc.peak:.9g}, "
                 f"outside the class limit {slope_bound:.9g}") from exc
         # The odd=True check of construction, with the data's widths.
-        if _odd_flaw(phi, cols, eps, cols[1:]) is None:
+        if _odd_flaw(phi, eps, cols[1:]) is None:
             object.__setattr__(phi, "odd", True)
     return phi
 
 
-def _odd_flaw(phi: PiecewiseNonlinearity, cols: np.ndarray, tol_y: float,
+def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
               values: np.ndarray) -> str | None:
-    """Why phi, with (3, N) columns cols, is not odd within tol_y and the
-    clustering width of values, or None when it is: every breakpoint
-    needs a mirror at -y with the negated value interval (the candidates
-    lie within 2*tol_y, so rounding drops none), and phi(0) must hold 0."""
-    ys = cols[0]
-    first = ys.searchsorted(-ys - 2.0 * tol_y)
-    stop = ys.searchsorted(-ys + 2.0 * tol_y, side="right")
-    mirrored = np.zeros(len(ys), dtype=bool)
-    if first[0] < stop[0]:  # else the first has none, as for most data
-        tol_v = Y_TOL_FACTOR * max(1.0, float(np.abs(values).max()))
-        tols = np.array(((tol_y,), (tol_v,), (tol_v,)))
+    """Why phi is not odd within tol_y and the clustering width of
+    values, or None when it is: every breakpoint needs a mirror at -y
+    with the negated value interval (only candidates within 2*tol_y of
+    -y can pass, and rounding drops none), and phi(0) must hold 0.
+    Tried in turn: the first breakpoint alone, mirror n-1-i of each i
+    (which odd data passes), and every candidate of every breakpoint."""
+    ys = phi.ys
+    if (bisect_left(ys, -ys[0] - 2.0 * tol_y)
+            >= bisect_right(ys, -ys[0] + 2.0 * tol_y)):
+        return f"no mirror of the breakpoint at y={ys[0]!r} exists"
+    cols, y = phi._cols, phi._rows[0]
+    tol_v = Y_TOL_FACTOR * max(1.0, float(np.abs(values).max()))
+    tols = np.array(((tol_y,), (tol_v,), (tol_v,)))
+    # y, v_hi, v_lo of each, to add to y, v_lo, v_hi of its mirror
+    mirrors = cols.take((0, 2, 1), axis=0)
+    mirrored = np.logical_and.reduce(np.abs(cols[:, ::-1] + mirrors) <= tols)
+    if np.count_nonzero(mirrored) < len(ys):
+        first = y.searchsorted(-y - 2.0 * tol_y)
+        stop = y.searchsorted(-y + 2.0 * tol_y, side="right")
         for k in range(int(np.maximum.reduce(stop - first))):
             m = np.minimum(first + k, len(ys) - 1)
-            # y, v_lo, v_hi of candidate m plus y, v_hi, v_lo of each
             mirrored |= (first + k < stop) & np.logical_and.reduce(
-                np.abs(cols[:, m] + cols[[0, 2, 1]]) <= tols)
-    if np.count_nonzero(mirrored) < len(ys):
-        b = phi.ys[mirrored.argmin()]
-        return f"no mirror of the breakpoint at y={b!r} exists"
+                np.abs(cols.take(m, axis=1) + mirrors) <= tols)
+        if np.count_nonzero(mirrored) < len(ys):
+            b = ys[mirrored.argmin()]
+            return f"no mirror of the breakpoint at y={b!r} exists"
     if phi.origin_gap > ORIGIN_TOL:
         return "0 is not in phi(0)"
     return None
@@ -360,8 +356,8 @@ def odd_append(data) -> np.ndarray:
         if not np.count_nonzero(chained):
             return s
         eps_v = Y_TOL_FACTOR * max(1.0, np.maximum.reduce(np.abs(vs)))
-        starts = np.flatnonzero(np.concatenate(([True], ~chained)))
-        sizes = np.flatnonzero(np.concatenate((~chained, [True]))) - starts + 1
+        ends = np.flatnonzero(np.concatenate(([True], ~chained, [True])))
+        starts, sizes = ends[:-1], ends[1:] - ends[:-1]
         kept = np.ones(len(ys), dtype=bool)
         for p in range(1, int(np.maximum.reduce(sizes))):
             at = starts[sizes > p] + p
@@ -370,7 +366,7 @@ def odd_append(data) -> np.ndarray:
                 dup |= (kept[j] & (ys[at] - ys[j] <= eps_y)
                         & (np.abs(vs[at] - vs[j]) <= eps_v))
             kept[at] = ~dup
-    return s[kept]
+    return s.compress(kept, axis=0)
 
 
 def compute_shift(data, dc: float) -> float:
@@ -393,7 +389,8 @@ def compute_shift(data, dc: float) -> float:
         (ys, los, his), _ = _clusters(data)
         keep = np.repeat(his > los, 2)
         keep[::2] = True
-        vy, vv = np.array((ys, los, ys, his)).T.reshape(-1, 2)[keep].T
+        vy, vv = np.array((ys, los, ys, his)).T.reshape(-1, 2).compress(
+            keep, axis=0).T
         y0, v0 = vy[:-1], vv[:-1]
         dv = vv[1:] - v0
         det = (vy[1:] - y0) + dc * dv

@@ -199,8 +199,8 @@ def polyval_rows(rows, z) -> np.ndarray:
         coef[n - len(row):, i, 0] = row
     points = np.empty((len(rows), z.size), dtype=complex)
     points[:] = z.ravel()
-    y = np.zeros_like(points)
-    product = np.empty_like(points)
+    y = np.zeros(points.shape, dtype=complex)
+    product = np.empty(points.shape, dtype=complex)
     for c in coef:
         np.multiply(y, points, out=product)
         np.add(product, c, out=y)

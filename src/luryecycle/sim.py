@@ -261,7 +261,7 @@ class Trajectory:
         later difference equals one of those."""
         y = _tile(self.stepped_y, self.start,
                   min(self.steps, len(self.stepped_y) + T))
-        return float(np.max(np.abs(y[T:] - y[:-T]), initial=initial))
+        return float(np.maximum.reduce(abs(y[T:] - y[:-T]), initial=initial))
 
 
 def simulate_closed_loop(plant: TransferFunction,
@@ -315,8 +315,8 @@ def simulate_closed_loop(plant: TransferFunction,
     ys, us, start = _closed_loop_kernel(n, solve is not None)(
         c, a0, x, phi.bounds[0], solve, steps, chunk,
         struct.Struct(f"<{n}d").pack, *guards)
-    return Trajectory(np.array(ys, dtype=float), np.array(us, dtype=float),
-                      start, steps)
+    return Trajectory(np.fromiter(ys, float, len(ys)),
+                      np.fromiter(us, float, len(us)), start, steps)
 
 
 @dataclass(frozen=True)
@@ -383,15 +383,13 @@ def verify_cycle(plant: TransferFunction, phi: PiecewiseNonlinearity,
     ya = y.as_array()
     # one evaluation of den(z): the response of num/den and, for the
     # simulation, that of z^n/den, w, giving x0_i = w_{(T-1-i) mod T}
-    nums = (plant.num,)
-    if phi.is_single_valued:
-        nums += ((1.0,) + (0.0,) * n,)
+    nums = (plant.num, (1.0,) + (0.0,) * n)[:1 + phi.is_single_valued]
     # an overflowing response reads as a non-finite residual or x0
     with np.errstate(all="ignore"):
         linear, *steady = dft_response(nums, plant.den, u)
-        res_per = float(np.max(np.abs(ya - linear)))
+        res_per = float(np.maximum.reduce(np.abs(ya - linear)))
     res_int = interpolation_residual(phi, ya, u.as_array())
-    nontrivial = bool(np.max(np.abs(ya)) > NONTRIVIAL_TOL)
+    nontrivial = bool(np.maximum.reduce(np.abs(ya)) > NONTRIVIAL_TOL)
     trajectory = None
     if steady:
         trajectory = simulate_closed_loop(

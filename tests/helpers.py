@@ -346,6 +346,19 @@ def nyquist_reference(plant: TransferFunction) -> float:
     return min(gains, default=math.inf)
 
 
+def plant_values_reference(plant: TransferFunction,
+                           freq: RationalFrequency) -> tuple[complex, float]:
+    """G(e^{j*omega}) and G(1) from four scalar np.polyval calls, the form
+    of lti.freq_response and lti.dc_gain that construct.plant_values
+    must equal bit for bit."""
+    z = complex(math.cos(freq.omega), math.sin(freq.omega))
+    with np.errstate(all="ignore"):
+        response = complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
+        dc = complex(np.polyval(plant.num, 1 + 0j)
+                     / np.polyval(plant.den, 1 + 0j)).real
+    return response, dc
+
+
 def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
     """Fold the impulse response into h_i = sum_{l>=0} g_{i+l*T}.
 

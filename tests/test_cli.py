@@ -6,6 +6,7 @@ import runpy
 import sys
 import warnings
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from luryecycle import (
     verify_cycle,
 )
 from luryecycle import construct, phase
+from luryecycle import cli as cli_module
 from luryecycle.cli import cli, exit_code_for, main
 from luryecycle.lti import freq_response
 from luryecycle.sim import simulate_closed_loop
@@ -501,6 +503,21 @@ class TestPhaseSweep:
                 rows = sweep_rows_reference(
                     sweep_reference(example_plant, beta_max, odd))
                 assert result.stdout == sweep_stdout_reference(rows, fmt)
+
+    def test_alternating_formats_hold_one_head_array(
+            self, runner, plant_file, example_plant, monkeypatch):
+        # CSV, then JSON, then CSV again on one grid: each table is the
+        # reference's, and the grid keeps the heads of the last format only
+        monkeypatch.setattr(phase, "_grid", None)
+        monkeypatch.setattr(cli_module, "_ROW_HEADS", WeakKeyDictionary())
+        rows = sweep_rows_reference(sweep_reference(example_plant, 12,
+                                                    False))
+        for fmt in ("csv", "json", "csv"):
+            result = runner.invoke(cli, ["phase-sweep", str(plant_file),
+                                         "--beta-max", "12", "--format", fmt])
+            assert result.stdout == sweep_stdout_reference(rows, fmt)
+            (held, heads), = cli_module._ROW_HEADS.values()
+            assert held == fmt and isinstance(heads, np.ndarray)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_report_rows_match_reference(self, runner, plant_file,

@@ -1,5 +1,6 @@
-"""Property tests: one construction path for both plant forms, and the
-DFT periodic response against the time-domain circulant oracle.
+"""Property tests: one construction path for both plant forms, the plant
+values against their np.polyval form, and the DFT periodic response
+against the time-domain circulant oracle.
 
 Plants come from helpers.random_stable_tf, seeded by hypothesis.  The
 frequency grid stops at beta = 20, so every period T stays at most 40.
@@ -19,8 +20,10 @@ from luryecycle import (
     build_certificate,
     grid_search,
 )
+from luryecycle.construct import plant_values
 from luryecycle.lti import (
     PeriodicSignal,
+    RationalFrequency,
     dc_gain,
     freq_response,
 )
@@ -29,6 +32,7 @@ from helpers import (
     circulant,
     impulse_tail_sums,
     periodic_response,
+    plant_values_reference,
     random_stable_tf,
     realize,
 )
@@ -96,6 +100,19 @@ def test_rational_construction_verifies_or_raises_typed_error(case):
         assert cert.freq == freq
     else:
         assert isinstance(err, LuryecycleError)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 1000),
+       st.integers(1, 999))
+def test_plant_values_equal_the_polyval_form_bit_for_bit(seed, order, beta,
+                                                         alpha):
+    assume(alpha < beta and math.gcd(alpha, beta) == 1)
+    g = random_stable_tf(np.random.default_rng(seed), max_order=order)
+    freq = RationalFrequency(alpha, beta)
+    response, dc = plant_values(g, freq)
+    want, want_dc = plant_values_reference(g, freq)
+    assert ([response.real.hex(), response.imag.hex(), dc.hex()]
+            == [want.real.hex(), want.imag.hex(), want_dc.hex()])
 
 
 @given(plants, st.integers(1, 40), st.integers(0, 2**32 - 1))

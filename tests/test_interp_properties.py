@@ -25,12 +25,14 @@ from luryecycle.interp import (
     Breakpoint,
     PiecewiseNonlinearity,
     Y_TOL_FACTOR,
+    _clusters,
     compute_shift,
     interpolate,
     odd_append,
 )
 
 from helpers import (
+    breakpoint_bits,
     compute_shift_reference,
     data_widths,
     dyadic_phis,
@@ -199,6 +201,45 @@ def test_detected_odd_flag_passes_the_constructor_check(data):
     phi = interpolate(data)
     assume(phi.odd)
     assert PiecewiseNonlinearity(phi.ys, phi.los, phi.his, odd=True) == phi
+
+
+def _construction(cols, **kwargs):
+    """Every field, the breakpoints, y_tol, origin_gap and the guards at
+    probe points of the phi built from three columns, as exact text; or
+    the constructor's error type and message."""
+    try:
+        phi = PiecewiseNonlinearity(*cols, **kwargs)
+    except ValueError as exc:
+        return _raised(exc)
+    return ([float_bits(col) for col in (phi.ys, phi.los, phi.his)],
+            phi.odd, phi.slope_bound.hex(), breakpoint_bits(phi.breakpoints),
+            float_bits([phi.y_tol, phi.origin_gap]),
+            [float_bits(row) for row in phi.guards(probe_points(phi))])
+
+
+@given(cluster_data(), slopes, st.booleans(), st.integers(0, 4),
+       st.integers(0, 2**16))
+def test_columns_tuples_and_lists_build_the_same_phi(data, slope, odd, flaw,
+                                                     at):
+    """The (3, N) columns of _clusters, and the same columns as tuples and
+    as lists, build phis equal bit for bit, or fail with one error type
+    and message: also after a flaw put into breakpoint i, a repeated
+    position, v_lo above v_hi, decreasing values or a non-finite
+    value."""
+    cols, _ = _clusters(np.array(data))
+    i = at % cols.shape[1]
+    if flaw == 1:
+        cols[0, i] = cols[0, i - 1]
+    elif flaw == 2:
+        cols[1, i] = cols[2, i] + 1.0
+    elif flaw == 3:
+        cols[1:, i - 1] += 3.0
+    elif flaw == 4:
+        cols[1 + at % 3 // 2, i] = (math.nan, math.inf, -math.inf)[at % 3]
+    want = _construction(cols, odd=odd, slope_bound=slope)
+    assert _construction(cols.tolist(), odd=odd, slope_bound=slope) == want
+    assert _construction(tuple(map(tuple, cols.tolist())), odd=odd,
+                         slope_bound=slope) == want
 
 
 @given(st.one_of(dyadic_phis(), dyadic_phis(multivalued=True)))

@@ -36,6 +36,13 @@ Measurements:
   that pins the plant's response and dc gain at that frequency, in the
   monotone class (keys "T=<T> anchor"), which is interpolation work
   only;
+- the fixed per-call cost of a build and of a check at T = 7 and 21,
+  each key timing CALLS = 100 calls: construct.build_certificate of the
+  even-window and the odd-window slope-k builds and of the anchor build
+  above (keys "construct.build_certificate T=<T> even k x100", "... odd
+  k x100" and "... anchor x100"), and sim.verify_cycle of the slope-k
+  certificates in both windows (keys "sim.verify_cycle T=<T> even k
+  x100" and "... odd k x100");
 - interp.interpolate, interp.compute_shift and interp.odd_append at
   the same T, each on the arguments that build_certificate passes it
   (the monotone build for the first two, the odd slope-k build for
@@ -103,6 +110,7 @@ SIM_PERIODS = 20
 SIM_CYCLE_PERIODS = (101, 301)
 RESIDUAL_PERIODS = (101, 301, 1001)
 VERIFY_PERIODS = (7, 21, 101, 301, 1001)
+PER_CALL_PERIODS = (7, 21)
 DFT_PERIODS = (7, 101, 301)
 CALLS = 100
 SESSION_PERIODS = (7, 21)
@@ -285,6 +293,22 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             verify_certs[f"T={T} {'odd' if odd else 'even'} k"] = \
                 build_certificate(g, freq, odd=odd,
                                   slope=_slope_k(resp, T, odd))
+    for T in PER_CALL_PERIODS:
+        freq = RationalFrequency(T - 1, T)
+        resp = freq_response(g, freq.omega)
+        builds = (
+            ("even k", g, {"slope": _slope_k(resp, T, False)}),
+            ("odd k", g, {"odd": True, "slope": _slope_k(resp, T, True)}),
+            ("anchor", AnchorPlant(freq.omega, resp, dc_gain(g)), {}))
+        for label, plant, kwargs in builds:
+            add(f"construct.build_certificate T={T} {label} x{CALLS}",
+                lambda p=plant, f=freq, k=kwargs: [
+                    build_certificate(p, f, **k) for _ in range(CALLS)])
+        for window in ("even", "odd"):
+            add(f"sim.verify_cycle T={T} {window} k x{CALLS}",
+                lambda c=verify_certs[f"T={T} {window} k"]: [
+                    sim.verify_cycle(g, c.phi, c.u, c.y, periods=SIM_PERIODS)
+                    for _ in range(CALLS)])
     for T in DFT_PERIODS:
         add(f"lti.dft_response T={T} x{CALLS}",
             lambda u=verify_certs[f"T={T} even k"].u: [
