@@ -362,19 +362,14 @@ def figure_data(plant_file, alpha, beta, which, odd, slope, out, report):
     with _guard():
         plant = load_plant(plant_file)
         freq = _frequency(alpha, beta)
-        T = freq.T
-        if which == "vt":
-            pts = [complex(math.cos(freq.omega * i), math.sin(freq.omega * i))
-                   for i in range(T)]
-            lines = ["re,im"] + [f"{p.real!r},{p.imag!r}" for p in pts]
-            results = {"points": T}
-        elif which == "gvt":
-            resp = plant_response(plant, freq)
-            pts = [resp * complex(math.cos(freq.omega * i),
-                                  math.sin(freq.omega * i))
-                   for i in range(T)]
-            lines = ["re,im"] + [f"{p.real!r},{p.imag!r}" for p in pts]
-            results = {"points": T}
+        if which != "phi":
+            # gvt's re column is the y of an unshifted monotone build
+            g = plant_response(plant, freq) if which == "gvt" else 1.0
+            cos, sin = freq.carrier()
+            pts = zip((g.real * cos - g.imag * sin).tolist(),
+                      (g.imag * cos + g.real * sin).tolist())
+            lines = ["re,im"] + [f"{re!r},{im!r}" for re, im in pts]
+            results = {"points": freq.T}
         else:
             k = _parse_slope(slope)
             cert = build_certificate(plant, freq, odd=odd, slope=k)

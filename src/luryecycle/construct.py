@@ -9,7 +9,8 @@ every plant form:
    (G + 1/k trades the slope-k class for the monotone one);
 2. checks the phase window of the shifted response;
 3. forms the steady-state response Re(G e^{j*omega*i}) of the shifted
-   plant to one period of the sampled carrier u_i = cos(omega*i);
+   plant to one period of RationalFrequency.carrier, u_i = cos(omega*i),
+   whose odd-alpha data is its own point reflection bit for bit;
 4. for even alpha without the odd option, shifts the input by xi so the
    data curve passes through the origin (checked on its interpolant,
    the monotone class's phi), using the shifted dc gain; for the odd
@@ -52,7 +53,6 @@ from .lti import (
     PeriodicSignal,
     RationalFrequency,
     TransferFunction,
-    dc_gain,
     polyval_rows,
 )
 from .phase import PHASE_TOL, phase_check
@@ -73,7 +73,6 @@ __all__ = [
     "Plant",
     "plant_values",
     "plant_response",
-    "plant_dc",
     "ConstructionCertificate",
     "build_certificate",
 ]
@@ -128,10 +127,6 @@ def plant_values(plant: Plant,
 def plant_response(plant: Plant, freq: RationalFrequency) -> complex:
     """Plant value at omega = alpha*pi/beta for either plant form."""
     return plant_values(plant, freq)[0]
-
-
-def plant_dc(plant: Plant) -> float | None:
-    return dc_gain(plant) if isinstance(plant, TransferFunction) else plant.dc
 
 
 _VARIANTS = {(False, False): "monotone_inf", (True, False): "odd_inf",
@@ -210,15 +205,13 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
             + (f" for the shifted plant G + 1/{slope:.9g}" if finite else ""),
             delta=delta, bound=bound)
 
-    T, w = freq.T, freq.omega
-    k = np.arange(T)
-    u = np.cos(w * k)
+    u, sin = freq.carrier()
     dc = None if dc0 is None else dc0 + shift_c
 
     xi = 0.0
     shifted = freq.alpha % 2 == 0 and not odd
     with np.errstate(all="ignore"):
-        ytilde = (resp * np.exp(1j * w * k)).real
+        ytilde = resp.real * u - resp.imag * sin
         if shifted:
             if dc is None:
                 raise PlantValidationError(
@@ -243,8 +236,6 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
         data = odd_append(data)
     y_sig = ytilde
     if finite:
-        # Reflect, then transform: odd_append's widths come from the raw
-        # data; the other order changes phi in 1 of 24,000 odd builds.
         data = loop_transform_data(data, slope)
         y_sig = ytilde - u / slope
     if phi is None or finite:
@@ -258,7 +249,7 @@ def build_certificate(plant: Plant, freq: RationalFrequency, *,
         # An anchor has no description beyond the response value that
         # produced the outputs; check containment and size.
         verdict = CycleVerdict(
-            period=T,
+            period=freq.T,
             residual_periodicity=0.0,
             residual_interpolation=interpolation_residual(phi, y_sig, u),
             nontrivial=bool(abs(y_sig).max() > NONTRIVIAL_TOL))

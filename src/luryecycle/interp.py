@@ -341,32 +341,13 @@ def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
 
 
 def odd_append(data) -> np.ndarray:
-    """Union of the data with its point reflection through the origin.
-
-    Reflected pairs that duplicate a kept pair within the clustering
-    width (in both coordinates) are dropped in one sweep in (y, v) order,
-    which takes the p-th pair of every run chained by gaps of at most
-    eps_y at once: only a pair of its run can duplicate a pair.
-    """
+    """Union of the data with its point reflection through the origin, in
+    (y, v) order, with exact duplicates dropped: of equal pairs the
+    first is kept, a pair of the data before its reflection."""
     s = _sorted(np.concatenate((data, -np.asarray(data, dtype=float))))
-    ys, vs = s[:, 0], s[:, 1]
-    eps_y = Y_TOL_FACTOR * float(max(1.0, -ys[0], ys[-1]))
-    with np.errstate(all="ignore"):
-        chained = ys[1:] - ys[:-1] <= eps_y
-        if not np.count_nonzero(chained):
-            return s
-        eps_v = Y_TOL_FACTOR * max(1.0, np.maximum.reduce(np.abs(vs)))
-        ends = np.flatnonzero(np.concatenate(([True], ~chained, [True])))
-        starts, sizes = ends[:-1], ends[1:] - ends[:-1]
-        kept = np.ones(len(ys), dtype=bool)
-        for p in range(1, int(np.maximum.reduce(sizes))):
-            at = starts[sizes > p] + p
-            dup = np.zeros(len(at), dtype=bool)
-            for j in (at - back for back in range(1, p + 1)):
-                dup |= (kept[j] & (ys[at] - ys[j] <= eps_y)
-                        & (np.abs(vs[at] - vs[j]) <= eps_v))
-            kept[at] = ~dup
-    return s.compress(kept, axis=0)
+    new = np.ones(len(s), dtype=bool)
+    np.logical_or.reduce(s[1:] != s[:-1], axis=1, out=new[1:])
+    return s.compress(new, axis=0)
 
 
 def compute_shift(data, dc: float) -> float:

@@ -32,8 +32,6 @@ __all__ = [
     "TransferFunction",
     "RationalFrequency",
     "PeriodicSignal",
-    "freq_response",
-    "dc_gain",
     "polyval_rows",
     "dft_response",
 ]
@@ -136,6 +134,18 @@ class RationalFrequency:
     def T(self) -> int:
         return 2 * self.beta if self.alpha % 2 else self.beta
 
+    def carrier(self) -> np.ndarray:
+        """Rows cos(omega*k) and sin(omega*k) for k = 0..T-1.  The angle
+        omega*k is the integer j = 2*alpha*k mod 4*beta on the grid
+        pi/(2*beta), and each value is sin(pi*m/(2*beta)) for an integer
+        m in [-beta, beta], folded from j by sin(pi - x) = sin(x) and
+        cos(x) = sin(x + pi/2).  As sin is odd in m, equal or opposite
+        angles give equal or opposite floats, and a right angle +0.0."""
+        b = self.beta
+        j = np.arange(0, 2 * self.alpha * self.T, 2 * self.alpha)
+        t = np.add.outer((2 * b, b), j) % (4 * b)
+        return np.sin(np.pi / (2 * b) * (b - np.abs(t - 2 * b)))
+
 
 @dataclass(frozen=True)
 class PeriodicSignal:
@@ -164,19 +174,6 @@ class PeriodicSignal:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-
-def freq_response(plant: TransferFunction, omega: float) -> complex:
-    """Evaluate G(e^{j*omega}) by direct polynomial evaluation.  A value
-    beyond the float range comes back non-finite, without a warning."""
-    z = complex(math.cos(omega), math.sin(omega))
-    with np.errstate(all="ignore"):
-        return complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
-
-
-def dc_gain(plant: TransferFunction) -> float:
-    """G(1), the steady-state gain for a constant input."""
-    return freq_response(plant, 0.0).real
 
 
 def polyval_rows(rows, z) -> np.ndarray:

@@ -163,7 +163,7 @@ def _feasible_order(kbar: np.ndarray, T: np.ndarray,
 class CoprimeGrid:
     """Every coprime pair 0 < alpha < beta <= beta_max in (beta, alpha)
     order, as read-only columns.  z comes from libm's cos and sin, as in
-    lti.freq_response, so responses on the grid match it bitwise;
+    construct.plant_values, so responses on the grid match it bitwise;
     tan_even and tan_odd are the tangents of each row's window
     half-widths pi/T and pi/(2*beta)."""
 
@@ -289,7 +289,7 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
     grid = coprime_grid(beta_max)
     n = grid.size(beta_max)
-    # lti.freq_response's bits, on all points at once
+    # construct.plant_values' bits, on all points at once
     with np.errstate(all="ignore"):
         num_z, den_z = polyval_rows((plant.num, plant.den), grid.z[:n])
         resp = num_z / den_z

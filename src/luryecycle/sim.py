@@ -431,7 +431,7 @@ def nyquist_gain(plant: TransferFunction) -> float:
                           "of the real-axis crossings")
     omegas = [0.0, math.pi] + [float(np.angle(z)) for z in np.roots(real_g)
                                if abs(abs(z) - 1.0) <= MARGIN_TOL]
-    # the points and bits of freq_response at each omega
+    # G(e^{j*omega}) at each omega, with np.polyval's bits
     with np.errstate(all="ignore"):
         num_z, den_z = polyval_rows((plant.num, plant.den), [
             complex(math.cos(w), math.sin(w)) for w in omegas])

@@ -2,8 +2,8 @@
 
 Everything here recomputes results by a route independent of the library
 code under test: brute-force enumeration, truncated series, direct
-simulation, closed-loop eigenvalues, or the time-domain circulant form
-of the periodic response.
+simulation, closed-loop eigenvalues, the time-domain circulant form
+of the periodic response, or exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from luryecycle.interp import (
     loop_transform_data,
     odd_append,
 )
-from luryecycle.lti import PeriodicSignal, dft_response, freq_response
+from luryecycle.lti import PeriodicSignal, dft_response
 from luryecycle.phase import (
     KBAR_TIE_TOL,
     PHASE_TOL,
@@ -73,6 +74,25 @@ def random_stable_tf(rng: np.random.Generator, max_order: int = 4,
     if rng.random() < 0.5:
         num[0] = 0.0  # strictly proper half the time
     return TransferFunction(tuple(num.tolist()), tuple(den.tolist()))
+
+
+def freq_response(plant: TransferFunction, omega: float) -> complex:
+    """G(e^{j*omega}) from two np.polyval calls at libm's cos and sin.  A
+    value beyond the float range comes back non-finite, without a
+    warning."""
+    z = complex(math.cos(omega), math.sin(omega))
+    with np.errstate(all="ignore"):
+        return complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
+
+
+def dc_gain(plant: TransferFunction) -> float:
+    """G(1), the steady-state gain for a constant input."""
+    return freq_response(plant, 0.0).real
+
+
+def plant_dc(plant) -> float | None:
+    """The dc value of either plant form: G(1), or an anchor's dc."""
+    return dc_gain(plant) if isinstance(plant, TransferFunction) else plant.dc
 
 
 def add_constant(plant: TransferFunction, c: float) -> TransferFunction:
@@ -349,14 +369,8 @@ def nyquist_reference(plant: TransferFunction) -> float:
 def plant_values_reference(plant: TransferFunction,
                            freq: RationalFrequency) -> tuple[complex, float]:
     """G(e^{j*omega}) and G(1) from four scalar np.polyval calls, the form
-    of lti.freq_response and lti.dc_gain that construct.plant_values
-    must equal bit for bit."""
-    z = complex(math.cos(freq.omega), math.sin(freq.omega))
-    with np.errstate(all="ignore"):
-        response = complex(np.polyval(plant.num, z) / np.polyval(plant.den, z))
-        dc = complex(np.polyval(plant.num, 1 + 0j)
-                     / np.polyval(plant.den, 1 + 0j)).real
-    return response, dc
+    that construct.plant_values must equal bit for bit."""
+    return freq_response(plant, freq.omega), dc_gain(plant)
 
 
 def impulse_tail_sums(ss: StateSpaceRealization, T: int) -> np.ndarray:
@@ -416,6 +430,77 @@ def cycle_check_reference(plant: TransferFunction, phi, u: PeriodicSignal,
                                    periods * T, T)
         res_per = run.periodicity(T, initial=res_per)
     return res_per, res_int, run
+
+
+def exact_periodic_response(num, den, u) -> list[Fraction]:
+    """The exact T-periodic response of num(z)/den(z) to the float
+    samples u, in Fractions: on the companion form x+ = A x + B u,
+    y = C x + D u of the exact coefficients, x0 solves
+    (I - A^T) x0 = s, where s is the state one period of u after rest
+    and column i of A^T the state one period after unit state e_i."""
+    lead = Fraction(den[0])
+    a = [Fraction(c) / lead for c in den[1:]]
+    n = len(a)
+    b = [Fraction(c) / lead for c in num]
+    b = [Fraction(0)] * (n + 1 - len(b)) + b
+    c = [bi - b[0] * ai for ai, bi in zip(a, b[1:])]
+    u = [Fraction(x) for x in u]
+
+    def run(x, inputs):
+        for ui in inputs:
+            x = ([ui - sum(ai * xi for ai, xi in zip(a, x))] + x)[:n]
+        return x
+
+    s = run([Fraction(0)] * n, u)
+    cols = [run([Fraction(i == j) for j in range(n)], [0] * len(u))
+            for i in range(n)]
+    # Gauss-Jordan on [I - A^T | s]; I - A^T is regular for a stable plant
+    rows = [[Fraction(i == j) - cols[j][i] for j in range(n)] + [s[i]]
+            for i in range(n)]
+    for i in range(n):
+        p = next(r for r in range(i, n) if rows[r][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        for r in range(n):
+            if r != i and rows[r][i]:
+                f = rows[r][i] / rows[i][i]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+    x = [rows[i][n] / rows[i][i] for i in range(n)]
+    y = []
+    for ui in u:
+        y.append(sum(ci * xi for ci, xi in zip(c, x)) + b[0] * ui)
+        x = run(x, [ui])
+    return y
+
+
+def exact_cycle_flaw(num, den, u, slope: float = math.inf,
+                     odd: bool = False) -> str | None:
+    """Why no nonlinearity of the class makes the float samples u a cycle
+    of the loop y = G u, u = -phi(y) in exact arithmetic, or None when
+    one does.  The pairs (y, -u), y the exact periodic response, with the
+    origin (and in the odd window their point reflections) must pass the
+    chord test of the class once sorted: each chord rises, and for a
+    finite slope it is no steeper than slope and never vertical."""
+    y = exact_periodic_response(num, den, u)
+    pairs = {(yk, -Fraction(uk)) for yk, uk in zip(y, u)} | {(0, 0)}
+    if odd:
+        pairs |= {(-yk, -vk) for yk, vk in pairs}
+    pts = sorted(pairs)
+    k = Fraction(slope) if math.isfinite(slope) else None
+    for (y0, v0), (y1, v1) in zip(pts, pts[1:]):
+        if y1 == y0 and k is not None:
+            return f"two values at y = {float(y0)!r} in a finite slope class"
+        if y1 != y0 and v1 < v0:
+            return f"chord decreases from y = {float(y0)!r} to {float(y1)!r}"
+        if k is not None and v1 - v0 > k * (y1 - y0):
+            return f"chord from y = {float(y0)!r} is steeper than {slope!r}"
+    return None
+
+
+def exact_certificate_flaw(plant: TransferFunction, cert) -> str | None:
+    """exact_cycle_flaw of a rational plant's certificate: its stored
+    input, slope class and window."""
+    return exact_cycle_flaw(plant.num, plant.den, cert.u.values, cert.slope,
+                            cert.variant.startswith("odd"))
 
 
 def periodic_steady_state_solve(plant: TransferFunction,
@@ -674,15 +759,12 @@ def data_widths(data) -> tuple[float, float]:
 
 
 def odd_append_reference(data) -> tuple[tuple[float, float], ...]:
-    """Point-reflected union, each candidate checked against every kept
-    pair for a duplicate within the clustering width."""
-    eps_y, eps_v = data_widths(data)
+    """Point-reflected union in sorted order, each candidate checked
+    against every kept pair for an exact duplicate."""
     kept: list[tuple[float, float]] = []
     for y, v in sorted(list(data) + [(-y, -v) for y, v in data]):
-        if any(abs(y - y0) <= eps_y and abs(v - v0) <= eps_v
-               for y0, v0 in kept):
-            continue
-        kept.append((y, v))
+        if not any(y == y0 and v == v0 for y0, v0 in kept):
+            kept.append((y, v))
     return tuple(kept)
 
 

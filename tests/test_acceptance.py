@@ -19,7 +19,6 @@ from luryecycle import (
 )
 from luryecycle.cli import cli
 from luryecycle.interp import odd_append
-from luryecycle.lti import dc_gain
 from helpers import (
     add_constant,
     carrier_data,
@@ -27,6 +26,7 @@ from helpers import (
     check_interpolation_invariants,
     check_phase_window_matches_data,
     check_steady_state_is_fixed_point,
+    dc_gain,
     interpolates,
 )
 

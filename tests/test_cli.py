@@ -36,10 +36,11 @@ from luryecycle import (
 from luryecycle import construct, phase
 from luryecycle import cli as cli_module
 from luryecycle.cli import cli, exit_code_for, main
-from luryecycle.lti import freq_response
 from luryecycle.sim import simulate_closed_loop
 
 from helpers import (
+    float_bits,
+    freq_response,
     periodic_steady_state,
     random_stable_tf,
     sweep_reference,
@@ -861,6 +862,18 @@ class TestFigureData:
         resp = freq_response(example_plant, 2 * math.pi / 7)
         first = complex(*map(float, rows[0].split(",")))
         assert first == pytest.approx(resp, abs=1e-12)
+
+    def test_response_points_are_the_certificate_outputs(
+            self, runner, plant_file, tmp_path, example_plant):
+        # an odd-alpha monotone build has no input shift
+        out = tmp_path / "gvt.csv"
+        result = runner.invoke(cli, [
+            "figure-data", str(plant_file), "--alpha", "3", "--beta", "7",
+            "--which", "gvt", "--out", str(out)])
+        assert result.exit_code == 0
+        re = [float(r.split(",")[0]) for r in out.read_text().split()[1:]]
+        cert = build_certificate(example_plant, RationalFrequency(3, 7))
+        assert float_bits(re) == float_bits(cert.y.values)
 
     def test_phi_stair(self, runner, anchor_file, tmp_path):
         out = tmp_path / "stair.csv"

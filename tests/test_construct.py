@@ -19,10 +19,16 @@ from luryecycle import (
     plant_response,
 )
 from luryecycle import construct, interp
-from luryecycle.construct import plant_dc
 from luryecycle.interp import interpolate, loop_transform_data, odd_append
-from luryecycle.lti import freq_response
-from helpers import max_chord_slope, slope_bound, value_set
+from helpers import (
+    exact_certificate_flaw,
+    exact_cycle_flaw,
+    freq_response,
+    max_chord_slope,
+    plant_dc,
+    slope_bound,
+    value_set,
+)
 
 F27 = RationalFrequency(2, 7)
 F13 = RationalFrequency(1, 3)
@@ -201,7 +207,7 @@ class TestOnePass:
 
 
 class TestStepOrder:
-    """Two step orders that decide builds near the window edge."""
+    """The order of the build's steps near the window edge."""
 
     def test_origin_is_tested_before_the_loop_transform(self):
         # The shifted data misses the origin by 6e-8 > ORIGIN_TOL; its
@@ -214,20 +220,55 @@ class TestStepOrder:
                            match="does not pass through the origin"):
             build_certificate(anchor, F27, slope=0.0032617754362836847)
 
-    def test_odd_data_is_reflected_before_the_loop_transform(self):
+    def test_reflection_and_loop_transform_commute(self):
+        # An odd build whose phi depended on the step order while the
+        # carrier came from np.cos(omega*k): from the exact-symmetric
+        # carrier, both orders give the same pairs and the same phi.
         freq = RationalFrequency(3, 5)
         anchor = AnchorPlant(3 * math.pi / 5,
                              -0.04202511540717001 + 0.004511932201940888j,
                              0.0)
         k = 35.54165185321758
         cert = build_certificate(anchor, freq, odd=True, slope=k)
-        t = np.arange(freq.T)
-        y = ((anchor.value + 1.0 / k) * np.exp(1j * freq.omega * t)).real
-        pairs = tuple(zip(y.tolist(), (-np.cos(freq.omega * t)).tolist()))
+        cos, sin = freq.carrier()
+        r = anchor.value + 1.0 / k
+        pairs = np.array((r.real * cos - r.imag * sin, -cos)).T
         assert cert.phi == interpolate(
             loop_transform_data(odd_append(pairs), k), slope_bound=k)
-        assert cert.phi != interpolate(
+        assert cert.phi == interpolate(
             odd_append(loop_transform_data(pairs, k)), slope_bound=k)
+
+
+class TestExactCycle:
+    """Certificates against exact_cycle_flaw, the rational-arithmetic
+    check of tests/helpers.py."""
+
+    @pytest.mark.parametrize("freq, odd, slope", [
+        (F27, False, math.inf), (F27, False, 1.31), (F27, True, math.inf),
+        (RationalFrequency(1, 4), False, math.inf),
+        (RationalFrequency(1, 4), True, math.inf),
+        (RationalFrequency(3, 7), True, math.inf)])
+    def test_example_certificates_hold_exactly(self, example_plant, freq,
+                                               odd, slope):
+        # Each failed while the carrier came from np.cos(omega*k): inputs
+        # equal or opposite in exact arithmetic differed in their last
+        # bits, which turned a level chord into a falling one.
+        cert = build_certificate(example_plant, freq, odd=odd, slope=slope)
+        assert exact_certificate_flaw(example_plant, cert) is None
+
+    def test_check_reads_the_class_and_the_origin(self):
+        # G = -2: y = -2u, so the pairs (y, -u) rise with slope 1/2
+        u = (0.5, -0.25)
+        assert exact_cycle_flaw((-2.0,), (1.0,), u) is None
+        assert exact_cycle_flaw((-2.0,), (1.0,), u, 0.5) is None
+        assert "steeper" in exact_cycle_flaw((-2.0,), (1.0,), u, 0.25)
+        # G = 1: the pairs (u, -u) fall
+        assert "decreases" in exact_cycle_flaw((1.0,), (1.0,), u)
+        # G(1) = 1 and u = -1: the one pair (-1, 1) lies above the origin
+        assert "decreases" in exact_cycle_flaw((0.5,), (1.0, -0.5), (-1.0,))
+        # two values at one output fail a finite class only
+        assert exact_cycle_flaw((0.0,), (1.0,), u) is None
+        assert "two values" in exact_cycle_flaw((0.0,), (1.0,), u, 1.0)
 
 
 class TestFeedthroughLoops:

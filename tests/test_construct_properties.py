@@ -1,9 +1,11 @@
-"""Property tests: one construction path for both plant forms, the plant
-values against their np.polyval form, and the DFT periodic response
-against the time-domain circulant oracle.
+"""Property tests: one construction path for both plant forms,
+certificates against exact arithmetic, the plant values against their
+np.polyval form, and the DFT periodic response against the time-domain
+circulant oracle and the exact response.
 
 Plants come from helpers.random_stable_tf, seeded by hypothesis.  The
-frequency grid stops at beta = 20, so every period T stays at most 40.
+frequency grid stops at beta = 20, so every period T stays at most 40,
+except in the exact check, which goes to beta = 30 and T = 60.
 """
 
 import math
@@ -21,15 +23,14 @@ from luryecycle import (
     grid_search,
 )
 from luryecycle.construct import plant_values
-from luryecycle.lti import (
-    PeriodicSignal,
-    RationalFrequency,
-    dc_gain,
-    freq_response,
-)
+from luryecycle.lti import PeriodicSignal, RationalFrequency
 
 from helpers import (
     circulant,
+    dc_gain,
+    exact_certificate_flaw,
+    exact_periodic_response,
+    freq_response,
     impulse_tail_sums,
     periodic_response,
     plant_values_reference,
@@ -45,14 +46,14 @@ plants = st.integers(0, 2**32 - 1).map(
 
 
 @st.composite
-def constructions(draw):
+def constructions(draw, beta_max: int = BETA_MAX):
     """A random stable plant and a feasible (alpha, beta) of its grid,
     with the window, and the slope class either monotone or just above
     the row's kbar."""
     g = draw(plants)
     odd = draw(st.booleans())
     try:
-        rows = grid_search(g, BETA_MAX, odd_variant=odd)
+        rows = grid_search(g, beta_max, odd_variant=odd)
     except EmptyResultError:
         assume(False)
     row = rows[draw(st.integers(0, min(4, len(rows) - 1)))]
@@ -100,6 +101,25 @@ def test_rational_construction_verifies_or_raises_typed_error(case):
         assert cert.freq == freq
     else:
         assert isinstance(err, LuryecycleError)
+
+
+@given(constructions(beta_max=30))
+def test_certificates_hold_in_exact_arithmetic(case):
+    """Every certificate, here with T <= 60, is an exact cycle: its
+    stored input and the exact periodic response of the rational plant
+    to it pass the chord test of its class through the origin."""
+    g, freq, odd, slope = case
+    cert, err = _build(g, freq, odd, slope)
+    assume(err is None)
+    assert exact_certificate_flaw(g, cert) is None
+
+
+@given(plants, st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_exact_response_matches_dft_response(g, T, seed):
+    u = PeriodicSignal(np.random.default_rng(seed).uniform(-1.0, 1.0, T))
+    got = periodic_response(g, u).as_array()
+    want = np.array(exact_periodic_response(g.num, g.den, u.values), float)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 1000),

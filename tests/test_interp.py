@@ -243,10 +243,11 @@ class TestOddAppend:
         out = odd_append(data)
         assert len(out) == 3
 
-    def test_near_duplicates_collapse(self):
+    def test_near_duplicates_are_kept(self):
+        # only exact duplicates are dropped
         data = ((1.0, 2.0), (-1.0 + 1e-12, -2.0 - 1e-12))
         out = odd_append(data)
-        assert len(out) == 2
+        assert len(out) == 4
 
 
 class TestShift:

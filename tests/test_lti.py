@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +15,16 @@ from luryecycle import (
 from luryecycle.lti import (
     POLE_MARGIN,
     PeriodicSignal,
-    dc_gain,
     dft_response,
-    freq_response,
     polyval_rows,
 )
 from luryecycle.phase import coprime_grid
 from helpers import (
     add_constant,
     circulant,
+    dc_gain,
+    float_bits,
+    freq_response,
     impulse_tail_sums,
     periodic_response,
     random_stable_tf,
@@ -196,6 +198,51 @@ class TestRationalFrequency:
         assert type(f.alpha) is int and type(f.beta) is int
         assert f == RationalFrequency(2, 7)
         assert f.T == 7
+
+
+@st.composite
+def coprime_frequencies(draw, beta_max: int = 2000):
+    beta = draw(st.integers(2, beta_max))
+    alpha = draw(st.integers(1, beta - 1).filter(
+        lambda a: math.gcd(a, beta) == 1))
+    return RationalFrequency(alpha, beta)
+
+
+# Each sample is sin(x) at x = pi*m/(2*beta), rounded from pi, 1/(2*beta)
+# and the product to within 2.35*2^-53 relative, which moves sin by at
+# most max |x cos x| * 2.35 * 2^-53 < 1.32 * 2^-53; sin itself errs by
+# at most one ulp, 2^-52 below 1.
+CARRIER_ERROR = 2.0**-51
+
+
+class TestCarrier:
+    @settings(max_examples=200)
+    @given(coprime_frequencies(), st.lists(st.integers(0, 2**31), min_size=4,
+                                           max_size=4))
+    def test_exact_symmetries_and_accuracy(self, freq, picks):
+        """Opposite and equal angles give opposite and equal floats, a
+        right angle gives +0.0 and no other angle gives 0, and every
+        sample is within CARRIER_ERROR of cos and sin at 40 digits."""
+        cos, sin = freq.carrier()
+        T, b = freq.T, freq.beta
+        k = np.arange(T)
+        assert cos.shape == sin.shape == (T,)
+        back = (T - k) % T
+        assert cos[back].tobytes() == cos.tobytes()
+        assert np.array_equal(sin[back], -sin)
+        if freq.alpha % 2:
+            assert np.array_equal(cos[(k + b) % T], -cos)
+        # omega*k in units of pi/(2*beta)
+        j = 2 * freq.alpha * k % (4 * b)
+        for values, right in ((cos, j % (2 * b) == b),
+                              (sin, j % (2 * b) == 0)):
+            assert float_bits(values[right]) == ["0x0.0p+0"] * right.sum()
+            assert np.all(values[~right] != 0.0)
+        with mpmath.workdps(40):
+            for i in (p % T for p in picks):
+                x = mpmath.pi * freq.alpha * i / b
+                assert abs(cos[i] - mpmath.cos(x)) <= CARRIER_ERROR
+                assert abs(sin[i] - mpmath.sin(x)) <= CARRIER_ERROR
 
 
 class TestPeriodicSignal:

@@ -20,7 +20,8 @@ ORACLES = ("impulse_tail_sums", "circulant", "simulate_linear",
            "periodic_steady_state_solve", "interpolation_residual_map",
            "first_repeat_reference", "periodic_response",
            "periodic_steady_state", "interval_distance", "value_set",
-           "phi_to_dict", "nyquist_reference")
+           "phi_to_dict", "nyquist_reference", "freq_response", "dc_gain",
+           "plant_dc", "exact_periodic_response", "exact_cycle_flaw")
 
 
 def test_every_exported_name_resolves():

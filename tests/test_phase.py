@@ -23,7 +23,6 @@ from luryecycle import (
     sweep_entries,
 )
 from luryecycle import phase
-from luryecycle.lti import freq_response
 from luryecycle.phase import (
     KBAR_TIE_TOL,
     BoundKind,
@@ -35,6 +34,7 @@ from luryecycle.phase import (
 )
 from helpers import (
     coprime_pairs,
+    freq_response,
     in_window,
     kbar_or_inf,
     on_window_edge,

@@ -32,6 +32,8 @@ from luryecycle.sim import (
 from helpers import (
     closed_loop_radius,
     cycle_check_reference,
+    exact_certificate_flaw,
+    exact_cycle_flaw,
     float_bits,
     interpolation_residual_map,
     periodic_steady_state,
@@ -386,6 +388,7 @@ class TestVerifyCycle:
         # the first step whose closed-loop input differs from phi at the
         # stored output
         expected = [-value_set(moved, v)[0] for v in cert.y.values]
+        assert exact_certificate_flaw(example_plant, cert) is None
         res_per, res_int, run = cycle_check_reference(
             example_plant, moved, cert.u, cert.y, 20)
         m = next(k for k, u in enumerate(run.stepped_u.tolist())
@@ -473,6 +476,8 @@ class TestVerifyCycle:
             tracemalloc.stop()
         assert peak < 2**18
         _, _, run = cycle_check_reference(g, phi, u, y, 10**5)
+        # u is no cycle of g under any monotone phi
+        assert exact_cycle_flaw(g.num, g.den, values) is not None
         assert len(run.stepped_y) < 140
         assert verdict.trajectory.stepped_y.tobytes() == \
             run.stepped_y.tobytes()

@@ -46,6 +46,7 @@ from luryecycle.sim import (
 from helpers import (
     cycle_check_reference,
     dyadic_phis,
+    exact_certificate_flaw,
     first_repeat_reference,
     float_bits,
     interpolation_residual_map,
@@ -496,7 +497,8 @@ def test_guarded_check_equals_the_closed_loop_check(plant, odd, row,
     through the snap guards of the stored outputs; its stepped rows,
     repeat start, tiled trajectories and residuals equal bit for bit
     those of the closed loop stepped with phi at every step, and a typed
-    error is the same error."""
+    error is the same error.  A certificate the build returns holds in
+    exact arithmetic."""
     try:
         rows = grid_search(plant, 12, odd_variant=odd)
     except LuryecycleError:
@@ -510,8 +512,10 @@ def test_guarded_check_equals_the_closed_loop_check(plant, odd, row,
         return verify_cycle(*args, **kwargs)
 
     with mock.patch.object(construct, "verify_cycle", spy):
-        _outcome(lambda: construct.build_certificate(
+        cert = _outcome(lambda: construct.build_certificate(
             plant, entry.freq, odd=odd, slope=slope))
+    if isinstance(cert, construct.ConstructionCertificate):
+        assert exact_certificate_flaw(plant, cert) is None
     if not calls:
         return
     (g, phi, u, y), kwargs = calls[0]

@@ -16,8 +16,13 @@ for B and their ratio B/A.  The plant is G = z/(z^2 - 1.8 z + 0.81)
 feedthrough simulations.
 Measurements:
 
-- lti.freq_response at a scalar frequency on the plant (order 2) and on
-  1/(z - 0.5)^8 (order 8), and lti.dft_response at T = 7, 101 and 301
+- construct.plant_values, the response and dc value at one rational
+  frequency, on the plant (order 2) and on 1/(z - 0.5)^8 (order 8);
+  the sampled carrier cos(omega*k) with the response samples
+  Re(G e^{j*omega*k}) that a build forms from it at the frequencies
+  (T - 1, T) for T = 7, 301 and 1001 (keys "lti.carrier T=<T>"), from
+  RationalFrequency.carrier or, in a checkout without it, from np.cos
+  and np.exp of omega*k; and lti.dft_response at T = 7, 101 and 301
   on the input of the even-window slope-k certificate at (T - 1, T)
   with verify_cycle's numerators, num and z^n; each key times 100
   calls;
@@ -100,6 +105,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -111,6 +118,7 @@ SIM_CYCLE_PERIODS = (101, 301)
 RESIDUAL_PERIODS = (101, 301, 1001)
 VERIFY_PERIODS = (7, 21, 101, 301, 1001)
 PER_CALL_PERIODS = (7, 21)
+CARRIER_PERIODS = (7, 301, 1001)
 DFT_PERIODS = (7, 101, 301)
 CALLS = 100
 SESSION_PERIODS = (7, 21)
@@ -138,6 +146,16 @@ def _slope_k(resp: complex, T: int, odd: bool) -> float:
     resp at the frequency (T - 1, T), which lies in its window."""
     t = math.tan(math.pi / (2 * T if odd else T))
     return SLOPE_MARGIN * -t / (resp.real * t + abs(resp.imag))
+
+
+def _carrier_samples(freq, resp: complex) -> tuple:
+    """The carrier u_k = cos(omega*k) and the response samples
+    Re(resp e^{j*omega*k}), formed as the checkout's build forms them."""
+    if hasattr(freq, "carrier"):
+        u, sin = freq.carrier()
+        return u, resp.real * u - resp.imag * sin
+    k = np.arange(freq.T)
+    return np.cos(freq.omega * k), (resp * np.exp(1j * freq.omega * k)).real
 
 
 def _arguments(construct, name: str, plant, freq, kwargs) -> tuple:
@@ -223,7 +241,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     construct, phase, sim = pkg.construct, pkg.phase, pkg.sim
     AnchorPlant, RationalFrequency = pkg.AnchorPlant, pkg.RationalFrequency
     build_certificate = construct.build_certificate
-    dc_gain, freq_response = pkg.lti.dc_gain, pkg.lti.freq_response
+    plant_values = construct.plant_values
     grid_search, sweep_entries = phase.grid_search, phase.sweep_entries
     simulate_closed_loop = sim.simulate_closed_loop
 
@@ -252,8 +270,14 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     g8 = pkg.TransferFunction((1.0,), tuple(
         math.comb(8, k) * (-0.5) ** k for k in range(9)))
     for plant in (g, g8):
-        add(f"lti.freq_response order={plant.order} x{CALLS}",
-            lambda p=plant: [freq_response(p, 0.3) for _ in range(CALLS)])
+        add(f"construct.plant_values order={plant.order} x{CALLS}",
+            lambda p=plant, f=RationalFrequency(1, 10): [
+                plant_values(p, f) for _ in range(CALLS)])
+    for T in CARRIER_PERIODS:
+        freq = RationalFrequency(T - 1, T)
+        add(f"lti.carrier T={T} x{CALLS}",
+            lambda f=freq, r=plant_values(g, freq)[0]: [
+                _carrier_samples(f, r) for _ in range(CALLS)])
     for beta_max in SWEEP_BETA_MAX:
         add(f"phase.sweep_entries beta_max={beta_max}",
             lambda b=beta_max: sweep_entries(g, b), clear_grid)
@@ -265,7 +289,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             lambda b=beta_max: sweep_entries(g, b))
     for T in PERIODS:
         freq = RationalFrequency(T - 1, T)
-        resp = freq_response(g, freq.omega)
+        resp, dc = plant_values(g, freq)
         add(f"construct.build_certificate T={T}",
             lambda f=freq: build_certificate(g, f))
         mono_certs[T] = build_certificate(g, freq)
@@ -278,7 +302,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             if T in SIM_CYCLE_PERIODS:
                 slope_certs[label] = build_certificate(g, freq, odd=odd,
                                                        slope=slope)
-        anchor = AnchorPlant(freq.omega, resp, dc_gain(g))
+        anchor = AnchorPlant(freq.omega, resp, dc)
         add(f"construct.build_certificate T={T} anchor",
             lambda a=anchor, f=freq: build_certificate(a, f))
         for name, kwargs in (("interpolate", {}), ("compute_shift", {}),
@@ -288,18 +312,18 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
                 lambda fn=getattr(construct, name), a=args, k=kw: fn(*a, **k))
     for T in VERIFY_PERIODS:
         freq = RationalFrequency(T - 1, T)
-        resp = freq_response(g, freq.omega)
+        resp = plant_values(g, freq)[0]
         for odd in (False, True):
             verify_certs[f"T={T} {'odd' if odd else 'even'} k"] = \
                 build_certificate(g, freq, odd=odd,
                                   slope=_slope_k(resp, T, odd))
     for T in PER_CALL_PERIODS:
         freq = RationalFrequency(T - 1, T)
-        resp = freq_response(g, freq.omega)
+        resp, dc = plant_values(g, freq)
         builds = (
             ("even k", g, {"slope": _slope_k(resp, T, False)}),
             ("odd k", g, {"odd": True, "slope": _slope_k(resp, T, True)}),
-            ("anchor", AnchorPlant(freq.omega, resp, dc_gain(g)), {}))
+            ("anchor", AnchorPlant(freq.omega, resp, dc), {}))
         for label, plant, kwargs in builds:
             add(f"construct.build_certificate T={T} {label} x{CALLS}",
                 lambda p=plant, f=freq, k=kwargs: [
@@ -322,7 +346,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             lambda p=plant: simulate_closed_loop(p, cert.phi, x0, steps))
     freq = cert.freq
     neg = build_certificate(g_neg, freq, slope=_slope_k(
-        freq_response(g_neg, freq.omega), freq.T, False))
+        plant_values(g_neg, freq)[0], freq.T, False))
     add(f"sim.simulate_closed_loop D=-{FEEDTHROUGH} k steps={steps}",
         lambda x=_initial_state(sim, g_neg, neg): simulate_closed_loop(
             g_neg, neg.phi, x, steps))
@@ -377,7 +401,7 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
     for T in SESSION_PERIODS:
         phi, sig, trace, report = (str(tmp / f"T{T}-{name}") for name in (
             "phi.json", "sig.csv", "trace.csv", "report.json"))
-        slope = _slope_k(freq_response(g, RationalFrequency(T - 1, T).omega),
+        slope = _slope_k(plant_values(g, RationalFrequency(T - 1, T))[0],
                          T, False)
         construct_args = ["construct", str(plant_file), "--alpha",
                           str(T - 1), "--beta", str(T), "--slope",
