@@ -38,7 +38,7 @@ from .errors import (
 from .lti import RationalFrequency, TransferFunction
 from .phase import grid_search, sweep_entries
 from .sim import nyquist_gain, trajectory_csv, verify_cycle
-from .construct import AnchorPlant, build_certificate, plant_response
+from .construct import AnchorPlant, build_certificate
 from .fileio import (
     load_phi,
     load_plant,
@@ -71,7 +71,6 @@ __all__ = [
     "TransferFunction",
     "RationalFrequency",
     "AnchorPlant",
-    "plant_response",
     "sweep_entries",
     "grid_search",
     "build_certificate",

@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .construct import build_certificate, plant_response
+from .construct import build_certificate, plant_values
 from .errors import (
     AlgebraicLoopError,
     DomainError,
@@ -364,7 +364,7 @@ def figure_data(plant_file, alpha, beta, which, odd, slope, out, report):
         freq = _frequency(alpha, beta)
         if which != "phi":
             # gvt's re column is the y of an unshifted monotone build
-            g = plant_response(plant, freq) if which == "gvt" else 1.0
+            g = plant_values(plant, freq)[0] if which == "gvt" else 1.0
             cos, sin = freq.carrier()
             pts = zip((g.real * cos - g.imag * sin).tolist(),
                       (g.imag * cos + g.real * sin).tolist())

@@ -72,7 +72,6 @@ __all__ = [
     "AnchorPlant",
     "Plant",
     "plant_values",
-    "plant_response",
     "ConstructionCertificate",
     "build_certificate",
 ]
@@ -122,11 +121,6 @@ def plant_values(plant: Plant,
             f"anchor is pinned at omega = {plant.omega:.12g}, not at "
             f"{freq.alpha}*pi/{freq.beta} = {freq.omega:.12g}")
     return plant.value, plant.dc
-
-
-def plant_response(plant: Plant, freq: RationalFrequency) -> complex:
-    """Plant value at omega = alpha*pi/beta for either plant form."""
-    return plant_values(plant, freq)[0]
 
 
 _VARIANTS = {(False, False): "monotone_inf", (True, False): "odd_inf",

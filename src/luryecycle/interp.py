@@ -8,14 +8,17 @@ the clustering width are one breakpoint, so the test reduces to one
 sort: the values of each cluster must lie above those of the one before.
 The interpolant is piecewise linear between breakpoints, takes the whole
 interval [v_lo, v_hi] at a multivalued breakpoint, and extrapolates by
-its nearest value outside the data span.  The input shift only locates
-xi; the caller shifts and interpolates.
+its nearest value outside the data span.  An odd interpolant is its own
+point reflection exactly: each breakpoint (y, [v_lo, v_hi]) has the
+mirror (-y, [-v_hi, -v_lo]), equal up to the sign of zero, so no width
+decides oddness.  The input shift only locates xi; the caller shifts and
+interpolates.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,7 +135,7 @@ class PiecewiseNonlinearity:
             self.__dict__["bounds"] = (
                 _graph_end(self.ys, self.los, self.los, self.his, self.y_tol),
                 _graph_end(self.ys, self.his, self.los, self.his, self.y_tol))
-            if self.odd and (flaw := _odd_flaw(self, self.y_tol, hi)):
+            if self.odd and (flaw := _odd_flaw(self)):
                 raise ValueError(f"odd flag set but {flaw}")
 
     @cached_property
@@ -249,18 +252,18 @@ def _sorted(data) -> np.ndarray:
     return pts.take(pts.view(complex).ravel().argsort(kind="stable"), axis=0)
 
 
-def _clusters(data) -> tuple[np.ndarray, float]:
-    """(3, N) breakpoint columns and width of the pairs: outputs chained by
-    gaps within the width form a breakpoint at their math.fsum mean (for
-    two, one sum plus 0.0 equals it), holding their min and max value.
-    Where the sum overflows, a sum of the outputs scaled by 2^-k < 1/N
-    gives the mean's bits as an unbounded exponent would."""
+def _clusters(data) -> np.ndarray:
+    """(3, N) breakpoint columns of the pairs: outputs chained by gaps
+    within the clustering width form a breakpoint at their math.fsum mean
+    (for two, one sum plus 0.0 equals it), holding their min and max
+    value.  Where the sum overflows, a sum of the outputs scaled by
+    2^-k < 1/N gives the mean's bits as an unbounded exponent would."""
     s = _sorted(data)
     ys, vs = s[:, 0], s[:, 1]
     eps = Y_TOL_FACTOR * float(max(1.0, -ys[0], ys[-1]))
     cut = ys[1:] - ys[:-1] > eps
     if np.count_nonzero(cut) == len(cut):
-        return np.array((ys + 0.0, vs, vs)), eps
+        return np.array((ys + 0.0, vs, vs))
     ends = np.flatnonzero(np.concatenate(([True], cut, [True])))
     first, last = ends[:-1], ends[1:] - 1
     a, b = vs[first], vs[last]
@@ -276,7 +279,7 @@ def _clusters(data) -> tuple[np.ndarray, float]:
             mean = math.ldexp(math.fsum(math.ldexp(e, -k) for e in y)
                               / len(y), k)
         cols[:, c] = mean, min(v), max(v)
-    return cols, eps
+    return cols
 
 
 def interpolate(data, slope_bound: float = math.inf) -> PiecewiseNonlinearity:
@@ -286,11 +289,12 @@ def interpolate(data, slope_bound: float = math.inf) -> PiecewiseNonlinearity:
     multivalued) breakpoint at their mean.  Raises
     :class:`NotMonotoneError` when the chord test fails, and
     :class:`SlopeViolationError` when loop-transformed data leaves a finite
-    slope_bound's class.  The odd flag is detected from the data: a
-    symmetric breakpoint set whose graph contains the origin.
+    slope_bound's class.  The odd flag is detected from the data: set
+    when every breakpoint has an exact mirror and the graph contains the
+    origin.
     """
     with np.errstate(all="ignore"):
-        cols, eps = _clusters(data)
+        cols = _clusters(data)
         try:
             phi = PiecewiseNonlinearity(*cols, slope_bound=slope_bound)
         except _Flaw as exc:
@@ -301,40 +305,27 @@ def interpolate(data, slope_bound: float = math.inf) -> PiecewiseNonlinearity:
             raise SlopeViolationError(
                 f"transformed data needs chord slope {exc.peak:.9g}, "
                 f"outside the class limit {slope_bound:.9g}") from exc
-        # The odd=True check of construction, with the data's widths.
-        if _odd_flaw(phi, eps, cols[1:]) is None:
+        # The odd=True check of construction.
+        if _odd_flaw(phi) is None:
             object.__setattr__(phi, "odd", True)
     return phi
 
 
-def _odd_flaw(phi: PiecewiseNonlinearity, tol_y: float,
-              values: np.ndarray) -> str | None:
-    """Why phi is not odd within tol_y and the clustering width of
-    values, or None when it is: every breakpoint needs a mirror at -y
-    with the negated value interval (only candidates within 2*tol_y of
-    -y can pass, and rounding drops none), and phi(0) must hold 0.
-    Tried in turn: the first breakpoint alone, mirror n-1-i of each i
-    (which odd data passes), and every candidate of every breakpoint."""
-    ys = phi.ys
-    if (bisect_left(ys, -ys[0] - 2.0 * tol_y)
-            >= bisect_right(ys, -ys[0] + 2.0 * tol_y)):
-        return f"no mirror of the breakpoint at y={ys[0]!r} exists"
-    cols, y = phi._cols, phi._rows[0]
-    tol_v = Y_TOL_FACTOR * max(1.0, float(np.abs(values).max()))
-    tols = np.array(((tol_y,), (tol_v,), (tol_v,)))
-    # y, v_hi, v_lo of each, to add to y, v_lo, v_hi of its mirror
-    mirrors = cols.take((0, 2, 1), axis=0)
-    mirrored = np.logical_and.reduce(np.abs(cols[:, ::-1] + mirrors) <= tols)
-    if np.count_nonzero(mirrored) < len(ys):
-        first = y.searchsorted(-y - 2.0 * tol_y)
-        stop = y.searchsorted(-y + 2.0 * tol_y, side="right")
-        for k in range(int(np.maximum.reduce(stop - first))):
-            m = np.minimum(first + k, len(ys) - 1)
-            mirrored |= (first + k < stop) & np.logical_and.reduce(
-                np.abs(cols.take(m, axis=1) + mirrors) <= tols)
-        if np.count_nonzero(mirrored) < len(ys):
-            b = ys[mirrored.argmin()]
-            return f"no mirror of the breakpoint at y={b!r} exists"
+def _odd_flaw(phi: PiecewiseNonlinearity) -> str | None:
+    """Why phi is not odd, or None when it is: every breakpoint needs an
+    exact mirror, a breakpoint at -y with the negated value interval (float
+    ==, so +0.0 matches -0.0), and phi(0) must hold 0.  As ys increase,
+    the mirror of breakpoint i can only be breakpoint n-1-i: the end
+    breakpoints are tried first, then all of them."""
+    ys, los, his = phi.ys, phi.los, phi.his
+    if not (ys[0] == -ys[-1] and los[0] == -his[-1] and his[0] == -los[-1]
+            and (phi._cols == -phi._cols[(0, 2, 1), ::-1]).all()):
+        # Some breakpoint lacks an exact mirror: were there one for each,
+        # breakpoint n-1-i would mirror i and the test above would pass.
+        for y, lo, hi in zip(ys, los, his):
+            j = min(bisect_left(ys, -y), len(ys) - 1)
+            if not (ys[j] == -y and los[j] == -hi and his[j] == -lo):
+                return f"no mirror of the breakpoint at y={y!r} exists"
     if phi.origin_gap > ORIGIN_TOL:
         return "0 is not in phi(0)"
     return None
@@ -367,7 +358,7 @@ def compute_shift(data, dc: float) -> float:
     with np.errstate(all="ignore"):
         # Rounding decides the order inside an equal-y group, so the
         # vertices are (y, v_lo) of each breakpoint, (y, v_hi) of a riser.
-        (ys, los, his), _ = _clusters(data)
+        ys, los, his = _clusters(data)
         keep = np.repeat(his > los, 2)
         keep[::2] = True
         vy, vv = np.array((ys, los, ys, his)).T.reshape(-1, 2).compress(

@@ -34,16 +34,14 @@ from .errors import DomainError, EmptyResultError, ZeroResponseError
 from .lti import RationalFrequency, TransferFunction, polyval_rows
 
 # Classification tolerances.  PHASE_TOL is the slack of the window test;
-# RESPONSE_MAG_TOL guards the undefined phase of a zero response;
-# KBAR_TIE_TOL groups near-equal bounds before tie-breaking.
+# RESPONSE_MAG_TOL guards the undefined phase of a zero response.  The
+# sweep's order needs none: only exactly equal bounds tie.
 PHASE_TOL = 1e-9
 RESPONSE_MAG_TOL = 1e-12
-KBAR_TIE_TOL = 1e-12
 
 __all__ = [
     "PHASE_TOL",
     "RESPONSE_MAG_TOL",
-    "KBAR_TIE_TOL",
     "BoundKind",
     "SlopeBound",
     "phase_check",
@@ -123,40 +121,6 @@ def _slope_bounds(response: np.ndarray,
             f"R*t + |I| = {float(denom[i])!r}")
     kind = np.where(finite, 0, np.where((R < 0.0) & (denom <= tiny), 1, 2))
     return kind, kbar
-
-
-def _tied(a: float, b: float) -> bool:
-    if math.isinf(a) and math.isinf(b):
-        return True
-    return abs(a - b) <= KBAR_TIE_TOL
-
-
-def _feasible_order(kbar: np.ndarray, T: np.ndarray,
-                    beta: np.ndarray) -> np.ndarray:
-    """Order of feasible rows ascending by kbar (inf for the monotone-only
-    limit), then T, then beta.  Each near-tie group, from its first value
-    to the last value within KBAR_TIE_TOL of that first one, is re-sorted
-    by (T, beta).  Only a run of tied consecutive steps can hold a group,
-    so only those runs are walked."""
-    order = np.lexsort((beta, T, kbar))
-    s = kbar[order]
-    with np.errstate(invalid="ignore"):
-        step = ((np.abs(s[:-1] - s[1:]) <= KBAR_TIE_TOL)
-                | (np.isinf(s[:-1]) & np.isinf(s[1:])))
-    if not step.any():
-        return order
-    edges = np.diff(np.concatenate(([0], step.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1) + 1
-    for i, stop in zip(starts.tolist(), stops.tolist()):
-        while i < stop - 1:
-            j = i + 1
-            while j < stop and _tied(s[i], s[j]):
-                j += 1
-            group = order[i:j]
-            order[i:j] = group[np.lexsort((beta[group], T[group]))]
-            i = j
-    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,9 +245,10 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
                   odd_variant: bool = False) -> SweepTable:
     """Slope bounds for every coprime pair 0 < alpha < beta <= beta_max.
 
-    Feasible entries come first, ascending by kbar; infeasible entries
-    follow in (beta, alpha) order.  The plant-independent columns come
-    from coprime_grid.
+    Feasible entries come first, ascending by kbar (inf for the
+    monotone-only limit), exactly equal bounds by T, then beta;
+    infeasible entries follow in (beta, alpha) order.  The
+    plant-independent columns come from coprime_grid.
     """
     if beta_max < 2:
         raise DomainError(f"beta_max must be at least 2, got {beta_max}")
@@ -302,8 +267,8 @@ def sweep_entries(plant: TransferFunction, beta_max: int,
         resp, (grid.tan_odd if odd_variant else grid.tan_even)[:n])
     feasible = np.flatnonzero(kind < 2)
     order = np.concatenate([
-        feasible[_feasible_order(np.where(kind == 0, kbar, np.inf)[feasible],
-                                 grid.T[feasible], grid.beta[feasible])],
+        feasible[np.lexsort((grid.beta[feasible], grid.T[feasible],
+                             np.where(kind == 0, kbar, np.inf)[feasible]))],
         np.flatnonzero(kind == 2)])
     return SweepTable(odd_variant, grid, order, resp.real[order],
                       resp.imag[order], kind[order], kbar[order])

@@ -422,10 +422,11 @@ def nyquist_gain(plant: TransferFunction) -> float:
     num = np.zeros(den.size)
     num[den.size - len(plant.num):] = plant.num
     # np.polymul's products: the operands stripped of their leading
-    # zeros, as its poly1d strips them, keep its summation order
+    # zeros, as its poly1d strips them, keep its summation order; each
+    # reversed operand starts at its last nonzero coefficient
     real_g = np.polysub(
-        np.convolve(plant.num, np.trim_zeros(den[::-1], "f")),
-        np.convolve(den, np.trim_zeros(num[::-1], "f")))
+        np.convolve(plant.num, den[np.flatnonzero(den)[-1]::-1]),
+        np.convolve(den, num[np.flatnonzero(num)[-1]::-1]))
     if not np.all(np.isfinite(real_g)):
         raise DomainError("the plant coefficients overflow the polynomial "
                           "of the real-axis crossings")

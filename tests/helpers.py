@@ -38,7 +38,6 @@ from luryecycle.interp import (
 )
 from luryecycle.lti import PeriodicSignal, dft_response
 from luryecycle.phase import (
-    KBAR_TIE_TOL,
     PHASE_TOL,
     BoundKind,
     SlopeBound,
@@ -587,28 +586,11 @@ def kbar_or_inf(e: SlopeBound) -> float:
     return math.inf if e.kbar is None else e.kbar
 
 
-def _tied(a: SlopeBound, b: SlopeBound) -> bool:
-    va, vb = kbar_or_inf(a), kbar_or_inf(b)
-    if math.isinf(va) and math.isinf(vb):
-        return True
-    return abs(va - vb) <= KBAR_TIE_TOL
-
-
 def sorted_feasible(entries: list[SlopeBound]) -> list[SlopeBound]:
-    """Ascending by kbar; near-ties prefer smaller T, then smaller beta.
-    A near-tie group runs from its first entry to the last one tied to
-    that first entry."""
-    ent = sorted(entries,
-                 key=lambda e: (kbar_or_inf(e), e.freq.T, e.freq.beta))
-    out: list[SlopeBound] = []
-    i = 0
-    while i < len(ent):
-        j = i + 1
-        while j < len(ent) and _tied(ent[i], ent[j]):
-            j += 1
-        out.extend(sorted(ent[i:j], key=lambda e: (e.freq.T, e.freq.beta)))
-        i = j
-    return out
+    """Ascending by kbar (inf where not finite); equal bounds prefer
+    smaller T, then smaller beta."""
+    return sorted(entries,
+                  key=lambda e: (kbar_or_inf(e), e.freq.T, e.freq.beta))
 
 
 def sweep_reference(plant: TransferFunction, beta_max: int,
@@ -752,12 +734,6 @@ def monotone_interpolable_reference(data, tol: float = CHORD_TOL) -> bool:
     return True
 
 
-def data_widths(data) -> tuple[float, float]:
-    """Clustering widths of the outputs and of the values of data pairs."""
-    return (Y_TOL_FACTOR * max(1.0, max(abs(y) for y, _ in data)),
-            Y_TOL_FACTOR * max(1.0, max(abs(v) for _, v in data)))
-
-
 def odd_append_reference(data) -> tuple[tuple[float, float], ...]:
     """Point-reflected union in sorted order, each candidate checked
     against every kept pair for an exact duplicate."""
@@ -774,15 +750,19 @@ def shift_data(data, xi: float,
     return tuple((y + xi * dc, v - xi) for y, v in data)
 
 
-def odd_reference(phi, tol_y: float, tol_v: float) -> bool:
-    """Odd symmetry by scanning every breakpoint for each mirror, plus
-    containment of 0 in phi(0).  phi needs only breakpoints and y_tol."""
-    bps = phi.breakpoints
-    for b in bps:
-        if not any(abs(m.y + b.y) <= tol_y
-                   and abs(m.v_lo + b.v_hi) <= tol_v
-                   and abs(m.v_hi + b.v_lo) <= tol_v for m in bps):
-            return False
+def unmirrored(bps) -> list[Breakpoint]:
+    """The breakpoints without an exact mirror (-y, [-v_hi, -v_lo]) among
+    bps, scanning every breakpoint for each."""
+    return [b for b in bps
+            if not any(m.y == -b.y and m.v_lo == -b.v_hi and m.v_hi == -b.v_lo
+                       for m in bps)]
+
+
+def odd_reference(phi) -> bool:
+    """Odd symmetry: every breakpoint has its exact mirror, and phi(0)
+    contains 0.  phi needs only breakpoints and y_tol."""
+    if unmirrored(phi.breakpoints):
+        return False
     lo, hi = evaluate_reference(phi, 0.0)
     return lo <= ORIGIN_TOL and hi >= -ORIGIN_TOL
 
@@ -818,7 +798,7 @@ def _clusters_reference(data) -> list[Breakpoint]:
     breakpoint at the math.fsum mean of its outputs, holding its lowest
     and highest value (the first such in sorted order)."""
     pts = sorted(data)
-    eps = data_widths(data)[0]
+    eps = Y_TOL_FACTOR * max(1.0, max(abs(y) for y, _ in data))
     bps = []
     start = 0
     for i in range(1, len(pts) + 1):
@@ -834,8 +814,7 @@ def interpolate_reference(data, slope_bound: float = math.inf
     """Breakpoints and odd flag of the interpolant, pair by pair, or the
     error interpolate raises, for a positive slope_bound: the chord test
     between consecutive clusters, finiteness, the slope class (chord
-    slope inf when a breakpoint is multivalued), then odd detection
-    with the data's widths."""
+    slope inf when a breakpoint is multivalued), then odd detection."""
     bps = _clusters_reference(data)
     slack = INTERPOLABLE_TOL * max(1.0, max(abs(v) for _, v in data))
     if any(p.v_hi > q.v_lo + slack for p, q in zip(bps, bps[1:])):
@@ -852,7 +831,7 @@ def interpolate_reference(data, slope_bound: float = math.inf
                 f"the class limit {slope_bound:.9g}")
     graph = _Graph(tuple(bps),
                    Y_TOL_FACTOR * max(1.0, max(abs(b.y) for b in bps)))
-    return graph.breakpoints, odd_reference(graph, *data_widths(data))
+    return graph.breakpoints, odd_reference(graph)
 
 
 def max_chord_slope(bps) -> float:

@@ -700,18 +700,59 @@ class TestVerify:
 
     def test_odd_phi_missing_the_origin_exits_2(self, runner, plant_file,
                                                 artifacts, tmp_path):
-        # mirrored breakpoints, but phi(0) = 4e-6 misses 0 by more than
-        # ORIGIN_TOL
+        # exactly mirrored breakpoints, but both lie within the snap width
+        # 1e-8 of 0, so phi(0) snaps to the left one's -1000 and misses 0
+        # by more than ORIGIN_TOL
         _, sig = artifacts
         bad = tmp_path / "odd_phi.json"
         bad.write_text(json.dumps({
             "odd": True, "slope_bound": "inf", "breakpoints": [
                 {"y": y, "v_lo": v, "v_hi": v}
-                for y, v in ((-1, -1000), (0, 4e-6), (1, 1000))]}))
+                for y, v in ((-1e-9, -1000), (1e-9, 1000))]}))
         result = runner.invoke(cli, ["verify", str(plant_file), str(bad),
                                      str(sig)])
         assert result.exit_code == 2
         assert "0 is not in phi(0)" in result.output
+
+    def test_odd_phi_one_ulp_off_its_mirror_exits_2(self, runner, plant_file,
+                                                     artifacts, tmp_path):
+        # the mirror of y = -1 sits one ulp beyond 1: only exact mirrors
+        # count, so the odd flag is refused
+        _, sig = artifacts
+        bad = tmp_path / "odd_phi.json"
+        bad.write_text(json.dumps({
+            "odd": True, "slope_bound": "inf", "breakpoints": [
+                {"y": y, "v_lo": v, "v_hi": v}
+                for y, v in ((-1.0, -2.0), (0.0, 0.0),
+                             (math.nextafter(1.0, 2.0), 2.0))]}))
+        message = ("odd flag set but no mirror of the breakpoint at y=-1.0 "
+                   "exists")
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_phi(bad)
+        result = runner.invoke(cli, ["verify", str(plant_file), str(bad),
+                                     str(sig)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("alpha, beta, flags", [
+        (1, 3, []), (2, 7, ["--odd"]), (100, 101, ["--odd"])])
+    def test_written_odd_phi_reloads_odd_and_passes(self, runner, plant_file,
+                                                    tmp_path, alpha, beta,
+                                                    flags):
+        out = tmp_path / "phi.json"
+        sig = tmp_path / "sig.csv"
+        result = runner.invoke(cli, [
+            "construct", str(plant_file), "--alpha", str(alpha), "--beta",
+            str(beta), *flags, "--out", str(out), "--signals", str(sig)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["odd"] is True
+        assert load_phi(out).odd
+        result = runner.invoke(cli, ["verify", str(plant_file), str(out),
+                                     str(sig)])
+        assert result.exit_code == 0, result.output
+        assert "PASS" in result.output
 
     @pytest.mark.parametrize("key", ["v_lo", "slope_bound"])
     def test_phi_value_beyond_float_range_exits_2(self, runner, plant_file,

@@ -16,9 +16,9 @@ from luryecycle import (
     TransferFunction,
     build_certificate,
     grid_search,
-    plant_response,
 )
 from luryecycle import construct, interp
+from luryecycle.construct import plant_values
 from luryecycle.interp import interpolate, loop_transform_data, odd_append
 from helpers import (
     exact_certificate_flaw,
@@ -45,15 +45,15 @@ def unit_anchor() -> AnchorPlant:
 
 class TestPlantForms:
     def test_rational_response_and_dc(self, example_plant):
-        assert plant_response(example_plant, F27) == pytest.approx(
+        assert plant_values(example_plant, F27)[0] == pytest.approx(
             -1.4197572177829966 - 0.31408378933125235j, abs=1e-12)
         assert plant_dc(example_plant) == pytest.approx(100.0)
 
     def test_anchor_response_requires_matching_omega(self, unit_anchor):
-        assert plant_response(unit_anchor,
-                              RationalFrequency(1, 5)) == unit_anchor.value
+        assert plant_values(unit_anchor,
+                            RationalFrequency(1, 5))[0] == unit_anchor.value
         with pytest.raises(PlantValidationError):
-            plant_response(unit_anchor, F27)
+            plant_values(unit_anchor, F27)
 
     def test_anchor_dc_defaults_to_none(self, unit_anchor):
         assert plant_dc(unit_anchor) is None
@@ -314,7 +314,7 @@ class TestAnchorConstruction:
     def test_even_alpha_with_dc(self, example_plant):
         freq = RationalFrequency(2, 5)
         anchor = AnchorPlant(omega=freq.omega,
-                             value=plant_response(example_plant, freq),
+                             value=plant_values(example_plant, freq)[0],
                              dc=plant_dc(example_plant))
         cert = build_certificate(anchor, freq)
         ref = build_certificate(example_plant, freq)

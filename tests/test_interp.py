@@ -124,6 +124,11 @@ class TestPiecewiseNonlinearity:
             PiecewiseNonlinearity((0.0, 1.0), (0.0, 2.0), (0.0, 2.0),
                                   odd=True)
 
+    def test_odd_mirrors_match_zeros_of_either_sign(self):
+        cols = ((-1.0, -0.0, 1.0), (-2.0, 0.0, 2.0), (-2.0, -0.0, 2.0))
+        assert PiecewiseNonlinearity(*cols, odd=True).odd
+        assert interpolate(((-1.0, -2.0), (0.0, -0.0), (1.0, 2.0))).odd
+
     def test_evaluation_regions(self):
         phi = PiecewiseNonlinearity((0.0, 2.0), (0.0, 3.0), (1.0, 3.0))
         assert value_set(phi, 0.0) == (0.0, 1.0)     # at a breakpoint

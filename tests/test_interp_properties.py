@@ -34,7 +34,6 @@ from luryecycle.interp import (
 from helpers import (
     breakpoint_bits,
     compute_shift_reference,
-    data_widths,
     dyadic_phis,
     evaluate_reference,
     float_bits,
@@ -47,6 +46,7 @@ from helpers import (
     odd_reference,
     phi_from_breakpoints,
     probe_points,
+    unmirrored,
     value_set,
 )
 
@@ -186,14 +186,19 @@ def test_odd_append_matches_reference(data):
     assert list(map(float_bits, out.tolist())) == list(map(float_bits, ref))
 
 
-@given(st.one_of(grid_data(first_quadrant=True), grid_data()))
+# Grid data with its exact point reflection, as odd builds interpolate.
+odd_grid_data = st.one_of(grid_data(first_quadrant=True),
+                          grid_data()).map(odd_append)
+
+
+@given(st.one_of(grid_data(first_quadrant=True), grid_data(), odd_grid_data))
 def test_odd_detection_matches_reference(data):
     assume(interpolates(data))
     phi = interpolate(data)
-    assert phi.odd == odd_reference(phi, *data_widths(data))
+    assert phi.odd == odd_reference(phi)
 
 
-@given(st.one_of(grid_data(first_quadrant=True), grid_data()))
+@given(odd_grid_data)
 def test_detected_odd_flag_passes_the_constructor_check(data):
     """interpolate sets a detected odd flag without building phi again;
     the constructor's own odd check accepts the same graph."""
@@ -226,7 +231,7 @@ def test_columns_tuples_and_lists_build_the_same_phi(data, slope, odd, flaw,
     and message: also after a flaw put into breakpoint i, a repeated
     position, v_lo above v_hi, decreasing values or a non-finite
     value."""
-    cols, _ = _clusters(np.array(data))
+    cols = _clusters(np.array(data))
     i = at % cols.shape[1]
     if flaw == 1:
         cols[0, i] = cols[0, i - 1]
@@ -304,27 +309,30 @@ def test_origin_gap_counts_nan_ends_as_zero(lo, hi):
                                                               0.0)])
 
 
-@given(st.one_of(grid_data(first_quadrant=True), grid_data()),
-       st.integers(-1, 1), st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]))
-def test_odd_flag_check_matches_reference(data, which, shift):
-    """Declaring odd=True succeeds exactly when every breakpoint has a
-    mirror; one breakpoint moved by a multiple of the snap width probes
-    the edge of the mirror window."""
+@given(st.one_of(grid_data(first_quadrant=True), grid_data(), odd_grid_data),
+       st.integers(-1, 1), st.sampled_from([0, 1, 2]), st.booleans())
+def test_odd_flag_check_matches_reference(data, which, ulps, value):
+    """Declaring odd=True succeeds exactly when every breakpoint has an
+    exact mirror and phi(0) holds 0; an end breakpoint moved outward, or
+    its outer value moved outward, by one or two ulps loses its mirror."""
     assume(interpolates(data))
     bps = list(interpolate(data).breakpoints)
     if which >= 0 and len(bps) > 1:
         # move an end breakpoint outward so the graph stays monotone
         i = -1 if which else 0
         b = bps[i]
-        width = Y_TOL_FACTOR * max(1.0, max(abs(p.y) for p in bps))
-        dy = math.copysign(shift * width, -1.0 if i == 0 else 1.0)
-        bps[i] = Breakpoint(b.y + dy, b.v_lo, b.v_hi)
-    plain = phi_from_breakpoints(bps)
-    tol_v = Y_TOL_FACTOR * max(1.0, max(abs(b.v_hi) for b in bps))
-    want = odd_reference(plain, plain.y_tol, tol_v)
+        step = ulps if i else -ulps
+        bps[i] = Breakpoint(b.y if value else _nudge(b.y, step),
+                            _nudge(b.v_lo, 0 if i or not value else step),
+                            _nudge(b.v_hi, step if i and value else 0))
+    want = odd_reference(phi_from_breakpoints(bps))
     try:
         phi_from_breakpoints(bps, odd=True)
         got = True
-    except ValueError:
+    except ValueError as exc:
         got = False
+        lonely = unmirrored(bps)
+        assert str(exc) == "odd flag set but " + (
+            f"no mirror of the breakpoint at y={lonely[0].y!r} exists"
+            if lonely else "0 is not in phi(0)")
     assert got == want

@@ -6,10 +6,11 @@ import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import luryecycle
@@ -24,16 +25,15 @@ from luryecycle import (
 )
 from luryecycle import phase
 from luryecycle.phase import (
-    KBAR_TIE_TOL,
     BoundKind,
     SlopeBound,
-    _feasible_order,
     _slope_bounds,
     coprime_grid,
     phase_check,
 )
 from helpers import (
     coprime_pairs,
+    float_bits,
     freq_response,
     in_window,
     kbar_or_inf,
@@ -264,27 +264,15 @@ class TestSweep:
             assert all(e.odd_variant is odd for e in part)
 
     def test_near_ties_group_from_their_first_value(self):
-        # Three bounds in steps of 0.8*KBAR_TIE_TOL: the first two tie,
-        # but the third lies more than the tolerance above the first, so
-        # it starts a group of its own and stays last although its period
-        # is the smallest.  Chaining the steps would move it to the front.
-        kbar = np.array([1.0, 1.0 + 0.8 * KBAR_TIE_TOL,
-                         1.0 + 1.6 * KBAR_TIE_TOL, 2.0, np.inf, np.inf])
-        freqs = [RationalFrequency(a, b) for a, b in
-                 ((2, 9), (1, 4), (2, 3), (1, 2), (2, 7), (2, 5))]
-        T = np.array([f.T for f in freqs])  # 9, 8, 3, 4, 7, 5
-        beta = np.array([f.beta for f in freqs])
-        assert kbar[1] - kbar[0] <= KBAR_TIE_TOL
-        assert kbar[2] - kbar[1] <= KBAR_TIE_TOL
-        assert kbar[2] - kbar[0] > KBAR_TIE_TOL
-        order = _feasible_order(kbar, T, beta).tolist()
-        assert order == [1, 0, 2, 3, 5, 4]
-        rows = [SlopeBound(f, -1 + 0j, False,
-                           BoundKind.INFINITE if math.isinf(k)
-                           else BoundKind.FINITE,
-                           None if math.isinf(k) else k)
-                for k, f in zip(kbar.tolist(), freqs)]
-        assert [rows.index(e) for e in sorted_feasible(rows)] == order
+        # Three bounds 8e-13 apart sort by kbar alone: only exactly equal
+        # bounds tie, and the two inf rows order by T.
+        bounds = {(2, 9): 1.0, (1, 4): 1.0 + 8e-13, (2, 3): 1.0 + 1.6e-12,
+                  (1, 2): 2.0, (2, 7): math.inf, (2, 5): math.inf}
+        table = sweep_with_bounds(bounds, 9)
+        assert _pairs(table[:6]) == [(2, 9), (1, 4), (2, 3), (1, 2),
+                                     (2, 5), (2, 7)]
+        assert _pairs(table[:6]) == _pairs_of(
+            sorted_feasible(_bound_rows(bounds)))
 
     def test_rejects_tiny_beta_max(self, example_plant):
         with pytest.raises(ValueError):
@@ -363,20 +351,90 @@ class TestCoprimeGrid:
         assert phase._grid.beta_max == 12
 
 
+def _pairs(table) -> list[tuple[int, int]]:
+    return list(zip(table.alpha.tolist(), table.beta.tolist()))
+
+
+def _pairs_of(rows) -> list[tuple[int, int]]:
+    return [(e.freq.alpha, e.freq.beta) for e in rows]
+
+
+def _bound_rows(bounds) -> list[SlopeBound]:
+    """SlopeBound rows with these kbar by (alpha, beta), inf for the
+    monotone-only limit, in the grid's (beta, alpha) order."""
+    return [SlopeBound(RationalFrequency(a, b), -1 + 0j, False,
+                       BoundKind.INFINITE if math.isinf(k)
+                       else BoundKind.FINITE,
+                       None if math.isinf(k) else k)
+            for (a, b), k in sorted(bounds.items(),
+                                    key=lambda item: item[0][::-1])]
+
+
+def sweep_with_bounds(bounds, beta_max: int):
+    """sweep_entries' table when the closed form gives the pairs in bounds
+    these kbar (inf for the monotone-only limit) and every other pair is
+    infeasible."""
+    grid = coprime_grid(beta_max)
+
+    def fake(response, t):
+        kind = np.full(len(response), 2)
+        kbar = np.full(len(response), np.nan)
+        for i, pair in enumerate(zip(grid.alpha[:len(response)].tolist(),
+                                     grid.beta[:len(response)].tolist())):
+            if pair in bounds:
+                kind[i] = 1 if math.isinf(bounds[pair]) else 0
+                kbar[i] = np.nan if kind[i] else bounds[pair]
+        return kind, kbar
+
+    with mock.patch.object(phase, "_slope_bounds", fake):
+        return sweep_entries(TransferFunction((0.5,), (1.0,)), beta_max)
+
+
 PAIRS = coprime_pairs(12)
 
 
-@given(st.lists(st.tuples(st.one_of(st.integers(0, 12), st.none()),
-                          st.sampled_from(PAIRS)), min_size=1, max_size=40))
+@given(st.dictionaries(st.sampled_from(PAIRS),
+                       st.one_of(st.integers(0, 12), st.none()),
+                       min_size=1))
 def test_feasible_order_matches_reference_on_near_ties(draws):
-    # bounds on a grid of 0.4*KBAR_TIE_TOL, with repeats and inf, so
-    # chains of ties of every length occur
-    rows = [SlopeBound(RationalFrequency(a, b), -1 + 0j, False,
-                       BoundKind.INFINITE if k is None else BoundKind.FINITE,
-                       None if k is None else 1.0 + k * 0.4 * KBAR_TIE_TOL)
-            for k, (a, b) in draws]
-    order = _feasible_order(np.array([kbar_or_inf(e) for e in rows]),
-                            np.array([e.freq.T for e in rows]),
-                            np.array([e.freq.beta for e in rows]))
-    assert [id(rows[i]) for i in order] == \
-        [id(e) for e in sorted_feasible(rows)]
+    # bounds on a grid of 4e-13, with repeats and inf, so near-ties and
+    # exact ties of every length occur; the feasible rows sort by
+    # (kbar, T, beta) and the infeasible ones follow in (beta, alpha) order
+    bounds = {pair: math.inf if k is None else 1.0 + k * 4e-13
+              for pair, k in draws.items()}
+    table = sweep_with_bounds(bounds, 12)
+    assert _pairs(table) == _pairs_of(sorted_feasible(_bound_rows(bounds))) \
+        + [pair for pair in PAIRS if pair not in bounds]
+    assert float_bits(table.kbar[:len(bounds)]) == float_bits(
+        np.nan if math.isinf(bounds[pair]) else bounds[pair]
+        for pair in _pairs(table[:len(bounds)]))
+
+
+@given(st.integers(0, 2**16), st.booleans(), st.integers(2, 40),
+       st.integers(-40, 40))
+@example(8, False, 40, 30)  # out of order under an absolute tie tolerance
+@example(4, False, 20, -40)  # one kind decided by the floor of tiny
+def test_sweep_is_scale_equivariant(seed, odd, beta_max, m):
+    """Scaling num by 2^m scales every response by 2^m and every kbar by
+    2^-m exactly, so the sweep of 2^m G has G's kinds, its row order and
+    its kbar times 2^-m, bit for bit.  A kind may differ only where the
+    absolute floor 1e-15 of _slope_bounds' tiny decides it, a known
+    dependence on scale: at a row whose max(|R|*t, |I|) is below 1 in one
+    of the two sweeps."""
+    g = random_stable_tf(np.random.default_rng(seed), max_order=8)
+    scaled = TransferFunction(tuple(c * 2.0**m for c in g.num), g.den)
+    plain, big = (sweep_entries(p, beta_max, odd) for p in (g, scaled))
+    grid = coprime_grid(beta_max)
+    t = (grid.tan_odd if odd else grid.tan_even)[plain.rows]
+    kinds = np.empty((2, len(plain)), dtype=int)
+    kinds[0, plain.rows], kinds[1, big.rows] = plain.kind, big.kind
+    scale = np.fmax(np.abs(plain.re) * t, np.abs(plain.im))
+    floored = np.zeros(len(plain), dtype=bool)
+    floored[plain.rows] = scale * min(1.0, 2.0**m) < 1.0
+    differ = kinds[0] != kinds[1]
+    assert not (differ & ~floored).any(), \
+        "a kind differs where _slope_bounds' floor of tiny does not act"
+    if differ.any():
+        return
+    assert _pairs(big) == _pairs(plain)
+    assert float_bits(big.kbar * 2.0**m) == float_bits(plain.kbar)

@@ -51,7 +51,10 @@ Measurements:
 - interp.interpolate, interp.compute_shift and interp.odd_append at
   the same T, each on the arguments that build_certificate passes it
   (the monotone build for the first two, the odd slope-k build for
-  odd_append), in whatever form the checkout's construct uses;
+  odd_append), in whatever form the checkout's construct uses; and
+  interp.interpolate CALLS times on the odd-window slope-k build's
+  point-reflected data at T = 1001, whose phi passes the odd check
+  (key "interp.interpolate odd T=1001 x100");
 - sim.simulate_closed_loop for 20 periods, stepping the closed loop
   (phi called at every step) from the initial state that verify_cycle
   computes, driven by the phi of the T = 1001 monotone certificate,
@@ -121,6 +124,7 @@ PER_CALL_PERIODS = (7, 21)
 CARRIER_PERIODS = (7, 301, 1001)
 DFT_PERIODS = (7, 101, 301)
 CALLS = 100
+ODD_INTERP_T = 1001
 SESSION_PERIODS = (7, 21)
 SESSION_BETA_MAX = 20
 NEVER_REPEATS_T = 7
@@ -310,6 +314,13 @@ def cases(pkg, tmp: Path) -> tuple[list, dict[str, int]]:
             args, kw = _arguments(construct, name, g, freq, kwargs)
             add(f"interp.{name} T={T}",
                 lambda fn=getattr(construct, name), a=args, k=kw: fn(*a, **k))
+    freq = RationalFrequency(ODD_INTERP_T - 1, ODD_INTERP_T)
+    args, kw = _arguments(construct, "interpolate", g, freq, {
+        "odd": True,
+        "slope": _slope_k(plant_values(g, freq)[0], ODD_INTERP_T, True)})
+    add(f"interp.interpolate odd T={ODD_INTERP_T} x{CALLS}",
+        lambda fn=construct.interpolate, a=args, k=kw: [
+            fn(*a, **k) for _ in range(CALLS)])
     for T in VERIFY_PERIODS:
         freq = RationalFrequency(T - 1, T)
         resp = plant_values(g, freq)[0]
